@@ -9,6 +9,7 @@ no timestamps.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import config as cfg
 from . import control, spectral, thermal
 from .config import ConfigError
-from .device import GridError, LayoutError, rasterize
+from .device import PAD, GridError, LayoutError, rasterize
 from .spectral import Spectrum, TuningRangeExceeded
 
 EXIT_OK = 0
@@ -119,8 +120,19 @@ def cmd_thermal(args) -> int:
     dx_um = args.dx_um if args.dx_um is not None else params.dx_um
     tol = args.tol if args.tol is not None else params.tol
     max_iter = args.max_iter if args.max_iter is not None else params.max_iter
+    for name, value in (
+        ("absorbed power", power_mw), ("bath temperature", bath_k), ("dx", dx_um), ("tol", tol)
+    ):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if power_mw < 0:
         raise ConfigError("absorbed power must be non-negative")
+    if bath_k <= 0:
+        raise ConfigError("bath temperature must be positive")
+    if tol <= 0:
+        raise ConfigError("tol must be positive")
+    if max_iter < 1:
+        raise ConfigError("max-iter must be at least 1")
 
     layout = device.layout
     try:
@@ -131,7 +143,7 @@ def cmd_thermal(args) -> int:
     field, report = thermal.solve_steady_state(grid, tol=tol, max_iter=max_iter)
     lumped_k = thermal.lumped_temperature(layout, power_mw * 1e-3, bath_k)
 
-    pad_cells = field.t_k[grid.kind == 3]
+    pad_cells = field.t_k[grid.kind == PAD]
     extras = {
         "bath_k": bath_k,
         "power_abs_mw": power_mw,

@@ -494,18 +494,17 @@ def write_json(obj: dict, path: str | Path) -> None:
 def write_field_csv(field: TemperatureField, path: str | Path) -> None:
     """Temperature map as x_um,y_um,T_K rows (row-major, 6 significant digits)."""
     grid = field.grid
-    xs = grid.cell_x_um()
-    ys = grid.cell_y_um()
+    xs = [format(x, ".6g") for x in grid.cell_x_um()]
+    ys = [format(y, ".6g") for y in grid.cell_y_um()]
     active = grid.active()
+    rows, cols = np.nonzero(active)
+    lines = [
+        f"{xs[i]},{ys[j]},{format(t, '.6g')}\n"
+        for j, i, t in zip(rows.tolist(), cols.tolist(), field.t_k[active].tolist())
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("x_um,y_um,T_K\n")
-        for j in range(grid.shape[0]):
-            for i in range(grid.shape[1]):
-                if active[j, i]:
-                    f.write(
-                        f"{format(xs[i], '.6g')},{format(ys[j], '.6g')},"
-                        f"{format(field.t_k[j, i], '.6g')}\n"
-                    )
+        f.write("".join(lines))
 
 
 def write_report_json(report: SolveReport, extras: dict, path: str | Path) -> None:

@@ -1,10 +1,13 @@
 """Steady-state heat conduction for rasterized devices plus the lumped bridge model.
 
 The 2-D solver treats the membrane as a conducting sheet, div(kappa(T) t grad T)
-+ q = 0, and handles the temperature dependence of kappa by Picard iteration
-over a 5-point finite-volume operator with harmonically averaged face
-conductances. The lumped model collapses the structure to an isothermal island
-drained by the bridges.
++ q = 0, discretized by a 5-point finite-volume operator with harmonically
+averaged face conductances g(T). Because kappa is a power law, the Kirchhoff
+transform U = integral of kappa dT makes the problem linear: one sparse solve
+in U plus a closed-form inverse per cell gives the starting field, and one or
+two backtracked Newton steps on the g(T) discretization finish the solve. The
+lumped model collapses the structure to an isothermal island drained by the
+bridges.
 """
 
 from __future__ import annotations
@@ -109,11 +112,11 @@ class TemperatureField:
 
 @dataclass(frozen=True)
 class SolveReport:
-    iterations: int
+    iterations: int        # linear solves, the Kirchhoff start included
     residual: float        # relative energy imbalance, recomputed from the field
     converged: bool
     tol: float
-    max_rel_change: float  # largest relative temperature update in the last pass
+    max_rel_change: float  # largest relative temperature update of the last solve
 
     def to_dict(self) -> dict:
         return {
@@ -125,106 +128,204 @@ class SolveReport:
         }
 
 
-def _sheet_conductance(grid: ThermalGrid, t_k: np.ndarray) -> np.ndarray:
-    """Per-cell kappa(T) * thickness in W/K (per square), zero on void cells."""
-    g = np.zeros(grid.shape)
-    active = grid.active()
-    g[active] = (
-        kappa(grid.material, t_k[active])
-        * grid.kappa_scale[active]
-        / UM_PER_CM
-        * grid.thickness_um[active]
-    )
-    return g
+@dataclass(frozen=True)
+class _Faces:
+    """Face topology of a grid, built once per solve.
+
+    Cells are numbered over the active set. Face k joins active cells a[k]
+    and b[k]; slot_a and slot_b give each end's row among the free cells,
+    or n_free for a fixed cell, so one bincount moves per-face terms into
+    the free rows. Faces between two fixed cells are left out.
+    """
+
+    cells: np.ndarray     # flat grid ids of the active cells
+    free: np.ndarray      # bool per active cell
+    geom: np.ndarray      # kappa_scale * thickness / UM_PER_CM: sheet conductance over kappa
+    a: np.ndarray
+    b: np.ndarray
+    slot_a: np.ndarray
+    slot_b: np.ndarray
+    outflow: np.ndarray   # +1 / -1 where heat on the face enters a fixed cell from b / a
+    source_w: np.ndarray  # per free cell
+    total_w: float        # over the whole grid, fixed cells included
+    inner: np.ndarray     # faces with both ends free
+    order: np.ndarray     # COO -> CSR permutation of [diagonal, (a, b), (b, a)] entries
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def n_free(self) -> int:
+        return self.source_w.size
 
 
-def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
-    m = (a > 0.0) & (b > 0.0)
-    out[m] = 2.0 * a[m] * b[m] / (a[m] + b[m])
-    return out
-
-
-def _face_conductances(grid: ThermalGrid, t_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    g = _sheet_conductance(grid, t_k)
-    gh = _harmonic(g[:, :-1], g[:, 1:])   # between [j, i] and [j, i+1]
-    gv = _harmonic(g[:-1, :], g[1:, :])   # between [j, i] and [j+1, i]
-    return gh, gv
-
-
-def _face_pairs(grid: ThermalGrid, t_k: np.ndarray):
+def _faces(grid: ThermalGrid) -> _Faces:
     ny, nx = grid.shape
-    gh, gv = _face_conductances(grid, t_k)
-    yield (np.s_[:, : nx - 1], np.s_[:, 1:], gh)
-    yield (np.s_[: ny - 1, :], np.s_[1:, :], gv)
+    cells = np.flatnonzero(grid.active())
+    compact = np.full(ny * nx, -1, dtype=np.int64)
+    compact[cells] = np.arange(cells.size)
+    ids = compact.reshape(ny, nx)
+    a = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    b = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+    geom = (grid.kappa_scale * grid.thickness_um).ravel()[cells] / UM_PER_CM
+    face = (a >= 0) & (b >= 0)
+    a, b = a[face], b[face]
+    free = ~grid.dirichlet.ravel()[cells]
+    keep = (geom[a] > 0.0) & (geom[b] > 0.0) & (free[a] | free[b])
+    a, b = a[keep], b[keep]
+
+    n_free = int(free.sum())
+    slot = np.full(cells.size, n_free, dtype=np.int64)
+    slot[free] = np.arange(n_free)
+    slot_a, slot_b = slot[a], slot[b]
+    inner = free[a] & free[b]
+    diag = np.arange(n_free)
+    rows = np.concatenate([diag, slot_a[inner], slot_b[inner]])
+    cols = np.concatenate([diag, slot_b[inner], slot_a[inner]])
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n_free + 1, dtype=np.intc)
+    np.cumsum(np.bincount(rows, minlength=n_free), out=indptr[1:])
+    return _Faces(
+        cells=cells,
+        free=free,
+        geom=geom,
+        a=a,
+        b=b,
+        slot_a=slot_a,
+        slot_b=slot_b,
+        outflow=free[a].astype(float) - free[b].astype(float),
+        source_w=grid.source_w.ravel()[cells][free],
+        total_w=float(grid.source_w.sum()),
+        inner=inner,
+        order=order,
+        indices=cols[order].astype(np.intc),
+        indptr=indptr,
+    )
 
 
-def _energy_imbalance(grid: ThermalGrid, t_k: np.ndarray) -> float:
+def _harmonic(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    return 2.0 * sa * sb / (sa + sb)
+
+
+def _conduct(faces: _Faces, material: MaterialModel, t: np.ndarray):
+    """Sheet conductance kappa(T) * thickness per cell (W/K), harmonically
+    averaged face conductance g and heat flow g * (T_a - T_b) per face."""
+    s = kappa(material, t) * faces.geom
+    g = _harmonic(s[faces.a], s[faces.b])
+    return s, g, g * (t[faces.a] - t[faces.b])
+
+
+def _residual(faces: _Faces, flow: np.ndarray) -> np.ndarray:
+    """Net heat leaving each free cell minus its source, in W."""
+    n = faces.n_free
+    net = np.bincount(faces.slot_a, flow, n + 1) - np.bincount(faces.slot_b, flow, n + 1)
+    return net[:n] - faces.source_w
+
+
+def _imbalance(faces: _Faces, flow: np.ndarray) -> float:
     """|flux into fixed cells - total source| / total source; 0 when sourceless."""
-    total_q = float(grid.source_w.sum())
-    if total_q <= 0.0:
+    if faces.total_w <= 0.0:
         return 0.0
-    fixed = grid.dirichlet & grid.active()
-    free = grid.active() & ~fixed
-    influx = 0.0
-    for sa, sb, g in _face_pairs(grid, t_k):
-        fa, fb = fixed[sa], fixed[sb]
-        ua, ub = free[sa], free[sb]
-        flow = g * np.where(ua & fb, t_k[sa] - t_k[sb], 0.0)
-        influx += float(flow.sum())
-        flow = g * np.where(ub & fa, t_k[sb] - t_k[sa], 0.0)
-        influx += float(flow.sum())
-    return abs(influx - total_q) / total_q
+    return abs(float(faces.outflow @ flow) - faces.total_w) / faces.total_w
 
 
 def energy_residual(field: TemperatureField) -> float:
     """Recompute the relative energy imbalance directly from the field."""
-    return _energy_imbalance(field.grid, field.t_k)
+    faces = _faces(field.grid)
+    t = field.t_k.reshape(-1)[faces.cells]
+    return _imbalance(faces, _conduct(faces, field.grid.material, t)[2])
 
 
-def _assemble(grid: ThermalGrid, t_k: np.ndarray, free: np.ndarray, fixed: np.ndarray):
-    n_free = int(free.sum())
-    index = np.full(grid.shape, -1, dtype=np.int64)
-    index[free] = np.arange(n_free)
-    diag = np.zeros(n_free)
-    rhs = grid.source_w[free].astype(float)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for sa, sb, g in _face_pairs(grid, t_k):
-        ia = index[sa].ravel()
-        ib = index[sb].ravel()
-        gg = g.ravel()
-        ta = t_k[sa].ravel()
-        tb = t_k[sb].ravel()
-        fa = fixed[sa].ravel()
-        fb = fixed[sb].ravel()
+def _assemble(faces: _Faces, g: np.ndarray, da=0.0, db=0.0) -> sp.csr_matrix:
+    """Derivative of the free-cell residual for face flows g * (T_a - T_b)
+    whose conductance also moves as dg/dT_a = da / (T_a - T_b), likewise
+    db; with da = db = 0 it is the linear operator of fixed conductances g."""
+    n = faces.n_free
+    diag = (
+        np.bincount(faces.slot_a, g + da, n + 1) + np.bincount(faces.slot_b, g - db, n + 1)
+    )[:n]
+    inner = faces.inner
+    data = np.concatenate([diag, (db - g)[inner], -(g + da)[inner]])[faces.order]
+    return sp.csr_matrix((data, faces.indices, faces.indptr), shape=(n, n))
 
-        both = (ia >= 0) & (ib >= 0) & (gg > 0.0)
-        np.add.at(diag, ia[both], gg[both])
-        np.add.at(diag, ib[both], gg[both])
-        rows.append(ia[both])
-        cols.append(ib[both])
-        vals.append(-gg[both])
-        rows.append(ib[both])
-        cols.append(ia[both])
-        vals.append(-gg[both])
 
-        m = (ia >= 0) & fb & (gg > 0.0)
-        np.add.at(diag, ia[m], gg[m])
-        np.add.at(rhs, ia[m], gg[m] * tb[m])
-        m = (ib >= 0) & fa & (gg > 0.0)
-        np.add.at(diag, ib[m], gg[m])
-        np.add.at(rhs, ib[m], gg[m] * ta[m])
+def _solve(a: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    # The operator pattern is symmetric, so a symmetric fill-reducing
+    # ordering gives about half the L+U fill of the default COLAMD.
+    return spsolve(a, rhs, permc_spec="MMD_AT_PLUS_A")
 
-    rows.append(np.arange(n_free))
-    cols.append(np.arange(n_free))
-    vals.append(diag)
-    a = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_free, n_free),
-    ).tocsr()
-    return a, rhs
+
+def _kirchhoff(material: MaterialModel, t: np.ndarray) -> np.ndarray:
+    """Kirchhoff variable U = integral of (T / t_ref)^p dT, up to a constant."""
+    p, tr = material.exponent, material.t_ref_k
+    return tr * np.log(t) if p == -1.0 else t ** (p + 1.0) / ((p + 1.0) * tr**p)
+
+
+def _kirchhoff_inverse(material: MaterialModel, u: np.ndarray) -> np.ndarray:
+    """T from U; NaN or inf where no temperature has that U (p < -1 saturates)."""
+    p, tr = material.exponent, material.t_ref_k
+    if p == -1.0:
+        return np.exp(u / tr)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return ((p + 1.0) * tr**p * u) ** (1.0 / (p + 1.0))
+
+
+def _valid(t: np.ndarray) -> np.ndarray:
+    return np.isfinite(t) & (t > 0.0)
+
+
+def _kirchhoff_start(faces: _Faces, material: MaterialModel, t: np.ndarray) -> np.ndarray:
+    """Temperatures from one linear solve in U, with face conductances from
+    the temperature-independent prefactor kappa_ref * thickness.
+
+    The field is exact for constant kappa; otherwise it differs from the
+    harmonic-g(T) solution only where T varies strongly across a cell.
+    Cells whose U has no temperature keep their value from t.
+    """
+    u = _kirchhoff(material, t)
+    c = material.kappa_ref_w_per_k_cm * faces.geom
+    g0 = _harmonic(c[faces.a], c[faces.b])
+    rhs = -_residual(faces, g0 * (u[faces.a] - u[faces.b]))
+    start = _kirchhoff_inverse(material, u[faces.free] + _solve(_assemble(faces, g0), rhs))
+    out = t.copy()
+    out[faces.free] = np.where(_valid(start), start, t[faces.free])
+    return out
+
+
+_MAX_HALVINGS = 30
+
+
+def _newton_step(faces: _Faces, material: MaterialModel, t, s, g, flow):
+    """One Newton step on the harmonic-g(T) residual R.
+
+    The step is taken in U: dU = (T / t_ref)^p dT, mapped back through the
+    closed-form inverse, which keeps the update close to the near-linear
+    path of the Kirchhoff start. It is halved until every free T is finite
+    and positive and |R| decreases. Returns the new t with its (s, g, flow)
+    from _conduct, or, when no halving reduces |R|, the full step's t
+    with None.
+    """
+    p, tr = material.exponent, material.t_ref_k
+    ta, tb = t[faces.a], t[faces.b]
+    sa, sb = s[faces.a], s[faces.b]
+    # dg/ds_a = 2 s_b^2 / (s_a + s_b)^2 and ds/dT = p s / T
+    w = 2.0 * p * (ta - tb) / (sa + sb) ** 2
+    jac = _assemble(faces, g, w * sb**2 * sa / ta, w * sa**2 * sb / tb)
+    r = _residual(faces, flow)
+    tf = t[faces.free]
+    du = _solve(jac, -r) * (tf / tr) ** p
+    u = _kirchhoff(material, tf)
+    norm = np.linalg.norm(r)
+    step = 1.0
+    for _ in range(_MAX_HALVINGS):
+        t_new = t.copy()
+        t_new[faces.free] = _kirchhoff_inverse(material, u + step * du)
+        if np.all(_valid(t_new)):
+            state = _conduct(faces, material, t_new)
+            if np.linalg.norm(_residual(faces, state[2])) < norm:
+                return t_new, state
+        step *= 0.5
+    t_new[faces.free] = _kirchhoff_inverse(material, u + du)
+    return t_new, None
 
 
 def solve_steady_state(
@@ -235,52 +336,64 @@ def solve_steady_state(
 ) -> tuple[TemperatureField, SolveReport]:
     """Solve the nonlinear conduction problem on the grid.
 
-    Picard iteration: the operator is assembled with face conductances from
-    the current iterate and the linear system is solved directly; the update
-    is halved whenever it reverses direction against the previous one.
-    Convergence requires both the largest relative temperature change and the
-    recomputed energy imbalance to fall below tol. Exhausting max_iter
-    returns converged=False instead of raising; structural problems
-    (disconnected grid) raise GridError.
+    The first linear solve is the Kirchhoff start: with U = integral of
+    (T / t_ref)^p dT the power-law problem becomes linear in U, so one solve
+    and a closed-form inverse per cell give a near-exact field. Newton steps
+    on the discretization with harmonically averaged face conductances
+    g(T) then remove the remaining difference, each backtracked until all
+    temperatures stay positive and the residual norm drops.
+
+    iterations counts linear solves, the Kirchhoff start included, so
+    max_iter=1 stops after the start. Convergence requires both the
+    largest relative temperature change of the last solve and the
+    recomputed energy imbalance to fall below tol. Exhausting max_iter, or
+    a Newton step that no backtracking makes reduce the residual, returns
+    converged=False instead of raising; structural problems (disconnected
+    grid) raise GridError.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     grid.validate()
-    active = grid.active()
-    if not active.any():
+    if not grid.active().any():
         raise GridError("grid has no active cells")
-    fixed = grid.dirichlet & active
-    free = active & ~fixed
+    material = grid.material
+    faces = _faces(grid)
 
-    t = np.full(grid.shape, np.nan)
-    if t_bath_k is not None:
-        t[fixed] = t_bath_k
+    if t_bath_k is None:
+        t = grid.dirichlet_k.reshape(-1)[faces.cells].copy()
     else:
-        t[fixed] = grid.dirichlet_k[fixed]
-    bath = float(np.min(t[fixed]))
-    t[free] = bath
+        t = np.full(faces.cells.size, float(t_bath_k))
+    t[faces.free] = np.min(t[~faces.free])
 
+    s, g, flow = _conduct(faces, material, t)
+    res = _imbalance(faces, flow)
     iterations = 0
     rel = 0.0
-    res = _energy_imbalance(grid, t)
     converged = res <= tol
-    prev_delta: np.ndarray | None = None
     while not converged and iterations < max_iter:
         iterations += 1
-        a, b = _assemble(grid, t, free, fixed)
-        t_new = spsolve(a, b)
-        delta = t_new - t[free]
-        if prev_delta is not None and float(np.dot(delta, prev_delta)) < 0.0:
-            delta = 0.5 * delta
-        rel = float(np.max(np.abs(delta) / t[free])) if delta.size else 0.0
-        t[free] = t[free] + delta
-        prev_delta = delta
-        res = _energy_imbalance(grid, t)
+        if iterations == 1:
+            t_new = _kirchhoff_start(faces, material, t)
+            state = _conduct(faces, material, t_new)
+        else:
+            t_new, state = _newton_step(faces, material, t, s, g, flow)
+        old = t[faces.free]
+        rel = float(np.max(np.abs(t_new[faces.free] - old) / old))
+        if state is None:
+            # No halving lowers |R|: T stays, and the full Newton correction,
+            # rel, says how far it still is from the discrete solution.
+            converged = rel < tol and res <= tol
+            break
+        t = t_new
+        s, g, flow = state
+        res = _imbalance(faces, flow)
         converged = rel < tol and res <= tol
 
-    field = TemperatureField(grid=grid, t_k=t)
+    t_k = np.full(grid.shape, np.nan)
+    t_k.reshape(-1)[faces.cells] = t
+    field = TemperatureField(grid=grid, t_k=t_k)
     report = SolveReport(
         iterations=iterations,
         residual=res,

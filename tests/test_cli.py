@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from qdtuner import cli
 
@@ -78,6 +79,31 @@ def test_thermal_underiterated_solver_fails_with_exit_3(configs_dir, tmp_path):
     assert code == 3
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["converged"] is False
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--power-abs-mw", "nan"),
+        ("--power-abs-mw", "inf"),
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--tol", "0"),
+        ("--bath-k", "nan"),
+        ("--bath-k", "inf"),
+        ("--bath-k", "-5"),
+        ("--dx-um", "nan"),
+        ("--max-iter", "0"),
+    ],
+)
+def test_thermal_invalid_number_is_config_error(configs_dir, tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    code = run_cli("thermal", configs_dir / "device_w320.json", "--dx-um", 0.1, flag, value, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
 
 
 def test_sweep_tracks_reach_the_anchor_shift(configs_dir, tmp_path):

@@ -1,13 +1,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conftest import bar_grid
 from qdtuner import config as cfg
+from qdtuner import device
 from qdtuner.config import ConfigError, load_device, load_scenario
 from qdtuner.spectral import CavityState, QDState, synthesize_spectrum
-from qdtuner.thermal import solve_steady_state
+from qdtuner.thermal import TemperatureField, solve_steady_state
 
 
 def _write(path, payload):
@@ -177,6 +179,38 @@ def test_field_csv_round_trip(tmp_path):
     assert len(lines) == 1 + 16
     x, y, t = lines[1].split(",")
     assert float(t) == 10.0  # first cell is the anchored end
+
+
+def test_field_csv_matches_per_value_formatting(tmp_path):
+    shape = (3, 4)
+    kind = np.full(shape, device.MEMBRANE, dtype=np.int8)
+    kind[0, 1] = kind[2, 3] = device.VOID
+    dirichlet = np.zeros(shape, dtype=bool)
+    dirichlet[0, 0] = True
+    grid = device.ThermalGrid(
+        dx_um=0.0333,
+        x0_um=-1.25,
+        y0_um=1e-7,
+        kind=kind,
+        thickness_um=np.full(shape, 0.15),
+        source_w=np.zeros(shape),
+        dirichlet=dirichlet,
+        dirichlet_k=np.where(dirichlet, 10.0, np.nan),
+        material=device.MaterialModel(),
+    )
+    t = 10.0 + np.random.default_rng(7).random(shape) * 1e3
+    t[kind == device.VOID] = np.nan
+    path = tmp_path / "field.csv"
+    cfg.write_field_csv(TemperatureField(grid=grid, t_k=t), path)
+
+    xs, ys = grid.cell_x_um(), grid.cell_y_um()
+    expected = "x_um,y_um,T_K\n" + "".join(
+        f"{format(xs[i], '.6g')},{format(ys[j], '.6g')},{format(t[j, i], '.6g')}\n"
+        for j in range(shape[0])
+        for i in range(shape[1])
+        if kind[j, i] != device.VOID
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_spectrum_csv_and_peaks_json(tmp_path):

@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bar_end_temperature_analytic, bar_grid
 from qdtuner import device
+from qdtuner.config import load_device
 from qdtuner.device import GridError, MaterialModel, default_layout, rasterize
 from qdtuner.thermal import (
     ThermalModelError,
@@ -280,7 +283,76 @@ def test_solve_rejects_disconnected_grid():
 
 def test_solve_parameter_validation():
     grid = bar_grid(8, 0.0)
-    with pytest.raises(ValueError):
-        solve_steady_state(grid, tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            solve_steady_state(grid, tol=tol)
     with pytest.raises(ValueError):
         solve_steady_state(grid, max_iter=0)
+
+
+@pytest.mark.parametrize("exponent", [2.0, 3.0])
+@pytest.mark.parametrize("power_w", [1e-2, 1e-1])
+def test_solve_converges_far_above_the_shipped_powers(exponent, power_w):
+    # 10 and 100 mW absorbed heat the pad to hundreds or thousands of kelvin;
+    # an undamped Newton step from a poor start drives cells below 0 K here
+    lay = default_layout(material=MaterialModel(exponent=exponent))
+    grid = rasterize(lay, 0.1, absorbed_power_w=power_w)
+    field, report = solve_steady_state(grid)
+    assert report.converged
+    assert np.all(field.t_k[grid.active()] > 0.0)
+    assert energy_residual(field) <= 1e-6
+
+
+def test_solve_constant_kappa_is_exact_after_the_kirchhoff_start():
+    grid = rasterize(default_layout(material=MaterialModel(exponent=0.0)), 0.1, absorbed_power_w=1e-5)
+    _, report = solve_steady_state(grid)
+    assert report.converged
+    assert report.iterations <= 2
+
+
+def test_solve_inverse_kappa_branch():
+    grid = rasterize(default_layout(material=MaterialModel(exponent=-1.0)), 0.1, absorbed_power_w=1e-5)
+    field, report = solve_steady_state(grid)
+    assert report.converged
+    assert energy_residual(field) <= 1e-6
+
+
+def test_solve_saturating_kappa_reports_no_convergence():
+    # for exponent -2 the integral of kappa is bounded, so the bridges cannot
+    # carry 10 uW (the lumped model finds no bracket) and no steady state exists
+    grid = rasterize(default_layout(material=MaterialModel(exponent=-2.0)), 0.1, absorbed_power_w=1e-5)
+    field, report = solve_steady_state(grid, max_iter=10)
+    assert not report.converged
+    assert np.all(field.t_k[grid.active()] > 0.0)
+
+
+@pytest.mark.parametrize("name", ["device_w320.json", "device_w800.json"])
+def test_solve_iterations_on_shipped_devices(configs_dir, name):
+    layout = load_device(configs_dir / name).layout
+    for power_mw in np.linspace(0.002, 0.02, 5):
+        grid = rasterize(layout, 0.1, absorbed_power_w=power_mw * 1e-3)
+        _, report = solve_steady_state(grid)
+        assert report.converged
+        assert report.iterations <= 5
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    p_low=st.floats(min_value=1e-7, max_value=5e-5),
+    factor=st.floats(min_value=1.01, max_value=4.0),
+)
+def test_solve_invariants_over_random_powers(p_low, factor):
+    lay = default_layout()
+    fields = []
+    for p in (p_low, p_low * factor):
+        grid = rasterize(lay, 0.1, absorbed_power_w=p)
+        field, report = solve_steady_state(grid)
+        assert report.converged
+        # energy balance, recomputed from the field
+        assert energy_residual(field) <= report.tol
+        # maximum principle: no active cell below the bath
+        assert float(np.nanmin(field.t_k)) >= 10.0 - 1e-9
+        fields.append(field.t_k)
+    low, high = fields
+    active = ~np.isnan(low)
+    assert np.all(high[active] >= low[active] - 1e-9)
