@@ -9,7 +9,6 @@ no timestamps.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -99,19 +98,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_thermal_config(path_str: str):
-    """Accept either a bare device file or a scenario that references one."""
-    path = Path(path_str)
-    raw = cfg._load_json(path)
-    if "membrane" in raw:
-        device = cfg.load_device(path)
-        return device, None
-    scenario = cfg.load_scenario(path)
-    return scenario.main.device, scenario
-
-
 def cmd_thermal(args) -> int:
-    device, scenario = _load_thermal_config(args.config)
+    device, scenario = cfg.load_device_or_scenario(args.config)
     params = scenario.thermal if scenario is not None and scenario.thermal else cfg.ThermalParams()
     bath_k = args.bath_k if args.bath_k is not None else (
         scenario.bath_k if scenario is not None else 10.0
@@ -123,8 +111,7 @@ def cmd_thermal(args) -> int:
     for name, value in (
         ("absorbed power", power_mw), ("bath temperature", bath_k), ("dx", dx_um), ("tol", tol)
     ):
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+        cfg.finite(value, name)
     if power_mw < 0:
         raise ConfigError("absorbed power must be non-negative")
     if bath_k <= 0:
@@ -221,6 +208,8 @@ def cmd_sweep(args) -> int:
     p_min = args.power_min if args.power_min is not None else sweep.power_min_mw
     p_max = args.power_max if args.power_max is not None else sweep.power_max_mw
     steps = args.steps if args.steps is not None else sweep.steps
+    cfg.finite(p_min, "power-min")
+    cfg.finite(p_max, "power-max")
     if steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
     if p_min > p_max:
@@ -281,6 +270,10 @@ def cmd_tune(args) -> int:
     tol_nm = args.tol_nm if args.tol_nm is not None else tune.tol_nm
     min_q = args.min_q if args.min_q is not None else tune.min_q
     qd_ids = tuple(args.qd_id) if args.qd_id else tune.qd_ids
+    if cfg.finite(tol_nm, "tol-nm") <= 0:
+        raise ConfigError("tol-nm must be positive")
+    if min_q is not None:
+        cfg.finite(min_q, "min-q")
 
     if target == "qd-to-cavity":
         structure = scenario.main
@@ -341,43 +334,17 @@ def _fit_through_origin(x: np.ndarray, y: np.ndarray, ctx: str) -> tuple[float, 
 
 
 def cmd_calibrate(args) -> int:
-    path = Path(args.anchors_file)
-    raw = cfg._load_json(path)
-    ctx = str(path)
-    cfg._check_keys(
-        raw,
-        {"t_ref_k", "alpha_nm_per_k2", "temperature_anchors", "power_anchors", "structures"},
-        set(),
-        ctx,
-    )
-    t_ref = args.t_ref if args.t_ref is not None else cfg._number(raw, "t_ref_k", ctx, default=10.0)
-    alpha_default = (
-        args.alpha
-        if args.alpha is not None
-        else cfg._number(raw, "alpha_nm_per_k2", ctx, default=spectral.DEFAULT_ALPHA_NM_PER_K2)
-    )
-
-    blocks: dict[str, dict] = {}
-    if "structures" in raw:
-        if not isinstance(raw["structures"], dict) or not raw["structures"]:
-            raise ConfigError(f"{ctx}: structures must be a non-empty object")
-        blocks = raw["structures"]
-    else:
-        blocks = {"main": {k: raw[k] for k in ("temperature_anchors", "power_anchors") if k in raw}}
+    anchors = cfg.load_anchors(args.anchors_file)
+    t_ref = cfg.finite(args.t_ref if args.t_ref is not None else anchors.t_ref_k, "t-ref")
+    alpha = cfg.finite(args.alpha if args.alpha is not None else anchors.alpha_nm_per_k2, "alpha")
+    if alpha <= 0:
+        raise ConfigError("alpha must be positive")
 
     results: dict[str, dict] = {}
-    for sid, block in sorted(blocks.items()):
-        bctx = f"{ctx}: {sid}"
-        cfg._check_keys(block, {"temperature_anchors", "power_anchors"}, set(), bctx)
-        has_t = "temperature_anchors" in block
-        has_p = "power_anchors" in block
-        if has_t == has_p:
-            raise ConfigError(f"{bctx}: give exactly one of temperature_anchors or power_anchors")
-        pts = np.asarray(block["temperature_anchors" if has_t else "power_anchors"], dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ConfigError(f"{bctx}: anchors must be [[abscissa, shift_nm], ...]")
-        if has_t:
-            slope, residual = _fit_through_origin(pts[:, 0] ** 2 - t_ref**2, pts[:, 1], bctx)
+    for sid, (mode, pts) in anchors.blocks.items():
+        ctx = f"{args.anchors_file}: {sid}"
+        if mode == "temperature":
+            slope, residual = _fit_through_origin(pts[:, 0] ** 2 - t_ref**2, pts[:, 1], ctx)
             results[sid] = {
                 "mode": "temperature",
                 "alpha_nm_per_k2": slope,
@@ -387,11 +354,11 @@ def cmd_calibrate(args) -> int:
                 "n_anchors": int(pts.shape[0]),
             }
         else:
-            slope, residual = _fit_through_origin(pts[:, 0], pts[:, 1], bctx)
+            slope, residual = _fit_through_origin(pts[:, 0], pts[:, 1], ctx)
             results[sid] = {
                 "mode": "power",
-                "alpha_nm_per_k2": alpha_default,
-                "beta_k2_per_mw": slope / alpha_default,
+                "alpha_nm_per_k2": alpha,
+                "beta_k2_per_mw": slope / alpha,
                 "alpha_beta_nm_per_mw": slope,
                 "residual_rms_nm": residual,
                 "n_anchors": int(pts.shape[0]),

@@ -1,4 +1,4 @@
-"""JSON device/scenario configs and deterministic CSV/JSON writers.
+"""JSON device, scenario and anchors configs and deterministic CSV/JSON writers.
 
 Config files are strict: unknown keys are rejected so typos fail loudly.
 All writers use fixed float formatting and LF line endings so repeated runs
@@ -24,7 +24,7 @@ from .device import (
     spread_bridges,
     validate_layout,
 )
-from .spectral import CavityState, QDState, Spectrum
+from .spectral import CavityState, QDState
 from .thermal import SolveReport, TemperatureField
 
 
@@ -43,6 +43,17 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], ctx: str) -> N
         raise ConfigError(f"{ctx}: missing keys {sorted(missing)}")
 
 
+def finite(value, name: str):
+    """Return value if it is a finite number (or an array of them), else raise.
+
+    The one finite-number check shared by config values and CLI flags; JSON
+    NaN/Infinity literals and flags such as `--tol nan` both end here.
+    """
+    if not (np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _number(obj: dict, key: str, ctx: str, default: float | None = None) -> float:
     if key not in obj:
         if default is None:
@@ -51,7 +62,7 @@ def _number(obj: dict, key: str, ctx: str, default: float | None = None) -> floa
     v = obj[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(f"{ctx}: {key} must be a number")
-    return float(v)
+    return finite(float(v), f"{ctx}: {key}")
 
 
 def _load_json(path: Path) -> dict:
@@ -359,12 +370,12 @@ def load_scenario(path: str | Path) -> Scenario:
 
     crosstalk = None
     if raw.get("crosstalk_k2_per_mw") is not None:
-        m = np.asarray(raw["crosstalk_k2_per_mw"], dtype=float)
         try:
+            m = np.asarray(raw["crosstalk_k2_per_mw"], dtype=float)
             crosstalk = Crosstalk(
                 tuple(s.structure_id for s in structures), m
             ).validate([s.power_map for s in structures])
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"{ctx}: crosstalk: {e}") from e
 
     sp = raw.get("spectrum") or {}
@@ -382,6 +393,7 @@ def load_scenario(path: str | Path) -> Scenario:
         or not window[0] < window[1]
     ):
         raise ConfigError(f"{ctx}: spectrum.window_nm must be [lo, hi] with lo < hi")
+    finite(np.array(window), f"{ctx}: spectrum.window_nm")
     samples = sp.get("samples", SpectrumParams().samples)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
         raise ConfigError(f"{ctx}: spectrum.samples must be an integer >= 2")
@@ -465,6 +477,66 @@ def _check_referenced_qds(scenario: Scenario, ctx: str) -> None:
         s.device.qd(qd_id)
 
 
+def load_device_or_scenario(path: str | Path) -> tuple[Device, Scenario | None]:
+    """Parse a bare device file (it has a membrane) or a scenario that
+    references one; a scenario yields its main device."""
+    path = Path(path)
+    raw = _load_json(path)
+    if isinstance(raw, dict) and "membrane" in raw:
+        return load_device(path), None
+    scenario = load_scenario(path)
+    return scenario.main.device, scenario
+
+
+@dataclass(frozen=True)
+class Anchors:
+    """Calibration anchors: per-structure blocks plus the file's shift-law defaults."""
+
+    t_ref_k: float
+    alpha_nm_per_k2: float
+    # structure id -> ("temperature" | "power", [[abscissa, shift_nm], ...])
+    blocks: dict[str, tuple[str, np.ndarray]]
+
+
+def load_anchors(path: str | Path) -> Anchors:
+    """Parse an anchors file: top-level anchors for one "main" structure, or a
+    `structures` object of per-structure blocks (sorted by id)."""
+    path = Path(path)
+    raw = _load_json(path)
+    ctx = str(path)
+    _check_keys(
+        raw,
+        {"t_ref_k", "alpha_nm_per_k2", "temperature_anchors", "power_anchors", "structures"},
+        set(),
+        ctx,
+    )
+    t_ref = _number(raw, "t_ref_k", ctx, default=spectral.DEFAULT_T_REF_K)
+    alpha = _number(raw, "alpha_nm_per_k2", ctx, default=spectral.DEFAULT_ALPHA_NM_PER_K2)
+    if "structures" in raw:
+        if not isinstance(raw["structures"], dict) or not raw["structures"]:
+            raise ConfigError(f"{ctx}: structures must be a non-empty object")
+        raw_blocks = raw["structures"]
+    else:
+        raw_blocks = {"main": {k: raw[k] for k in ("temperature_anchors", "power_anchors") if k in raw}}
+
+    blocks: dict[str, tuple[str, np.ndarray]] = {}
+    for sid, block in sorted(raw_blocks.items()):
+        bctx = f"{ctx}: {sid}"
+        _check_keys(block, {"temperature_anchors", "power_anchors"}, set(), bctx)
+        has_t = "temperature_anchors" in block
+        if has_t == ("power_anchors" in block):
+            raise ConfigError(f"{bctx}: give exactly one of temperature_anchors or power_anchors")
+        key = "temperature_anchors" if has_t else "power_anchors"
+        try:
+            pts = np.asarray(block[key], dtype=float)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{bctx}: {key} must hold numbers") from e
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ConfigError(f"{bctx}: anchors must be [[abscissa, shift_nm], ...]")
+        blocks[sid] = ("temperature" if has_t else "power", finite(pts, f"{bctx}: {key}"))
+    return Anchors(t_ref, alpha, blocks)
+
+
 # ---------------------------------------------------------------------------
 # deterministic writers
 
@@ -511,27 +583,6 @@ def write_report_json(report: SolveReport, extras: dict, path: str | Path) -> No
     out = dict(report.to_dict())
     out.update(extras)
     write_json(out, path)
-
-
-def write_spectrum_csv(spectrum: Spectrum, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("lambda_nm,intensity\n")
-        for lam, inten in zip(spectrum.wavelengths_nm, spectrum.intensities):
-            f.write(f"{fmt9(lam)},{fmt9(inten)}\n")
-
-
-def write_peaks_json(spectrum: Spectrum, path: str | Path) -> None:
-    peaks = [
-        {
-            "kind": p.kind,
-            "label": p.label,
-            "center_nm": p.center_nm,
-            "fwhm_nm": p.fwhm_nm,
-            "height": p.height,
-        }
-        for p in spectrum.peaks
-    ]
-    write_json({"peaks": peaks}, path)
 
 
 def write_solution_json(solution: TuningSolution, path: str | Path) -> None:

@@ -2,8 +2,9 @@
 
 The power map is the measured law T^2 = T_bath^2 + beta * P for incident
 power P in mW, which composed with the quadratic shift law makes every shift
-exactly linear in P. Alignment solvers use the closed forms and verify the
-result against the forward model.
+exactly linear in P. The inverse solvers are closed forms or one linear solve,
+and alignment solvers report the detuning the forward model gives at their
+powers.
 """
 
 from __future__ import annotations
@@ -122,13 +123,10 @@ def shift_from_power(pm: PowerMap, qd: QDState, p_mw: float) -> float:
     return shift
 
 
-def power_for_shift(
-    pm: PowerMap, qd: QDState, target_nm: float, tol_nm: float = 1e-9
-) -> float:
-    """Incident power producing the target shift.
+def power_for_shift(pm: PowerMap, qd: QDState, target_nm: float) -> float:
+    """Incident power producing the target shift: P = target / (alpha * beta).
 
-    Closed form P = target / (alpha * beta), then cross-validated against the
-    forward map; a bisection fallback covers any disagreement beyond tol_nm.
+    The map is exactly linear, so the closed form needs no forward check.
     Warns when the target lies past the intensity roll-off.
     """
     if target_nm < 0.0:
@@ -137,15 +135,11 @@ def power_for_shift(
         raise spectral.TuningRangeExceeded(
             f"tuning range exceeded: target {target_nm:.4g} nm > {qd.max_shift_nm:.4g} nm"
         )
-    if tol_nm <= 0.0:
-        raise ValueError("tol must be positive")
     p = target_nm / (qd.alpha_nm_per_k2 * pm.beta_k2_per_mw)
     if p > pm.p_max_mw:
         raise PowerRangeError(
             f"target shift needs {p:.4g} mW, beyond the {pm.p_max_mw:.4g} mW calibration limit"
         )
-    if abs(shift_from_power(pm, qd, p) - target_nm) > tol_nm:
-        p = _bisect_power(pm, qd, target_nm, tol_nm)
     if target_nm > qd.rolloff_shift_nm:
         warnings.warn(
             f"target shift {target_nm:.4g} nm is past the {qd.rolloff_shift_nm:.4g} nm "
@@ -154,21 +148,6 @@ def power_for_shift(
             stacklevel=2,
         )
     return p
-
-
-def _bisect_power(pm: PowerMap, qd: QDState, target_nm: float, tol_nm: float) -> float:
-    # keep the bracket inside the range where the forward map is defined
-    p_range_top = qd.max_shift_nm / (qd.alpha_nm_per_k2 * pm.beta_k2_per_mw)
-    lo, hi = 0.0, min(pm.p_max_mw, p_range_top)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if shift_from_power(pm, qd, mid) < target_nm:
-            lo = mid
-        else:
-            hi = mid
-        if abs(shift_from_power(pm, qd, mid) - target_nm) <= tol_nm:
-            return mid
-    raise PowerRangeError("bisection failed to reach the requested shift tolerance")
 
 
 @dataclass(frozen=True)
@@ -200,7 +179,7 @@ class Crosstalk:
             for j in range(len(maps)):
                 if i == j:
                     continue
-                if m[i, j] < 0.0 or m[i, j] >= m[i, i]:
+                if not 0.0 <= m[i, j] < m[i, i]:  # also rejects NaN
                     raise ValueError("off-diagonal crosstalk must be >= 0 and below the diagonal")
         return self
 
@@ -305,26 +284,18 @@ def align_qd_to_cavity(
     )
 
 
-def solve_powers_direct(crosstalk: Crosstalk, delta_t2_k2: np.ndarray) -> np.ndarray:
-    """Directly solve the coupled linear system X P = delta(T^2)."""
-    return np.linalg.solve(crosstalk.matrix_k2_per_mw, np.asarray(delta_t2_k2, dtype=float))
-
-
 def align_multi(
     maps: list[PowerMap] | tuple[PowerMap, ...],
     crosstalk: Crosstalk | None,
     targets: list[tuple[str, QDState, float]],
     tol_nm: float = 1e-6,
-    max_iter: int = 100,
 ) -> TuningSolution:
     """Choose per-structure powers so each targeted dot reaches its wavelength.
 
-    Solves T_i^2 = T_bath^2 + sum_j X[i, j] P_j with per-structure wavelength
-    targets by sweep-wise fixed-point iteration (each pass re-solves one
-    structure's power with the others held fixed, halving the step if it
-    starts oscillating). With zero off-diagonal crosstalk the first pass
-    lands on the independent solutions. The iterate is cross-checked against
-    the direct linear solve.
+    Solves T_i^2 = T_bath^2 + sum_j X[i, j] P_j for the targeted structures
+    with one direct linear solve on their block of the crosstalk matrix;
+    untargeted structures stay unpowered. A singular block or a power outside
+    [0, p_max] makes the plan infeasible. `iterations` counts linear solves.
     """
     if tol_nm <= 0.0:
         raise ValueError("tol must be positive")
@@ -369,40 +340,18 @@ def align_multi(
         delta_t2[i] = shift / qd.alpha_nm_per_k2
         qd_by_index[i] = (qd, target_lambda)
 
-    # Untargeted structures stay unpowered; reduce to the targeted block.
     sub = np.flatnonzero(targeted)
     powers = np.zeros(n)
-    iterations = 0
-    if sub.size:
-        p = np.zeros(sub.size)
-        prev_change = np.inf
-        step = 1.0
-        for iterations in range(1, max_iter + 1):
-            p_old = p.copy()
-            for a, i in enumerate(sub):
-                others = delta_t2[i] - sum(
-                    x[i, sub[b]] * p[b] for b in range(sub.size) if b != a
-                )
-                p[a] = p[a] + step * (others / x[i, i] - p[a])
-            change = float(np.max(np.abs(p - p_old)))
-            if change > prev_change:
-                step = 0.5 * step  # damp oscillations
-            prev_change = change
-            if change <= 1e-12 * max(1.0, float(np.max(np.abs(p)))):
-                break
-        else:
-            return _infeasible_multi(ids, f"no convergence within {max_iter} passes")
-        direct = solve_powers_direct(
-            Crosstalk(tuple(ids[i] for i in sub), x[np.ix_(sub, sub)]), delta_t2[sub]
+    try:
+        powers[sub] = np.linalg.solve(x[np.ix_(sub, sub)], delta_t2[sub])
+    except np.linalg.LinAlgError:
+        return _infeasible_multi(
+            ids, "infeasible chip plan: crosstalk matrix of the targeted structures is singular"
         )
-        scale = max(1.0, float(np.max(np.abs(direct))))
-        if float(np.max(np.abs(p - direct))) > 1e-9 * scale:
-            return _infeasible_multi(ids, "fixed point disagrees with the direct linear solve")
-        powers[sub] = p
 
     feasible = True
     for i, pm in enumerate(maps):
-        if powers[i] < -1e-12 or powers[i] > pm.p_max_mw:
+        if not -1e-12 <= powers[i] <= pm.p_max_mw:  # also catches NaN
             notes.append(
                 f"infeasible chip plan: structure {pm.structure_id!r} needs "
                 f"{powers[i]:.4g} mW (allowed 0..{pm.p_max_mw:.4g} mW)"
@@ -426,7 +375,7 @@ def align_multi(
         residual_nm=residual,
         feasible=feasible,
         warnings=tuple(notes),
-        iterations=iterations,
+        iterations=int(sub.size > 0),
     )
 
 

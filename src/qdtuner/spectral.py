@@ -130,13 +130,6 @@ def cavity_q(cav: CavityState, t_k: float, t_ref_k: float = DEFAULT_T_REF_K) -> 
     return 1.0 / (1.0 / cav.q0 + cav.q_slope_per_k2 * (t_k**2 - t_ref_k**2))
 
 
-def cavity_fwhm(cav: CavityState, t_k: float, t_ref_k: float = DEFAULT_T_REF_K) -> float:
-    """Resonance FWHM lambda/Q at t_k."""
-    alpha = DEFAULT_ALPHA_NM_PER_K2
-    lam = cavity_wavelength(cav, alpha * (t_k**2 - t_ref_k**2))
-    return lam / cavity_q(cav, t_k, t_ref_k)
-
-
 def purcell_factor(
     qd_lambda_nm: float, cav_lambda_nm: float, cav_fwhm_nm: float, f0: float
 ) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -81,29 +82,60 @@ def test_thermal_underiterated_solver_fails_with_exit_3(configs_dir, tmp_path):
     assert report["converged"] is False
 
 
+def _thermal_flag(flag, value):
+    argv = ["thermal", "{configs}/device_w320.json", "--dx-um", "0.1", flag, value]
+    return pytest.param(argv, id=f"{flag}-{value}")
+
+
 @pytest.mark.parametrize(
-    "flag, value",
+    "argv",
     [
-        ("--power-abs-mw", "nan"),
-        ("--power-abs-mw", "inf"),
-        ("--tol", "nan"),
-        ("--tol", "inf"),
-        ("--tol", "0"),
-        ("--bath-k", "nan"),
-        ("--bath-k", "inf"),
-        ("--bath-k", "-5"),
-        ("--dx-um", "nan"),
-        ("--max-iter", "0"),
+        _thermal_flag("--power-abs-mw", "nan"),
+        _thermal_flag("--power-abs-mw", "inf"),
+        _thermal_flag("--tol", "nan"),
+        _thermal_flag("--tol", "inf"),
+        _thermal_flag("--tol", "0"),
+        _thermal_flag("--bath-k", "nan"),
+        _thermal_flag("--bath-k", "inf"),
+        _thermal_flag("--bath-k", "-5"),
+        _thermal_flag("--dx-um", "nan"),
+        _thermal_flag("--max-iter", "0"),
+        pytest.param(["sweep", "{configs}/fig2a.json", "--power-max", "nan"], id="sweep--power-max-nan"),
+        pytest.param(["sweep", "{configs}/fig2a.json", "--power-max", "inf"], id="sweep--power-max-inf"),
+        pytest.param(["tune", "{configs}/fig4.json", "--tol-nm", "nan"], id="tune--tol-nm-nan"),
+        pytest.param(["tune", "{configs}/fig4.json", "--tol-nm", "0"], id="tune--tol-nm-0"),
+        pytest.param(["tune", "{configs}/fig4.json", "--min-q", "nan"], id="tune--min-q-nan"),
+        pytest.param(["tune", "{tmp}/nan_bath.json"], id="tune-json-NaN-bath_k"),
+        pytest.param(["sweep", "{tmp}/nan_bath.json"], id="sweep-json-NaN-bath_k"),
+        pytest.param(
+            ["calibrate", "--anchors-file", "{configs}/anchors_power.json", "--alpha", "0"],
+            id="calibrate--alpha-0",
+        ),
+        pytest.param(
+            ["calibrate", "--anchors-file", "{configs}/anchors_power.json", "--alpha", "nan"],
+            id="calibrate--alpha-nan",
+        ),
+        pytest.param(
+            ["calibrate", "--anchors-file", "{configs}/anchors_power.json", "--t-ref", "inf"],
+            id="calibrate--t-ref-inf",
+        ),
     ],
 )
-def test_thermal_invalid_number_is_config_error(configs_dir, tmp_path, capsys, flag, value):
+def test_thermal_invalid_number_is_config_error(configs_dir, tmp_path, capsys, argv):
+    scenario = json.loads((configs_dir / "fig4.json").read_text(encoding="utf-8"))
+    scenario["device"] = str(configs_dir / scenario["device"])
+    # json.dumps writes the NaN literal that json.load accepts
+    (tmp_path / "nan_bath.json").write_text(
+        json.dumps({**scenario, "bath_k": float("nan")}), encoding="utf-8"
+    )
     out = tmp_path / "out"
-    code = run_cli("thermal", configs_dir / "device_w320.json", "--dx-um", 0.1, flag, value, "--out", out)
+    argv = [a.format(configs=configs_dir, tmp=tmp_path) for a in argv]
+    code = run_cli(*argv, "--out", out)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_sweep_tracks_reach_the_anchor_shift(configs_dir, tmp_path):
@@ -222,6 +254,28 @@ def test_tune_pair_decoupled(configs_dir, tmp_path):
     assert sol["powers_mw"]["B"] == 0.0
 
 
+def test_tune_singular_crosstalk_is_infeasible(configs_dir, tmp_path, capsys):
+    # Crosstalk.validate accepts this matrix; its determinant is zero
+    x = 400.0 * np.array([[1.0, 0.75, 0.0], [0.75, 1.0, 0.875], [0.0, 0.5, 1.0]])
+    devices = ("device_w320_qd.json", "device_w320_qd_red.json", "device_w320_qd.json")
+    structures = [
+        {"id": sid, "device": str(configs_dir / d), "calibration": {"beta_k2_per_mw": 400.0}}
+        for sid, d in zip("ABC", devices)
+    ]
+    scenario = tmp_path / "s.json"
+    scenario.write_text(
+        json.dumps({"structures": structures, "crosstalk_k2_per_mw": x.tolist(),
+                    "tune": {"target": "qd-to-qd"}}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert run_cli("tune", scenario, "--out", out) == 4
+    sol = json.loads((out / "solution.json").read_text(encoding="utf-8"))
+    assert sol["feasible"] is False
+    assert any("singular" in w for w in sol["warnings"])
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_tune_without_cavity_is_config_error(configs_dir, tmp_path):
     (tmp_path / "s.json").write_text(
         json.dumps({"device": str(configs_dir / "device_w320_qd.json"),
@@ -273,3 +327,58 @@ def test_sweep_outputs_are_deterministic(configs_dir, tmp_path):
         outs.append(out)
     for fname in ("spectra.csv", "peaks.csv"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+# SHA-256 of every artifact the shipped scenarios produce under sweep, tune and
+# calibrate. thermal is left out: the last digit of its sparse LU solve can
+# differ by platform.
+GOLDEN_DIGESTS = {
+    ("sweep", "fig2a.json"): {
+        "peaks.csv": "157cd89e2516953a87e7b8a1e9a4af7c3f338c5ddbf3ea6a5a71602ae6a340b0",
+        "spectra.csv": "ddd53e5d9c6500db99cf90c63abc0a514b77dee69ee7d7f29a304960471b691d",
+    },
+    ("sweep", "fig3.json"): {
+        "peaks.csv": "3816724ab4d3162a3a67cfac86e8b628aa82c710c33a0d4919a7630e4d64c50c",
+        "spectra.csv": "a8ff34ab29b5d234175c406806970e2b1e7efba704399cb835c0f3577f56481c",
+    },
+    ("sweep", "fig4.json"): {
+        "peaks.csv": "10e39bcc02e397e14305f687cbd48c084003219c14389cee7961c60870e2b7c5",
+        "spectra.csv": "b4ed389d469bd789b9bfd97063d6adeef01a9f55f82330e0e1a48142d1472fa2",
+    },
+    ("sweep", "fig2a.json", "--refit"): {
+        "peaks.csv": "3f5de1aa3fbbfa13b706dae6c1f0767d650ff9e42129a93277d5fbd9dee07ae5",
+        "spectra.csv": "ddd53e5d9c6500db99cf90c63abc0a514b77dee69ee7d7f29a304960471b691d",
+    },
+    ("sweep", "fig3.json", "--refit"): {
+        "peaks.csv": "8917d56c637b5a174f8f140a5e8d39c18347e91584cdbedc839a2f7597a803fd",
+        "spectra.csv": "a8ff34ab29b5d234175c406806970e2b1e7efba704399cb835c0f3577f56481c",
+    },
+    ("sweep", "fig4.json", "--refit"): {
+        "peaks.csv": "8bcba98fe9956f63ac79cc387d375095b103acd7612e2a3c96c2b23674ff5a28",
+        "spectra.csv": "b4ed389d469bd789b9bfd97063d6adeef01a9f55f82330e0e1a48142d1472fa2",
+    },
+    ("tune", "fig4.json"): {
+        "solution.json": "8f2af92107faa3d36f2da58d2168e7cdb9ef020d167665a87385bcdbe68897f9",
+    },
+    ("tune", "qd_pair.json"): {
+        "solution.json": "d7dc18821e76b00cbf46357d74ab990cda3438c12343edc701f144ea6d3fcaef",
+    },
+    ("calibrate", "--anchors-file", "anchors_power.json"): {
+        "calibration.json": "41eb23fe09094a2479251f7ec060902b23966b051c907254f5314a388708ec41",
+    },
+    ("calibrate", "--anchors-file", "anchors_temperature.json"): {
+        "calibration.json": "14cadb537c3eb588d42011ee8ae0417adfc1cb28cb566e578407e8b315cee138",
+    },
+}
+
+
+def test_shipped_artifacts_match_golden_digests(configs_dir, tmp_path):
+    mismatched = []
+    for k, (argv, digests) in enumerate(GOLDEN_DIGESTS.items()):
+        out = tmp_path / str(k)
+        args = [str(configs_dir / a) if a.endswith(".json") else a for a in argv]
+        assert run_cli(*args, "--out", out) == 0, argv
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        if got != digests:
+            mismatched.append(" ".join(argv))
+    assert not mismatched, f"artifacts changed: {mismatched}"

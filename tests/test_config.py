@@ -8,7 +8,6 @@ from conftest import bar_grid
 from qdtuner import config as cfg
 from qdtuner import device
 from qdtuner.config import ConfigError, load_device, load_scenario
-from qdtuner.spectral import CavityState, QDState, synthesize_spectrum
 from qdtuner.thermal import TemperatureField, solve_steady_state
 
 
@@ -66,6 +65,10 @@ def test_device_missing_and_bad_fields(tmp_path):
         load_device(_write(tmp_path / "d.json", bad))
     bad = dict(DEVICE_OK, pad=dict(DEVICE_OK["pad"], profile="spiral"))
     with pytest.raises(ConfigError, match="profile"):
+        load_device(_write(tmp_path / "d.json", bad))
+    # json.dumps writes the NaN/Infinity literals that json.load accepts
+    bad = dict(DEVICE_OK, membrane=dict(DEVICE_OK["membrane"], width_um=float("nan")))
+    with pytest.raises(ConfigError, match="width_um must be finite"):
         load_device(_write(tmp_path / "d.json", bad))
 
 
@@ -154,6 +157,9 @@ def test_scenario_crosstalk_validated(tmp_path):
     }
     with pytest.raises(ConfigError, match="diagonal"):
         load_scenario(_write(tmp_path / "s.json", payload))
+    payload["crosstalk_k2_per_mw"] = [["one", 0.0], [0.0, 1.0]]
+    with pytest.raises(ConfigError, match="crosstalk"):
+        load_scenario(_write(tmp_path / "s.json", payload))
 
 
 def test_scenario_bad_window_and_steps(tmp_path):
@@ -161,6 +167,10 @@ def test_scenario_bad_window_and_steps(tmp_path):
     with pytest.raises(ConfigError, match="window_nm"):
         load_scenario(
             _write(tmp_path / "s.json", {"device": "d.json", "spectrum": {"window_nm": [930.0, 929.0]}})
+        )
+    with pytest.raises(ConfigError, match="window_nm must be finite"):
+        load_scenario(
+            _write(tmp_path / "s.json", {"device": "d.json", "spectrum": {"window_nm": [-math.inf, 929.0]}})
         )
     with pytest.raises(ConfigError, match="steps"):
         load_scenario(
@@ -211,20 +221,6 @@ def test_field_csv_matches_per_value_formatting(tmp_path):
         if kind[j, i] != device.VOID
     )
     assert path.read_bytes() == expected.encode("utf-8")
-
-
-def test_spectrum_csv_and_peaks_json(tmp_path):
-    spec = synthesize_spectrum(
-        [QDState("QD1", 929.75)], CavityState(930.0, q0=9000.0), 12.0, (929.5, 930.3), 50
-    )
-    cfg.write_spectrum_csv(spec, tmp_path / "s.csv")
-    lines = (tmp_path / "s.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "lambda_nm,intensity"
-    assert len(lines) == 51
-    cfg.write_peaks_json(spec, tmp_path / "p.json")
-    peaks = json.loads((tmp_path / "p.json").read_text(encoding="utf-8"))["peaks"]
-    assert [p["kind"] for p in peaks] == ["qd", "cavity"]
-    assert set(peaks[0]) == {"kind", "label", "center_nm", "fwhm_nm", "height"}
 
 
 def test_write_json_rounds_and_sorts(tmp_path):

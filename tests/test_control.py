@@ -17,7 +17,6 @@ from qdtuner.control import (
     default_power_map,
     power_for_shift,
     shift_from_power,
-    solve_powers_direct,
     temperature_from_power,
 )
 from qdtuner.spectral import CavityState, QDState, TuningRangeExceeded
@@ -110,6 +109,10 @@ def test_power_for_shift_full_range_warns():
     with pytest.warns(RolloffWarning):
         p = power_for_shift(PM, QD, 1.8)
     assert math.isclose(p, 3.857142857142858, rel_tol=1e-12)
+    # a forward round trip of this closed form lands one ulp past the 1.8 nm range
+    with pytest.warns(RolloffWarning):
+        p = power_for_shift(PowerMap("m", 10.0, 301.0, 10.0), QD, 1.8)
+    assert p == 1.8 / (ALPHA * 301.0)
 
 
 def test_power_for_shift_rejects_out_of_range_targets():
@@ -215,22 +218,22 @@ def test_align_multi_decoupled_matches_closed_forms():
 
 def test_align_multi_with_crosstalk_matches_direct_solve():
     beta = PM.beta_k2_per_mw
-    maps = [PowerMap("A", 10.0, beta), PowerMap("B", 10.0, beta)]
-    x = np.array([[beta, 0.1 * beta], [0.1 * beta, beta]])
-    crosstalk = Crosstalk(("A", "B"), x)
-    qa = QDState("a", 927.0)
-    qb = QDState("b", 927.0)
-    targets = [("A", qa, 927.5), ("B", qb, 927.5)]
-    sol = align_multi(maps, crosstalk, targets, tol_nm=1e-9)
-    assert sol.feasible
-    expected = np.linalg.solve(x, np.array([0.5 / ALPHA, 0.5 / ALPHA]))
-    assert abs(sol.powers_mw["A"] - expected[0]) <= 1e-9
-    assert abs(sol.powers_mw["B"] - expected[1]) <= 1e-9
-    assert math.isclose(
-        solve_powers_direct(crosstalk, np.array([0.5 / ALPHA, 0.5 / ALPHA]))[0],
-        expected[0],
-        rel_tol=1e-15,
-    )
+    # weak coupling, and strong (0.9 * beta) coupling on three structures,
+    # which Crosstalk.validate accepts and which has feasible powers
+    for x in (
+        beta * np.array([[1.0, 0.1], [0.1, 1.0]]),
+        beta * (0.1 * np.eye(3) + 0.9 * np.ones((3, 3))),
+    ):
+        ids = tuple("ABC"[: len(x)])
+        maps = [PowerMap(sid, 10.0, beta) for sid in ids]
+        targets = [(sid, QDState(sid, 927.0), 927.5) for sid in ids]
+        sol = align_multi(maps, Crosstalk(ids, x), targets, tol_nm=1e-9)
+        assert sol.feasible
+        assert sol.iterations == 1
+        expected = np.linalg.solve(x, np.full(len(ids), 0.5 / ALPHA))
+        for sid, p in zip(ids, expected):
+            assert abs(sol.powers_mw[sid] - p) <= 1e-9
+    assert all(math.isclose(p, 0.38265306, rel_tol=1e-8) for p in sol.powers_mw.values())
 
 
 def test_align_multi_untargeted_structure_stays_cold():
@@ -264,6 +267,8 @@ def test_crosstalk_validation():
         Crosstalk(("A", "B"), np.array([[beta, beta], [0.0, beta]])).validate(maps)
     with pytest.raises(ValueError, match="off-diagonal"):
         Crosstalk(("A", "B"), np.array([[beta, -0.1], [0.0, beta]])).validate(maps)
+    with pytest.raises(ValueError, match="off-diagonal"):
+        Crosstalk(("A", "B"), np.array([[beta, np.nan], [0.0, beta]])).validate(maps)
     Crosstalk.diagonal(maps).validate(maps)
 
 
