@@ -9,6 +9,7 @@ no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -26,6 +27,7 @@ EXIT_SOLVER = 3
 EXIT_INFEASIBLE = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tuner",
@@ -42,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=None, help="solver iteration cap")
     p.add_argument("--bath-k", type=float, default=None, help="bath temperature in K")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_thermal)
 
     p = sub.add_parser("sweep", help="synthesize spectra over a heating-power ramp")
     p.add_argument("scenario", help="scenario JSON file")
@@ -55,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-extract peaks from the sampled spectra instead of the annotations",
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("tune", help="solve for powers reaching a spectral target")
     p.add_argument("scenario", help="scenario JSON file")
@@ -64,22 +64,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-nm", type=float, default=None, help="alignment tolerance in nm")
     p.add_argument("--min-q", type=float, default=None, help="cavity quality floor")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("calibrate", help="fit shift-law coefficients from anchors")
     p.add_argument("--anchors-file", required=True, help="anchors JSON file")
     p.add_argument("--alpha", type=float, default=None, help="shift coefficient nm/K^2")
     p.add_argument("--t-ref", type=float, default=None, help="reference temperature in K")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_calibrate)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # looked up per call rather than bound into the cached parser, so that a
+    # rebound cmd_* (a wrapper installed after the first call) is honoured
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, LayoutError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -162,31 +163,38 @@ def cmd_thermal(args) -> int:
 
 def _refit_peaks(spectrum: Spectrum) -> list[tuple[float, float, float]]:
     """Extract (center, fwhm, height) for local maxima of the sampled curve
-    by parabolic interpolation, with half-height linear crossings."""
+    by parabolic interpolation, with half-height linear crossings.
+
+    One array comparison finds the maxima (y[k] > y[k-1] and y[k] >= y[k+1]);
+    per maximum, the half-height crossing is the last bracketing interval left
+    of it and the first right of it, or the window edge when there is none.
+    The per-peak arithmetic runs on the sampled float64 values.
+    """
     x = spectrum.wavelengths_nm
     y = spectrum.intensities
     dx = x[1] - x[0]
+    maxima = np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])) + 1
     found: list[tuple[float, float, float]] = []
-    for k in range(1, len(x) - 1):
-        if not (y[k] > y[k - 1] and y[k] >= y[k + 1]):
-            continue
+    for k in maxima.tolist():
         denom = y[k - 1] - 2.0 * y[k] + y[k + 1]
         offset = 0.0 if denom == 0.0 else 0.5 * (y[k - 1] - y[k + 1]) / denom
         center = x[k] + offset * dx
         height = y[k] - 0.25 * (y[k - 1] - y[k + 1]) * offset
         half = height / 2.0
         left = x[0]
-        for m in range(k, 0, -1):
-            if y[m - 1] <= half <= y[m]:
-                frac = (y[m] - half) / (y[m] - y[m - 1])
-                left = x[m] - frac * dx
-                break
+        # hit j brackets [m - 1, m] with m = j + 1 <= k
+        hits = np.flatnonzero((y[:k] <= half) & (half <= y[1 : k + 1]))
+        if hits.size:
+            m = int(hits[-1]) + 1
+            frac = (y[m] - half) / (y[m] - y[m - 1])
+            left = x[m] - frac * dx
         right = x[-1]
-        for m in range(k, len(x) - 1):
-            if y[m + 1] <= half <= y[m]:
-                frac = (y[m] - half) / (y[m] - y[m + 1])
-                right = x[m] + frac * dx
-                break
+        # hit j brackets [m, m + 1] with m = k + j
+        hits = np.flatnonzero((y[k + 1 :] <= half) & (half <= y[k:-1]))
+        if hits.size:
+            m = k + int(hits[0])
+            frac = (y[m] - half) / (y[m] - y[m + 1])
+            right = x[m] + frac * dx
         found.append((center, right - left, height))
     return found
 
@@ -221,8 +229,12 @@ def cmd_sweep(args) -> int:
     device = structure.device
 
     powers = np.linspace(p_min, p_max, steps)
-    spectra_rows: list[tuple[float, Spectrum]] = []
-    track: list[tuple[float, str, str, float, float, float]] = []
+    # Every spectrum of a sweep is sampled on one wavelength grid, so its
+    # column is formatted once: row_tails[s] is ",<lambda_s>,%.9g\n". Per
+    # power, only the formatted power and the intensities are kept.
+    row_tails: list[str] | None = None
+    spectra_rows: list[tuple[str, np.ndarray]] = []
+    track: list[str] = []
     skipped: list[str] = []
     for p_mw in powers:
         try:
@@ -241,23 +253,24 @@ def cmd_sweep(args) -> int:
         except (control.PowerRangeError, TuningRangeExceeded) as e:
             skipped.append(f"power {p_mw:.9g} mW skipped: {e}")
             continue
-        spectra_rows.append((float(p_mw), spectrum))
+        if row_tails is None:
+            row_tails = [f",{lam:.9g},%.9g\n" for lam in spectrum.wavelengths_nm.tolist()]
+        power = cfg.fmt9(p_mw)
+        spectra_rows.append((power, spectrum.intensities))
         for kind, label, center, fwhm, height in _track_rows(spectrum, args.refit):
-            track.append((float(p_mw), kind, label, center, fwhm, height))
+            track.append(
+                f"{power},{kind},{label},{cfg.fmt9(center)},{cfg.fmt9(fwhm)},{cfg.fmt9(height)}\n"
+            )
 
     out = _out_dir(args)
     with open(out / "spectra.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("power_mw,lambda_nm,intensity\n")
-        for p_mw, spectrum in spectra_rows:
-            for lam, inten in zip(spectrum.wavelengths_nm, spectrum.intensities):
-                f.write(f"{cfg.fmt9(p_mw)},{cfg.fmt9(lam)},{cfg.fmt9(inten)}\n")
+        for power, intensities in spectra_rows:
+            # '%.9g' % v formats exactly as format(v, '.9g'); the power is
+            # digits, sign, '.' and 'e', so it holds no '%' of its own
+            f.write((power + power.join(row_tails)) % tuple(intensities.tolist()))
     with open(out / "peaks.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("power_mw,kind,label,center_nm,fwhm_nm,height\n")
-        for p_mw, kind, label, center, fwhm, height in track:
-            f.write(
-                f"{cfg.fmt9(p_mw)},{kind},{label},{cfg.fmt9(center)},"
-                f"{cfg.fmt9(fwhm)},{cfg.fmt9(height)}\n"
-            )
+        f.write("power_mw,kind,label,center_nm,fwhm_nm,height\n" + "".join(track))
     for msg in skipped:
         print(f"warning: {msg}", file=sys.stderr)
     return EXIT_OK

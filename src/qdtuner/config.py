@@ -65,10 +65,24 @@ def _number(obj: dict, key: str, ctx: str, default: float | None = None) -> floa
     return finite(float(v), f"{ctx}: {key}")
 
 
+def _json_int(text: str) -> int | float:
+    """Read a JSON integer; one beyond float range reads as a signed infinity,
+    which the finite checks reject, instead of overflowing later in float()."""
+    try:
+        value = int(text)
+        float(value)
+    except (OverflowError, ValueError):  # ValueError: past the int digit limit
+        return -math.inf if text.startswith("-") else math.inf
+    return value
+
+
+_JSON = json.JSONDecoder(parse_int=_json_int)
+
+
 def _load_json(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            return _JSON.decode(f.read())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: malformed JSON ({e})") from e
 

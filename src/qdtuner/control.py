@@ -295,7 +295,8 @@ def align_multi(
     Solves T_i^2 = T_bath^2 + sum_j X[i, j] P_j for the targeted structures
     with one direct linear solve on their block of the crosstalk matrix;
     untargeted structures stay unpowered. A singular block or a power outside
-    [0, p_max] makes the plan infeasible. `iterations` counts linear solves.
+    [0, p_max] makes the plan infeasible, unless no targeted dot needs any
+    shift: then no solve runs. `iterations` counts linear solves.
     """
     if tol_nm <= 0.0:
         raise ValueError("tol must be positive")
@@ -342,12 +343,16 @@ def align_multi(
 
     sub = np.flatnonzero(targeted)
     powers = np.zeros(n)
-    try:
-        powers[sub] = np.linalg.solve(x[np.ix_(sub, sub)], delta_t2[sub])
-    except np.linalg.LinAlgError:
-        return _infeasible_multi(
-            ids, "infeasible chip plan: crosstalk matrix of the targeted structures is singular"
-        )
+    # with every targeted dot already in place, P = 0 is exact even for a
+    # singular block
+    solved = bool(delta_t2.any())
+    if solved:
+        try:
+            powers[sub] = np.linalg.solve(x[np.ix_(sub, sub)], delta_t2[sub])
+        except np.linalg.LinAlgError:
+            return _infeasible_multi(
+                ids, "infeasible chip plan: crosstalk matrix of the targeted structures is singular"
+            )
 
     feasible = True
     for i, pm in enumerate(maps):
@@ -375,7 +380,7 @@ def align_multi(
         residual_nm=residual,
         feasible=feasible,
         warnings=tuple(notes),
-        iterations=int(sub.size > 0),
+        iterations=int(solved),
     )
 
 

@@ -107,6 +107,10 @@ def _thermal_flag(flag, value):
         pytest.param(["tune", "{configs}/fig4.json", "--min-q", "nan"], id="tune--min-q-nan"),
         pytest.param(["tune", "{tmp}/nan_bath.json"], id="tune-json-NaN-bath_k"),
         pytest.param(["sweep", "{tmp}/nan_bath.json"], id="sweep-json-NaN-bath_k"),
+        pytest.param(["tune", "{tmp}/huge_bath.json"], id="tune-json-huge-int-bath_k"),
+        pytest.param(
+            ["calibrate", "--anchors-file", "{tmp}/huge_anchor.json"], id="calibrate-json-huge-int-anchor"
+        ),
         pytest.param(
             ["calibrate", "--anchors-file", "{configs}/anchors_power.json", "--alpha", "0"],
             id="calibrate--alpha-0",
@@ -127,6 +131,13 @@ def test_thermal_invalid_number_is_config_error(configs_dir, tmp_path, capsys, a
     # json.dumps writes the NaN literal that json.load accepts
     (tmp_path / "nan_bath.json").write_text(
         json.dumps({**scenario, "bath_k": float("nan")}), encoding="utf-8"
+    )
+    # integers too large for a float
+    (tmp_path / "huge_bath.json").write_text(
+        json.dumps({**scenario, "bath_k": 10**400}), encoding="utf-8"
+    )
+    (tmp_path / "huge_anchor.json").write_text(
+        json.dumps({"power_anchors": [[10**400, 1.4], [3.0, 1.5]]}), encoding="utf-8"
     )
     out = tmp_path / "out"
     argv = [a.format(configs=configs_dir, tmp=tmp_path) for a in argv]

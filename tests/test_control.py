@@ -234,6 +234,13 @@ def test_align_multi_with_crosstalk_matches_direct_solve():
         for sid, p in zip(ids, expected):
             assert abs(sol.powers_mw[sid] - p) <= 1e-9
     assert all(math.isclose(p, 0.38265306, rel_tol=1e-8) for p in sol.powers_mw.values())
+    # a singular block with every dot already at its target: P = 0 is exact
+    x = 400.0 * np.array([[1.0, 0.75, 0.0], [0.75, 1.0, 0.875], [0.0, 0.5, 1.0]])
+    maps = [PowerMap(sid, 10.0, 400.0) for sid in "ABC"]
+    targets = [(sid, QDState(sid, 927.0), 927.0) for sid in "ABC"]
+    sol = align_multi(maps, Crosstalk(tuple("ABC"), x), targets, tol_nm=1e-9)
+    assert sol.feasible and sol.iterations == 0 and not sol.warnings
+    assert all(p == 0.0 for p in sol.powers_mw.values())
 
 
 def test_align_multi_untargeted_structure_stays_cold():
