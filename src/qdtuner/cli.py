@@ -9,6 +9,7 @@ no timestamps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -45,10 +46,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bath-k", type=float, default=None, help="bath temperature in K")
     p.add_argument("--out", required=True, help="output directory")
 
+    # a flag that sets a settings field has the field's name as dest (see _merge)
     p = sub.add_parser("sweep", help="synthesize spectra over a heating-power ramp")
     p.add_argument("scenario", help="scenario JSON file")
-    p.add_argument("--power-min", type=float, default=None, help="first power in mW")
-    p.add_argument("--power-max", type=float, default=None, help="last power in mW")
+    p.add_argument("--power-min", type=float, dest="power_min_mw", metavar="POWER_MIN", help="first power in mW")
+    p.add_argument("--power-max", type=float, dest="power_max_mw", metavar="POWER_MAX", help="last power in mW")
     p.add_argument("--steps", type=int, default=None, help="number of powers")
     p.add_argument(
         "--refit",
@@ -59,16 +61,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="solve for powers reaching a spectral target")
     p.add_argument("scenario", help="scenario JSON file")
-    p.add_argument("--target", choices=("qd-to-cavity", "qd-to-qd"), default=None)
-    p.add_argument("--qd-id", action="append", default=None, help="QD id (repeatable)")
+    p.add_argument("--target", choices=cfg.TUNE_TARGETS, default=None)
+    p.add_argument("--qd-id", action="append", dest="qd_ids", metavar="QD_ID", help="QD id (repeatable)")
     p.add_argument("--tol-nm", type=float, default=None, help="alignment tolerance in nm")
     p.add_argument("--min-q", type=float, default=None, help="cavity quality floor")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("calibrate", help="fit shift-law coefficients from anchors")
     p.add_argument("--anchors-file", required=True, help="anchors JSON file")
-    p.add_argument("--alpha", type=float, default=None, help="shift coefficient nm/K^2")
-    p.add_argument("--t-ref", type=float, default=None, help="reference temperature in K")
+    p.add_argument("--alpha", type=float, dest="alpha_nm_per_k2", metavar="ALPHA", help="shift coefficient nm/K^2")
+    p.add_argument("--t-ref", type=float, dest="t_ref_k", metavar="T_REF", help="reference temperature in K")
     p.add_argument("--out", required=True, help="output directory")
 
     return parser
@@ -81,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except (ConfigError, LayoutError, FileNotFoundError) as e:
+    except (ConfigError, LayoutError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (GridError, thermal.ThermalModelError) as e:
@@ -95,47 +97,44 @@ def run() -> None:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # e.g. --out names an existing file
+        raise ConfigError(f"--out {out}: {e.strerror}") from e
     return out
 
 
+def _merge(record, args):
+    """The settings record with each flag the user gave in place of its
+    field, checked again by the record's own rules."""
+    given = {}
+    for field in dataclasses.fields(record):
+        value = getattr(args, field.name, None)
+        if value is not None:
+            given[field.name] = tuple(value) if isinstance(value, list) else value
+    return dataclasses.replace(record, **given)
+
+
 def cmd_thermal(args) -> int:
-    device, scenario = cfg.load_device_or_scenario(args.config)
-    params = scenario.thermal if scenario is not None and scenario.thermal else cfg.ThermalParams()
-    bath_k = args.bath_k if args.bath_k is not None else (
-        scenario.bath_k if scenario is not None else 10.0
-    )
-    power_mw = args.power_abs_mw if args.power_abs_mw is not None else params.power_abs_mw
-    dx_um = args.dx_um if args.dx_um is not None else params.dx_um
-    tol = args.tol if args.tol is not None else params.tol
-    max_iter = args.max_iter if args.max_iter is not None else params.max_iter
-    for name, value in (
-        ("absorbed power", power_mw), ("bath temperature", bath_k), ("dx", dx_um), ("tol", tol)
-    ):
-        cfg.finite(value, name)
-    if power_mw < 0:
-        raise ConfigError("absorbed power must be non-negative")
-    if bath_k <= 0:
-        raise ConfigError("bath temperature must be positive")
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
-    if max_iter < 1:
-        raise ConfigError("max-iter must be at least 1")
+    device, bath_k, params = cfg.load_device_or_scenario(args.config)
+    params = _merge(params, args)
+    bath_k = args.bath_k if args.bath_k is not None else bath_k
+    power_mw = params.power_abs_mw
 
     layout = device.layout
     try:
-        grid = rasterize(layout, dx_um, absorbed_power_w=power_mw * 1e-3, t_bath_k=bath_k)
+        grid = rasterize(layout, params.dx_um, absorbed_power_w=power_mw * 1e-3, t_bath_k=bath_k)
     except GridError as e:
         raise ConfigError(str(e)) from e
 
-    field, report = thermal.solve_steady_state(grid, tol=tol, max_iter=max_iter)
+    field, report = thermal.solve_steady_state(grid, tol=params.tol, max_iter=params.max_iter)
     lumped_k = thermal.lumped_temperature(layout, power_mw * 1e-3, bath_k)
 
     pad_cells = field.t_k[grid.kind == PAD]
     extras = {
         "bath_k": bath_k,
         "power_abs_mw": power_mw,
-        "dx_um": dx_um,
+        "dx_um": params.dx_um,
         "pad_peak_k": float(np.max(pad_cells)),
         "pad_mean_k": float(np.mean(pad_cells)),
         "max_k": float(np.nanmax(field.t_k)),
@@ -212,23 +211,14 @@ def _track_rows(spectrum: Spectrum, refit: bool) -> list[tuple[str, str, float, 
 
 def cmd_sweep(args) -> int:
     scenario = cfg.load_scenario(args.scenario)
-    sweep = scenario.sweep if scenario.sweep is not None else cfg.SweepParams()
-    p_min = args.power_min if args.power_min is not None else sweep.power_min_mw
-    p_max = args.power_max if args.power_max is not None else sweep.power_max_mw
-    steps = args.steps if args.steps is not None else sweep.steps
-    cfg.finite(p_min, "power-min")
-    cfg.finite(p_max, "power-max")
-    if steps < 2:
-        raise ConfigError("sweep needs at least 2 steps")
-    if p_min > p_max:
-        raise ConfigError("sweep needs power-min <= power-max")
+    sweep = _merge(scenario.sweep or cfg.SweepParams(), args)
 
     structure = scenario.main
     pm = structure.power_map
     sp = scenario.spectrum
     device = structure.device
 
-    powers = np.linspace(p_min, p_max, steps)
+    powers = np.linspace(sweep.power_min_mw, sweep.power_max_mw, sweep.steps)
     # Every spectrum of a sweep is sampled on one wavelength grid, so its
     # column is formatted once: row_tails[s] is ",<lambda_s>,%.9g\n". Per
     # power, only the formatted power and the intensities are kept.
@@ -278,17 +268,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_tune(args) -> int:
     scenario = cfg.load_scenario(args.scenario)
-    tune = scenario.tune if scenario.tune is not None else cfg.TuneParams()
-    target = args.target if args.target is not None else tune.target
-    tol_nm = args.tol_nm if args.tol_nm is not None else tune.tol_nm
-    min_q = args.min_q if args.min_q is not None else tune.min_q
-    qd_ids = tuple(args.qd_id) if args.qd_id else tune.qd_ids
-    if cfg.finite(tol_nm, "tol-nm") <= 0:
-        raise ConfigError("tol-nm must be positive")
-    if min_q is not None:
-        cfg.finite(min_q, "min-q")
+    tune = _merge(scenario.tune or cfg.TuneParams(), args)
+    qd_ids = tune.qd_ids
 
-    if target == "qd-to-cavity":
+    if tune.target == "qd-to-cavity":
         structure = scenario.main
         device = structure.device
         if device.cavity is None:
@@ -300,9 +283,9 @@ def cmd_tune(args) -> int:
             structure.power_map,
             qd,
             device.cavity,
-            tol_nm=tol_nm,
+            tol_nm=tune.tol_nm,
             f0=scenario.spectrum.f0,
-            min_q=min_q,
+            min_q=tune.min_q,
         )
     else:
         if len(scenario.structures) < 2:
@@ -326,7 +309,7 @@ def cmd_tune(args) -> int:
             [s.power_map for s in scenario.structures],
             scenario.crosstalk,
             targets,
-            tol_nm=tol_nm,
+            tol_nm=tune.tol_nm,
         )
 
     out = _out_dir(args)
@@ -337,6 +320,7 @@ def cmd_tune(args) -> int:
 
 
 def _fit_through_origin(x: np.ndarray, y: np.ndarray, ctx: str) -> tuple[float, float]:
+    cfg.finite(x, f"{ctx}: fit abscissae")
     if x.size < 2:
         raise ConfigError(f"{ctx}: need at least two anchor points")
     if np.unique(x).size < 2:
@@ -347,17 +331,16 @@ def _fit_through_origin(x: np.ndarray, y: np.ndarray, ctx: str) -> tuple[float, 
 
 
 def cmd_calibrate(args) -> int:
-    anchors = cfg.load_anchors(args.anchors_file)
-    t_ref = cfg.finite(args.t_ref if args.t_ref is not None else anchors.t_ref_k, "t-ref")
-    alpha = cfg.finite(args.alpha if args.alpha is not None else anchors.alpha_nm_per_k2, "alpha")
-    if alpha <= 0:
-        raise ConfigError("alpha must be positive")
+    anchors = _merge(cfg.load_anchors(args.anchors_file), args)
+    t_ref, alpha = anchors.t_ref_k, anchors.alpha_nm_per_k2
 
     results: dict[str, dict] = {}
     for sid, (mode, pts) in anchors.blocks.items():
         ctx = f"{args.anchors_file}: {sid}"
         if mode == "temperature":
-            slope, residual = _fit_through_origin(pts[:, 0] ** 2 - t_ref**2, pts[:, 1], ctx)
+            with np.errstate(over="ignore"):  # an infinite abscissa fails the fit's check
+                x = pts[:, 0] ** 2 - np.float64(t_ref) ** 2
+            slope, residual = _fit_through_origin(x, pts[:, 1], ctx)
             results[sid] = {
                 "mode": "temperature",
                 "alpha_nm_per_k2": slope,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +54,16 @@ def finite(value, name: str):
     return value
 
 
+def _positive(value, name: str) -> None:
+    if finite(value, name) <= 0:
+        raise ConfigError(f"{name} must be positive")
+
+
+def _integer(value, name: str, minimum: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}")
+
+
 def _number(obj: dict, key: str, ctx: str, default: float | None = None) -> float:
     if key not in obj:
         if default is None:
@@ -85,6 +95,34 @@ def _load_json(path: Path) -> dict:
             return _JSON.decode(f.read())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: malformed JSON ({e})") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e})") from e
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read ({e.strerror})") from e
+
+
+def _build(cls, ctx: str, **values):
+    """cls(**values), with the ValueError of cls's own rules (a ConfigError
+    included) reported as a config error under ctx."""
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise ConfigError(f"{ctx}: {e}") from e
+
+
+def _record(cls, obj: dict, ctx: str):
+    """A settings record from its JSON block: the keys are the record's
+    fields, numbers for float fields are read by _number, lists become
+    tuples, absent keys keep the field default, and the record's own rules
+    check every value."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    _check_keys(obj, set(defaults), set(), ctx)
+    values = {}
+    for key, v in obj.items():
+        if isinstance(defaults[key], float) or (defaults[key] is None and v is not None):
+            v = _number(obj, key, ctx)
+        values[key] = tuple(v) if isinstance(v, list) else v
+    return _build(cls, ctx, **values)
 
 
 def _check_id(value, ctx: str) -> str:
@@ -170,6 +208,22 @@ def load_device(path: str | Path) -> Device:
     )
     body_scale = _number(mt, "body_scale", ctx, default=1.0)
 
+    qd_states: list[QDState] = []
+    qd_positions: list[tuple[str, tuple[float, float]]] = []
+    # a dot's optical keys are QDState's fields; absent ones keep its defaults
+    place = ("id", "x_um", "y_um")
+    optical = {f.name for f in fields(QDState)} - {"qd_id"}
+    for k, q in enumerate(raw.get("qds") or []):
+        qctx = f"{ctx}: qds[{k}]"
+        _check_keys(q, {*place, *optical}, {*place, "lambda0_nm"}, qctx)
+        _check_id(q.get("id"), qctx)
+        optics = {key: _number(q, key, qctx) for key in q if key not in place}
+        qd_states.append(_build(QDState, qctx, qd_id=q["id"], **optics))
+        qd_positions.append((q["id"], (_number(q, "x_um", qctx), _number(q, "y_um", qctx))))
+    ids = [qd.qd_id for qd in qd_states]
+    if len(set(ids)) != len(ids):
+        raise ConfigError(f"{ctx}: duplicate QD ids")
+
     cavity = None
     cavity_xy = None
     c = raw.get("cavity")
@@ -181,55 +235,15 @@ def load_device(path: str | Path) -> Device:
             f"{ctx}: cavity",
         )
         cavity_xy = (_number(c, "x_um", ctx), _number(c, "y_um", ctx))
-        cavity = CavityState(
+        cavity = _build(
+            CavityState,
+            f"{ctx}: cavity",
             lambda0_nm=_number(c, "lambda0_nm", ctx),
             q0=_number(c, "q0", ctx, default=spectral.DEFAULT_Q0),
             shift_ratio=_number(c, "shift_ratio", ctx, default=spectral.DEFAULT_SHIFT_RATIO),
             q_slope_per_k2=_number(c, "q_slope", ctx, default=spectral.DEFAULT_Q_SLOPE_PER_K2),
+            alpha_nm_per_k2=_structure_alpha(qd_states),
         )
-
-    qd_states: list[QDState] = []
-    qd_positions: list[tuple[str, tuple[float, float]]] = []
-    for k, q in enumerate(raw.get("qds") or []):
-        qctx = f"{ctx}: qds[{k}]"
-        _check_keys(
-            q,
-            {
-                "id",
-                "x_um",
-                "y_um",
-                "lambda0_nm",
-                "fwhm0_nm",
-                "alpha_nm_per_k2",
-                "fwhm_slope",
-                "base_intensity",
-                "rolloff_shift_nm",
-                "max_shift_nm",
-            },
-            {"id", "x_um", "y_um", "lambda0_nm"},
-            qctx,
-        )
-        _check_id(q.get("id"), qctx)
-        qd_states.append(
-            QDState(
-                qd_id=q["id"],
-                lambda0_nm=_number(q, "lambda0_nm", qctx),
-                fwhm0_nm=_number(q, "fwhm0_nm", qctx, default=spectral.DEFAULT_FWHM0_NM),
-                alpha_nm_per_k2=_number(
-                    q, "alpha_nm_per_k2", qctx, default=spectral.DEFAULT_ALPHA_NM_PER_K2
-                ),
-                fwhm_slope=_number(q, "fwhm_slope", qctx, default=spectral.DEFAULT_FWHM_SLOPE),
-                base_intensity=_number(q, "base_intensity", qctx, default=1.0),
-                rolloff_shift_nm=_number(
-                    q, "rolloff_shift_nm", qctx, default=spectral.DEFAULT_ROLLOFF_SHIFT_NM
-                ),
-                max_shift_nm=_number(q, "max_shift_nm", qctx, default=spectral.DEFAULT_MAX_SHIFT_NM),
-            )
-        )
-        qd_positions.append((q["id"], (_number(q, "x_um", qctx), _number(q, "y_um", qctx))))
-    ids = [qd.qd_id for qd in qd_states]
-    if len(set(ids)) != len(ids):
-        raise ConfigError(f"{ctx}: duplicate QD ids")
 
     layout = DeviceLayout(
         membrane=membrane,
@@ -240,12 +254,12 @@ def load_device(path: str | Path) -> Device:
         qds=tuple(qd_positions),
         body_kappa_scale=body_scale,
     )
-    try:
-        validate_layout(layout)
-    except ValueError as e:
-        raise ConfigError(f"{ctx}: {e}") from e
+    _build(validate_layout, ctx, layout=layout)
     return Device(layout=layout, qd_states=tuple(qd_states), cavity=cavity)
 
+
+# Run settings: each record alone defaults and range-checks its fields; config
+# blocks (_record) and CLI flags (dataclasses.replace) both run its rules.
 
 @dataclass(frozen=True)
 class SpectrumParams:
@@ -255,12 +269,29 @@ class SpectrumParams:
     cavity_height: float = 0.2
     baseline: float = 0.0
 
+    def __post_init__(self) -> None:
+        w = self.window_nm
+        numbers = isinstance(w, tuple) and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in w)
+        if not (numbers and len(w) == 2 and w[0] < w[1]):
+            raise ConfigError("window_nm must be [lo, hi] with lo < hi")
+        finite(np.array(w), "window_nm")
+        _integer(self.samples, "samples", 2)
+        if finite(self.f0, "f0") < 1.0:
+            raise ConfigError("f0 (peak Purcell enhancement) must be >= 1")
+        finite(self.cavity_height, "cavity_height")
+        finite(self.baseline, "baseline")
+
 
 @dataclass(frozen=True)
 class SweepParams:
     power_min_mw: float = 0.0
     power_max_mw: float = 3.0
     steps: int = 61
+
+    def __post_init__(self) -> None:
+        if finite(self.power_min_mw, "power_min_mw") > finite(self.power_max_mw, "power_max_mw"):
+            raise ConfigError("sweep needs power_min_mw <= power_max_mw")
+        _integer(self.steps, "steps", 2)
 
 
 @dataclass(frozen=True)
@@ -270,13 +301,32 @@ class ThermalParams:
     tol: float = 1e-6
     max_iter: int = 200
 
+    def __post_init__(self) -> None:
+        if finite(self.power_abs_mw, "power_abs_mw") < 0:
+            raise ConfigError("power_abs_mw must be non-negative")
+        _positive(self.dx_um, "dx_um")
+        _positive(self.tol, "tol")
+        _integer(self.max_iter, "max_iter", 1)
+
+
+TUNE_TARGETS = ("qd-to-cavity", "qd-to-qd")
+
 
 @dataclass(frozen=True)
 class TuneParams:
-    target: str = "qd-to-cavity"   # or "qd-to-qd"
+    target: str = TUNE_TARGETS[0]
     qd_ids: tuple[str, ...] = ()
     tol_nm: float = 1e-6
     min_q: float | None = None     # optional cavity-quality feasibility floor
+
+    def __post_init__(self) -> None:
+        if self.target not in TUNE_TARGETS:
+            raise ConfigError(f"target must be one of {list(TUNE_TARGETS)}")
+        if not isinstance(self.qd_ids, tuple) or not all(isinstance(v, str) for v in self.qd_ids):
+            raise ConfigError("qd_ids must be a list of strings")
+        _positive(self.tol_nm, "tol_nm")
+        if self.min_q is not None:
+            _positive(self.min_q, "min_q")
 
 
 @dataclass(frozen=True)
@@ -330,8 +380,9 @@ def _parse_calibration(raw: dict | None, bath_k: float, structure_id: str, alpha
         raise ConfigError(f"{ctx}: {e}") from e
 
 
-def _structure_alpha(device: Device) -> float:
-    return device.qd_states[0].alpha_nm_per_k2 if device.qd_states else spectral.DEFAULT_ALPHA_NM_PER_K2
+def _structure_alpha(qd_states) -> float:
+    """The shift law of a structure's calibration and cavity: its first dot's."""
+    return qd_states[0].alpha_nm_per_k2 if qd_states else spectral.DEFAULT_ALPHA_NM_PER_K2
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -357,14 +408,13 @@ def load_scenario(path: str | Path) -> Scenario:
     )
     if ("device" in raw) == ("structures" in raw):
         raise ConfigError(f"{ctx}: give exactly one of 'device' or 'structures'")
-    bath_k = _number(raw, "bath_k", ctx, default=10.0)
+    bath_k = _number(raw, "bath_k", ctx, default=spectral.DEFAULT_T_REF_K)
 
     structures: list[StructureConfig] = []
     if "device" in raw:
         device = load_device(path.parent / raw["device"])
-        pm = _parse_calibration(
-            raw.get("calibration"), bath_k, "main", _structure_alpha(device), f"{ctx}: calibration"
-        )
+        alpha = _structure_alpha(device.qd_states)
+        pm = _parse_calibration(raw.get("calibration"), bath_k, "main", alpha, f"{ctx}: calibration")
         structures.append(StructureConfig("main", device, pm))
     else:
         if not isinstance(raw["structures"], list) or not raw["structures"]:
@@ -374,9 +424,8 @@ def load_scenario(path: str | Path) -> Scenario:
             _check_keys(s, {"id", "device", "calibration"}, {"id", "device"}, sctx)
             _check_id(s.get("id"), sctx)
             device = load_device(path.parent / s["device"])
-            pm = _parse_calibration(
-                s.get("calibration"), bath_k, s["id"], _structure_alpha(device), f"{sctx}: calibration"
-            )
+            alpha = _structure_alpha(device.qd_states)
+            pm = _parse_calibration(s.get("calibration"), bath_k, s["id"], alpha, f"{sctx}: calibration")
             structures.append(StructureConfig(s["id"], device, pm))
         ids = [s.structure_id for s in structures]
         if len(set(ids)) != len(ids):
@@ -392,88 +441,16 @@ def load_scenario(path: str | Path) -> Scenario:
         except (TypeError, ValueError) as e:
             raise ConfigError(f"{ctx}: crosstalk: {e}") from e
 
-    sp = raw.get("spectrum") or {}
-    _check_keys(
-        sp,
-        {"window_nm", "samples", "f0", "cavity_height", "baseline"},
-        set(),
-        f"{ctx}: spectrum",
-    )
-    window = sp.get("window_nm", list(SpectrumParams().window_nm))
-    if (
-        not isinstance(window, list)
-        or len(window) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in window)
-        or not window[0] < window[1]
-    ):
-        raise ConfigError(f"{ctx}: spectrum.window_nm must be [lo, hi] with lo < hi")
-    finite(np.array(window), f"{ctx}: spectrum.window_nm")
-    samples = sp.get("samples", SpectrumParams().samples)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
-        raise ConfigError(f"{ctx}: spectrum.samples must be an integer >= 2")
-    spectrum = SpectrumParams(
-        window_nm=(float(window[0]), float(window[1])),
-        samples=samples,
-        f0=_number(sp, "f0", ctx, default=SpectrumParams().f0),
-        cavity_height=_number(sp, "cavity_height", ctx, default=SpectrumParams().cavity_height),
-        baseline=_number(sp, "baseline", ctx, default=SpectrumParams().baseline),
-    )
-
-    sweep = None
-    if raw.get("sweep") is not None:
-        sw = raw["sweep"]
-        _check_keys(sw, {"power_min_mw", "power_max_mw", "steps"}, set(), f"{ctx}: sweep")
-        steps = sw.get("steps", SweepParams().steps)
-        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-            raise ConfigError(f"{ctx}: sweep.steps must be an integer >= 2")
-        sweep = SweepParams(
-            power_min_mw=_number(sw, "power_min_mw", ctx, default=SweepParams().power_min_mw),
-            power_max_mw=_number(sw, "power_max_mw", ctx, default=SweepParams().power_max_mw),
-            steps=steps,
-        )
-        if sweep.power_min_mw > sweep.power_max_mw:
-            raise ConfigError(f"{ctx}: sweep needs power_min_mw <= power_max_mw")
-
-    thermal_params = None
-    if raw.get("thermal") is not None:
-        th = raw["thermal"]
-        _check_keys(th, {"power_abs_mw", "dx_um", "tol", "max_iter"}, set(), f"{ctx}: thermal")
-        max_iter = th.get("max_iter", ThermalParams().max_iter)
-        if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
-            raise ConfigError(f"{ctx}: thermal.max_iter must be a positive integer")
-        thermal_params = ThermalParams(
-            power_abs_mw=_number(th, "power_abs_mw", ctx, default=0.0),
-            dx_um=_number(th, "dx_um", ctx, default=ThermalParams().dx_um),
-            tol=_number(th, "tol", ctx, default=ThermalParams().tol),
-            max_iter=max_iter,
-        )
-
-    tune = None
-    if raw.get("tune") is not None:
-        tn = raw["tune"]
-        _check_keys(tn, {"target", "qd_ids", "tol_nm", "min_q"}, set(), f"{ctx}: tune")
-        target = tn.get("target", "qd-to-cavity")
-        if target not in ("qd-to-cavity", "qd-to-qd"):
-            raise ConfigError(f"{ctx}: tune.target must be 'qd-to-cavity' or 'qd-to-qd'")
-        qd_ids = tn.get("qd_ids", [])
-        if not isinstance(qd_ids, list) or not all(isinstance(v, str) for v in qd_ids):
-            raise ConfigError(f"{ctx}: tune.qd_ids must be a list of strings")
-        min_q = None if tn.get("min_q") is None else _number(tn, "min_q", ctx)
-        tune = TuneParams(
-            target=target,
-            qd_ids=tuple(qd_ids),
-            tol_nm=_number(tn, "tol_nm", ctx, default=TuneParams().tol_nm),
-            min_q=min_q,
-        )
-
+    blocks = {
+        name: None if raw.get(name) is None else _record(cls, raw[name], f"{ctx}: {name}")
+        for name, cls in (("sweep", SweepParams), ("thermal", ThermalParams), ("tune", TuneParams))
+    }
     scenario = Scenario(
         bath_k=bath_k,
         structures=tuple(structures),
         crosstalk=crosstalk,
-        spectrum=spectrum,
-        sweep=sweep,
-        thermal=thermal_params,
-        tune=tune,
+        spectrum=_record(SpectrumParams, raw.get("spectrum") or {}, f"{ctx}: spectrum"),
+        **blocks,
     )
     _check_referenced_qds(scenario, ctx)
     return scenario
@@ -491,25 +468,30 @@ def _check_referenced_qds(scenario: Scenario, ctx: str) -> None:
         s.device.qd(qd_id)
 
 
-def load_device_or_scenario(path: str | Path) -> tuple[Device, Scenario | None]:
+def load_device_or_scenario(path: str | Path) -> tuple[Device, float, ThermalParams]:
     """Parse a bare device file (it has a membrane) or a scenario that
-    references one; a scenario yields its main device."""
+    references one, for a thermal run: the (main) device, the bath
+    temperature and the thermal settings, defaulted for a bare device."""
     path = Path(path)
     raw = _load_json(path)
     if isinstance(raw, dict) and "membrane" in raw:
-        return load_device(path), None
+        return load_device(path), spectral.DEFAULT_T_REF_K, ThermalParams()
     scenario = load_scenario(path)
-    return scenario.main.device, scenario
+    return scenario.main.device, scenario.bath_k, scenario.thermal or ThermalParams()
 
 
 @dataclass(frozen=True)
 class Anchors:
-    """Calibration anchors: per-structure blocks plus the file's shift-law defaults."""
+    """Calibration anchors: per-structure blocks plus the file's shift-law settings."""
 
-    t_ref_k: float
-    alpha_nm_per_k2: float
     # structure id -> ("temperature" | "power", [[abscissa, shift_nm], ...])
     blocks: dict[str, tuple[str, np.ndarray]]
+    t_ref_k: float = spectral.DEFAULT_T_REF_K
+    alpha_nm_per_k2: float = spectral.DEFAULT_ALPHA_NM_PER_K2
+
+    def __post_init__(self) -> None:
+        _positive(self.t_ref_k, "t_ref_k")
+        _positive(self.alpha_nm_per_k2, "alpha_nm_per_k2")
 
 
 def load_anchors(path: str | Path) -> Anchors:
@@ -524,8 +506,6 @@ def load_anchors(path: str | Path) -> Anchors:
         set(),
         ctx,
     )
-    t_ref = _number(raw, "t_ref_k", ctx, default=spectral.DEFAULT_T_REF_K)
-    alpha = _number(raw, "alpha_nm_per_k2", ctx, default=spectral.DEFAULT_ALPHA_NM_PER_K2)
     if "structures" in raw:
         if not isinstance(raw["structures"], dict) or not raw["structures"]:
             raise ConfigError(f"{ctx}: structures must be a non-empty object")
@@ -548,7 +528,8 @@ def load_anchors(path: str | Path) -> Anchors:
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ConfigError(f"{bctx}: anchors must be [[abscissa, shift_nm], ...]")
         blocks[sid] = ("temperature" if has_t else "power", finite(pts, f"{bctx}: {key}"))
-    return Anchors(t_ref, alpha, blocks)
+    law = {k: _number(raw, k, ctx) for k in ("t_ref_k", "alpha_nm_per_k2") if k in raw}
+    return _build(Anchors, ctx, blocks=blocks, **law)
 
 
 # ---------------------------------------------------------------------------

@@ -220,10 +220,11 @@ def align_qd_to_cavity(
 ) -> TuningSolution:
     """Heating power that brings a blue-detuned dot onto the cavity resonance.
 
-    Both peaks red-shift and the dot moves shift_ratio times faster, so the
-    dot must start blue of the cavity. The closed form for the required dot
-    shift is delta0 / (1 - 1/shift_ratio); the result is verified through the
-    forward model and reported with the Purcell factor at the solution.
+    Both peaks red-shift, so the dot must start blue of the cavity and
+    outrun it: per unit of dot shift the cavity moves
+    cav.alpha / qd.alpha / shift_ratio, and the required dot shift is
+    delta0 / (1 - that). The result is verified through the forward model
+    and reported with the Purcell factor at the solution.
     min_q optionally marks solutions infeasible when heating has degraded the
     cavity below that quality factor.
     """
@@ -245,7 +246,11 @@ def align_qd_to_cavity(
         return infeasible(
             "unreachable: dot is red of the cavity and both shift further red"
         )
-    shift_needed = delta0 / (1.0 - 1.0 / cav.shift_ratio)
+    # written so that equal alphas give exactly 1 - 1/shift_ratio
+    closing = 1.0 - cav.alpha_nm_per_k2 / qd.alpha_nm_per_k2 / cav.shift_ratio
+    if delta0 > 0.0 and closing <= 0.0:
+        return infeasible("unreachable: the cavity shifts at least as fast as the dot")
+    shift_needed = delta0 / closing if delta0 > 0.0 else 0.0
     if shift_needed > qd.max_shift_nm:
         return infeasible(
             f"unreachable: required shift {shift_needed:.4g} nm exceeds the "
@@ -260,8 +265,7 @@ def align_qd_to_cavity(
 
     t_k = temperature_from_power(pm, p_mw)
     qd_lambda = spectral.qd_wavelength(qd, t_k, pm.t_bath_k)
-    shift = spectral.qd_shift(qd, t_k, pm.t_bath_k)
-    cav_lambda = spectral.cavity_wavelength(cav, shift)
+    cav_lambda = spectral.cavity_wavelength(cav, cav.alpha_nm_per_k2 * (t_k**2 - pm.t_bath_k**2))
     detuning = qd_lambda - cav_lambda
     notes: list[str] = []
     feasible = abs(detuning) <= tol_nm

@@ -7,6 +7,7 @@ in W K^-1 cm^-1 throughout the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,6 +298,8 @@ def rasterize(
     so the cell sources add up to absorbed_power_w.
     """
     validate_layout(layout)
+    if not 0.0 < t_bath_k < math.inf:
+        raise GridError("bath temperature must be positive and finite")
     if dx_um <= 0:
         raise GridError("dx must be positive")
     if absorbed_power_w < 0:

@@ -63,14 +63,22 @@ class QDState:
 
 @dataclass(frozen=True)
 class CavityState:
-    """Optical model of the photonic-crystal cavity mode."""
+    """Optical model of the photonic-crystal cavity mode.
+
+    The resonance moves shift_ratio times slower than a dot with shift law
+    alpha_nm_per_k2 at the same temperature; that alpha is the cavity's own,
+    so every caller moves the cavity by one law.
+    """
 
     lambda0_nm: float
     q0: float = DEFAULT_Q0
     shift_ratio: float = DEFAULT_SHIFT_RATIO
     q_slope_per_k2: float = DEFAULT_Q_SLOPE_PER_K2
+    alpha_nm_per_k2: float = DEFAULT_ALPHA_NM_PER_K2
 
     def __post_init__(self) -> None:
+        if self.alpha_nm_per_k2 <= 0.0:
+            raise ValueError("cavity alpha must be positive")
         if self.q0 <= 0.0:
             raise ValueError("Q0 must be positive")
         if self.shift_ratio <= 1.0:
@@ -201,8 +209,7 @@ def synthesize_spectrum(
 
     cav_lambda = cav_width = None
     if cavity is not None:
-        alpha = qds[0].alpha_nm_per_k2 if qds else DEFAULT_ALPHA_NM_PER_K2
-        cav_lambda = cavity_wavelength(cavity, alpha * (t_k**2 - t_ref_k**2))
+        cav_lambda = cavity_wavelength(cavity, cavity.alpha_nm_per_k2 * (t_k**2 - t_ref_k**2))
         cav_width = cav_lambda / cavity_q(cavity, t_k, t_ref_k)
 
     for qd in qds:

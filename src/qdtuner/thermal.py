@@ -7,7 +7,7 @@ transform U = integral of kappa dT makes the problem linear: one sparse solve
 in U plus a closed-form inverse per cell gives the starting field, and one or
 two backtracked Newton steps on the g(T) discretization finish the solve. The
 lumped model collapses the structure to an isothermal island drained by the
-bridges.
+bridges; it is linear in U, so its island temperature is closed-form.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .device import UM_PER_CM, DeviceLayout, GridError, MaterialModel, ThermalGr
 
 
 class ThermalModelError(RuntimeError):
-    """The lumped model cannot bracket a solution."""
+    """The lumped model has no island temperature for the power: the bridge
+    conductance integral saturates below it (exponent < -1)."""
 
 
 def kappa(material: MaterialModel, t_k):
@@ -39,12 +40,8 @@ def kappa_integral(material: MaterialModel, t_lo_k: float, t_hi_k: float) -> flo
     """Closed-form integral of kappa(T) dT over [t_lo_k, t_hi_k], in W cm^-1."""
     if not 0.0 < t_lo_k <= t_hi_k:
         raise ValueError("need 0 < t_lo <= t_hi")
-    p = material.exponent
-    k0 = material.kappa_ref_w_per_k_cm
-    tr = material.t_ref_k
-    if p == -1.0:
-        return k0 * tr * math.log(t_hi_k / t_lo_k)
-    return k0 / ((p + 1.0) * tr**p) * (t_hi_k ** (p + 1.0) - t_lo_k ** (p + 1.0))
+    u_hi, u_lo = _kirchhoff(material, np.float64(t_hi_k)), _kirchhoff(material, np.float64(t_lo_k))
+    return float(material.kappa_ref_w_per_k_cm * (u_hi - u_lo))
 
 
 def bridge_conductance_factor_cm(layout: DeviceLayout) -> float:
@@ -54,18 +51,14 @@ def bridge_conductance_factor_cm(layout: DeviceLayout) -> float:
     return total_um / UM_PER_CM
 
 
-def lumped_temperature(
-    layout: DeviceLayout,
-    p_abs_w: float,
-    t_bath_k: float,
-    t_tol_k: float = 1e-6,
-    t_max_k: float = 1e4,
-) -> float:
+def lumped_temperature(layout: DeviceLayout, p_abs_w: float, t_bath_k: float) -> float:
     """Isothermal-island temperature at a given absorbed power.
 
-    Solves p_abs = sum(A/L) * integral(kappa, bath..island) by bisection on
-    [t_bath_k, t_max_k] to t_tol_k. The island is bridge-limited: the body of
-    the device adds no thermal resistance in this approximation.
+    p_abs = sum(A/L) * integral(kappa, bath..island) = sum(A/L) * kappa_ref *
+    (U(island) - U(bath)) in the Kirchhoff variable U, so the island is
+    U^-1(U(bath) + p_abs / (kappa_ref * sum(A/L))). The island is
+    bridge-limited: the body of the device adds no thermal resistance in
+    this approximation.
     """
     if t_bath_k <= 0.0:
         raise ValueError("bath temperature must be positive")
@@ -73,17 +66,12 @@ def lumped_temperature(
         raise ValueError("absorbed power must be non-negative")
     if p_abs_w == 0.0:
         return t_bath_k
-    target = p_abs_w / bridge_conductance_factor_cm(layout)
-    if kappa_integral(layout.material, t_bath_k, t_max_k) < target:
-        raise ThermalModelError("no bracket: island temperature exceeds the search limit")
-    lo, hi = t_bath_k, t_max_k
-    while hi - lo > t_tol_k:
-        mid = 0.5 * (lo + hi)
-        if kappa_integral(layout.material, t_bath_k, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    m = layout.material
+    du = p_abs_w / (m.kappa_ref_w_per_k_cm * bridge_conductance_factor_cm(layout))
+    t = _kirchhoff_inverse(m, _kirchhoff(m, np.float64(t_bath_k)) + du)
+    if not _valid(t):
+        raise ThermalModelError("no island temperature: the bridges cannot carry this power")
+    return float(t)
 
 
 def absorbed_power_for_temperature(
@@ -255,18 +243,23 @@ def _solve(a: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
 
 
 def _kirchhoff(material: MaterialModel, t: np.ndarray) -> np.ndarray:
-    """Kirchhoff variable U = integral of (T / t_ref)^p dT, up to a constant."""
+    """Kirchhoff variable U = integral of (T / t_ref)^p dT, up to a constant.
+
+    Written as t_ref * (T / t_ref)^(p + 1) / (p + 1), which stays finite for
+    large |p| where T^(p + 1) and t_ref^p alone would overflow.
+    """
     p, tr = material.exponent, material.t_ref_k
-    return tr * np.log(t) if p == -1.0 else t ** (p + 1.0) / ((p + 1.0) * tr**p)
+    with np.errstate(over="ignore"):
+        return tr * np.log(t) if p == -1.0 else tr * (t / tr) ** (p + 1.0) / (p + 1.0)
 
 
 def _kirchhoff_inverse(material: MaterialModel, u: np.ndarray) -> np.ndarray:
     """T from U; NaN or inf where no temperature has that U (p < -1 saturates)."""
     p, tr = material.exponent, material.t_ref_k
-    if p == -1.0:
-        return np.exp(u / tr)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return ((p + 1.0) * tr**p * u) ** (1.0 / (p + 1.0))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if p == -1.0:
+            return np.exp(u / tr)
+        return tr * ((p + 1.0) * u / tr) ** (1.0 / (p + 1.0))
 
 
 def _valid(t: np.ndarray) -> np.ndarray:

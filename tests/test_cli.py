@@ -1,11 +1,12 @@
 import hashlib
 import json
 import math
+import shlex
 
 import numpy as np
 import pytest
 
-from qdtuner import cli
+from qdtuner import cli, spectral
 
 
 def run_cli(*args):
@@ -123,22 +124,48 @@ def _thermal_flag(flag, value):
             ["calibrate", "--anchors-file", "{configs}/anchors_power.json", "--t-ref", "inf"],
             id="calibrate--t-ref-inf",
         ),
+        # a flag and a config value share one rule
+        pytest.param(["tune", "{configs}/fig4.json", "--min-q", "-5"], id="tune--min-q--5"),
+        pytest.param(["tune", "{tmp}/min_q.json"], id="tune-json-min_q--5"),
+        pytest.param(
+            ["calibrate", "--anchors-file", "{configs}/anchors_power.json", "--t-ref", "-5"],
+            id="calibrate--t-ref--5",
+        ),
+        pytest.param(["calibrate", "--anchors-file", "{tmp}/t_ref.json"], id="calibrate-json-t_ref_k--5"),
+        pytest.param(["sweep", "{tmp}/f0.json"], id="sweep-json-f0-0.5"),
+        pytest.param(["tune", "{tmp}/f0.json"], id="tune-json-f0-0.5"),
+        pytest.param(
+            ["calibrate", "--anchors-file", "{configs}/anchors_temperature.json", "--t-ref", "1e200"],
+            id="calibrate--t-ref-1e200",
+        ),
+        # the input boundary: unreadable files and out-of-range device optics
+        pytest.param(["sweep", "{tmp}/latin1.json"], id="sweep-non-utf8-config"),
+        pytest.param(["thermal", "{tmp}"], id="thermal-directory-config"),
+        pytest.param(["sweep", "{tmp}/fwhm.json"], id="sweep-json-fwhm0_nm--1"),
+        pytest.param(["tune", "{tmp}/q0.json"], id="tune-json-q0--9000"),
     ],
 )
 def test_thermal_invalid_number_is_config_error(configs_dir, tmp_path, capsys, argv):
     scenario = json.loads((configs_dir / "fig4.json").read_text(encoding="utf-8"))
     scenario["device"] = str(configs_dir / scenario["device"])
+
+    def write(name, payload):
+        (tmp_path / name).write_text(json.dumps(payload), encoding="utf-8")
+
     # json.dumps writes the NaN literal that json.load accepts
-    (tmp_path / "nan_bath.json").write_text(
-        json.dumps({**scenario, "bath_k": float("nan")}), encoding="utf-8"
-    )
+    write("nan_bath.json", {**scenario, "bath_k": float("nan")})
     # integers too large for a float
-    (tmp_path / "huge_bath.json").write_text(
-        json.dumps({**scenario, "bath_k": 10**400}), encoding="utf-8"
-    )
-    (tmp_path / "huge_anchor.json").write_text(
-        json.dumps({"power_anchors": [[10**400, 1.4], [3.0, 1.5]]}), encoding="utf-8"
-    )
+    write("huge_bath.json", {**scenario, "bath_k": 10**400})
+    write("huge_anchor.json", {"power_anchors": [[10**400, 1.4], [3.0, 1.5]]})
+    write("min_q.json", {**scenario, "tune": {**scenario["tune"], "min_q": -5}})
+    write("t_ref.json", {"t_ref_k": -5, "power_anchors": [[0.0, 0.0], [3.0, 1.4]]})
+    write("f0.json", {**scenario, "spectrum": {**scenario["spectrum"], "f0": 0.5}})
+    (tmp_path / "latin1.json").write_bytes(b'{"device": "\xff"}')
+    device = json.loads((configs_dir / "device_w320_two_qds.json").read_text(encoding="utf-8"))
+    write("fwhm_device.json", {**device, "qds": [{**device["qds"][0], "fwhm0_nm": -1}]})
+    write("fwhm.json", {**scenario, "device": "fwhm_device.json"})
+    write("q0_device.json", {**device, "cavity": {**device["cavity"], "q0": -9000}})
+    write("q0.json", {**scenario, "device": "q0_device.json"})
     out = tmp_path / "out"
     argv = [a.format(configs=configs_dir, tmp=tmp_path) for a in argv]
     code = run_cli(*argv, "--out", out)
@@ -147,6 +174,29 @@ def test_thermal_invalid_number_is_config_error(configs_dir, tmp_path, capsys, a
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_out_naming_a_file_is_config_error(configs_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("keep", encoding="utf-8")
+    assert run_cli("tune", configs_dir / "fig4.json", "--out", out) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert out.read_text(encoding="utf-8") == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_thermal_large_exponent_converges(configs_dir, tmp_path):
+    # (T / t_ref)^401 of the Kirchhoff variable fits a float where T^401 does not
+    device = json.loads((configs_dir / "device_w320.json").read_text(encoding="utf-8"))
+    device["material"]["exponent"] = 400.0
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(device), encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli("thermal", path, "--power-abs-mw", 0.01, "--dx-um", 0.1, "--out", out)
+    assert code == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["converged"] is True
+    assert report["bath_k"] < report["lumped_island_k"] < report["max_k"]
 
 
 def test_sweep_tracks_reach_the_anchor_shift(configs_dir, tmp_path):
@@ -255,6 +305,27 @@ def test_tune_red_detuned_dot_exits_4_with_solution(tmp_path, configs_dir):
     assert any("unreachable" in w for w in sol["warnings"])
 
 
+def test_tune_and_sweep_share_the_cavity_shift_law(configs_dir, tmp_path):
+    # QD2 shifts 1.3x faster than QD1; the cavity keeps the structure's law
+    device = json.loads((configs_dir / "device_w320_two_qds.json").read_text(encoding="utf-8"))
+    device["qds"][1]["alpha_nm_per_k2"] = 1.3 * spectral.DEFAULT_ALPHA_NM_PER_K2
+    (tmp_path / "d.json").write_text(json.dumps(device), encoding="utf-8")
+    scenario = tmp_path / "s.json"
+    scenario.write_text(
+        json.dumps({"device": "d.json", "tune": {"target": "qd-to-cavity", "qd_ids": ["QD2"]}}),
+        encoding="utf-8",
+    )
+    assert run_cli("tune", scenario, "--out", tmp_path / "tune") == 0
+    sol = json.loads((tmp_path / "tune" / "solution.json").read_text(encoding="utf-8"))
+    power = sol["powers_mw"]["main"]
+    out = tmp_path / "sweep"
+    assert run_cli(
+        "sweep", scenario, "--power-min", power, "--power-max", power, "--steps", 2, "--out", out
+    ) == 0
+    centers = {r["label"]: float(r["center_nm"]) for r in read_rows(out / "peaks.csv")}
+    assert abs(centers["QD2"] - centers["cavity"]) <= 1e-6
+
+
 def test_tune_pair_decoupled(configs_dir, tmp_path):
     out = tmp_path / "out"
     assert run_cli("tune", configs_dir / "qd_pair.json", "--out", out) == 0
@@ -328,6 +399,19 @@ def test_calibrate_degenerate_anchors_rejected(tmp_path):
         json.dumps({"power_anchors": [[3.0, 1.4], [3.0, 1.5]]}), encoding="utf-8"
     )
     assert run_cli("calibrate", "--anchors-file", anchors, "--out", tmp_path / "out") == 2
+
+
+def test_readme_usage_lines_run(configs_dir, tmp_path):
+    readme = (configs_dir.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line usage", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("tuner ")]
+    assert len(lines) >= 5
+    for argv in lines:
+        args = [
+            configs_dir.parent / a if a.startswith("configs/") else tmp_path / a if a.startswith("out/") else a
+            for a in argv[1:]
+        ]
+        assert run_cli(*args) == 0, argv
 
 
 def test_sweep_outputs_are_deterministic(configs_dir, tmp_path):

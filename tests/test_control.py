@@ -174,6 +174,17 @@ def test_align_red_detuned_dot_unreachable():
     assert sol.powers_mw["main"] == 0.0
 
 
+@pytest.mark.parametrize("cavity_alpha", [2e-3, 3e-3], ids=["equal-rate", "cavity-faster"])
+def test_align_cavity_outrunning_dot_unreachable(cavity_alpha):
+    # per unit of dot shift the cavity moves cavity_alpha / 1e-3 / 2 nm:
+    # exactly 1 (no closing at all) or more
+    cav = CavityState(930.0, shift_ratio=2.0, alpha_nm_per_k2=cavity_alpha)
+    sol = align_qd_to_cavity(PM, QDState("QD1", 929.75, alpha_nm_per_k2=1e-3), cav)
+    assert not sol.feasible
+    assert any("unreachable" in w for w in sol.warnings)
+    assert sol.powers_mw["main"] == 0.0
+
+
 def test_align_shift_beyond_range_unreachable():
     cav = CavityState(928.5, q0=9000.0)  # needs a 2.28 nm dot shift
     sol = align_qd_to_cavity(PM, QD, cav)

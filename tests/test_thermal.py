@@ -113,7 +113,7 @@ def test_lumped_temperature_no_bracket():
     lay = default_layout(material=MaterialModel(exponent=-2.0))
     # integral of kappa saturates near 0.3 W/cm for this exponent
     p = bridge_conductance_factor_cm(lay) * 0.31
-    with pytest.raises(ThermalModelError, match="no bracket"):
+    with pytest.raises(ThermalModelError, match="no island temperature"):
         lumped_temperature(lay, p, 10.0)
 
 
