@@ -183,8 +183,6 @@ def load_device(path: str | Path) -> Device:
         {"x_um", "y_um", "w_um", "h_um", "profile"},
         f"{ctx}: pad",
     )
-    if p["profile"] not in ("uniform", "gaussian"):
-        raise ConfigError(f"{ctx}: pad.profile must be 'uniform' or 'gaussian'")
     pad = HeatingPad(
         x_um=_number(p, "x_um", ctx),
         y_um=_number(p, "y_um", ctx),

@@ -233,54 +233,6 @@ class ThermalGrid:
     def cell_y_um(self) -> np.ndarray:
         return self.y0_um + (np.arange(self.shape[0]) + 0.5) * self.dx_um
 
-    def validate(self) -> "ThermalGrid":
-        """Check source bookkeeping and that every active cell reaches a fixed cell."""
-        total = float(self.source_w.sum())
-        if self.absorbed_power_w > 0.0:
-            if abs(total - self.absorbed_power_w) > 1e-12 * self.absorbed_power_w:
-                raise GridError("cell sources do not add up to the absorbed power")
-        active = self.active()
-        if not active.any():
-            return self
-        if not (self.dirichlet & active).any():
-            raise GridError("no heat path: grid has no fixed-temperature cells")
-        reached = _flood_from(self.dirichlet & active, active)
-        if not reached[active].all():
-            raise GridError("disconnected grid: some cells cannot reach a fixed-temperature cell")
-        return self
-
-    @staticmethod
-    def empty(nx: int, ny: int, dx_um: float, material: MaterialModel | None = None) -> "ThermalGrid":
-        """All-void grid, mostly useful as a building block in tests."""
-        shape = (ny, nx)
-        return ThermalGrid(
-            dx_um=dx_um,
-            x0_um=0.0,
-            y0_um=0.0,
-            kind=np.zeros(shape, dtype=np.int8),
-            thickness_um=np.zeros(shape),
-            source_w=np.zeros(shape),
-            dirichlet=np.zeros(shape, dtype=bool),
-            dirichlet_k=np.full(shape, np.nan),
-            material=material if material is not None else MaterialModel(),
-            absorbed_power_w=0.0,
-        )
-
-
-def _flood_from(seed: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Cells reachable from seed through 4-neighbour steps inside allowed."""
-    reached = seed & allowed
-    while True:
-        grown = reached.copy()
-        grown[1:, :] |= reached[:-1, :]
-        grown[:-1, :] |= reached[1:, :]
-        grown[:, 1:] |= reached[:, :-1]
-        grown[:, :-1] |= reached[:, 1:]
-        grown &= allowed
-        if (grown == reached).all():
-            return reached
-        reached = grown
-
 
 def rasterize(
     layout: DeviceLayout,
@@ -395,7 +347,7 @@ def rasterize(
     kappa_scale = np.ones((ny, nx))
     kappa_scale[(kind == MEMBRANE) | (kind == PAD)] = layout.body_kappa_scale
 
-    grid = ThermalGrid(
+    return ThermalGrid(
         dx_um=dx_um,
         x0_um=x0,
         y0_um=y0,
@@ -408,4 +360,3 @@ def rasterize(
         absorbed_power_w=absorbed_power_w,
         kappa_scale=kappa_scale,
     )
-    return grid.validate()

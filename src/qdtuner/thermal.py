@@ -8,6 +8,10 @@ in U plus a closed-form inverse per cell gives the starting field, and one or
 two backtracked Newton steps on the g(T) discretization finish the solve. The
 lumped model collapses the structure to an isothermal island drained by the
 bridges; it is linear in U, so its island temperature is closed-form.
+
+The solver refuses a grid it cannot conduct through with GridError (exit 3
+from the CLI), e.g. one where a cell has no path of conducting faces to a
+cell held at the bath temperature. No grid rasterized from a valid layout is.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
 from .device import UM_PER_CM, DeviceLayout, GridError, MaterialModel, ThermalGrid
@@ -123,7 +128,8 @@ class _Faces:
     Cells are numbered over the active set. Face k joins active cells a[k]
     and b[k]; slot_a and slot_b give each end's row among the free cells,
     or n_free for a fixed cell, so one bincount moves per-face terms into
-    the free rows. Faces between two fixed cells are left out.
+    the free rows. Faces between two fixed cells, and faces with an end of
+    zero sheet conductance, are left out.
     """
 
     cells: np.ndarray     # flat grid ids of the active cells
@@ -147,8 +153,16 @@ class _Faces:
 
 
 def _faces(grid: ThermalGrid) -> _Faces:
+    """The grid's faces; GridError for no active cells, sources that do not
+    add up to the absorbed power, or a cell with no kept-face path to a fixed cell."""
     ny, nx = grid.shape
     cells = np.flatnonzero(grid.active())
+    if not cells.size:
+        raise GridError("grid has no active cells")
+    total_w = float(grid.source_w.sum())
+    power_w = grid.absorbed_power_w
+    if power_w > 0.0 and abs(total_w - power_w) > 1e-12 * power_w:
+        raise GridError("cell sources do not add up to the absorbed power")
     compact = np.full(ny * nx, -1, dtype=np.int64)
     compact[cells] = np.arange(cells.size)
     ids = compact.reshape(ny, nx)
@@ -160,6 +174,10 @@ def _faces(grid: ThermalGrid) -> _Faces:
     free = ~grid.dirichlet.ravel()[cells]
     keep = (geom[a] > 0.0) & (geom[b] > 0.0) & (free[a] | free[b])
     a, b = a[keep], b[keep]
+    links = sp.csr_matrix((np.ones(a.size), (a, b)), shape=(cells.size, cells.size))
+    n_parts, part = connected_components(links, directed=False)
+    if np.unique(part[~free]).size < n_parts:  # a part holds no fixed cell
+        raise GridError("disconnected grid: some cells cannot reach a fixed-temperature cell")
 
     n_free = int(free.sum())
     slot = np.full(cells.size, n_free, dtype=np.int64)
@@ -182,7 +200,7 @@ def _faces(grid: ThermalGrid) -> _Faces:
         slot_b=slot_b,
         outflow=free[a].astype(float) - free[b].astype(float),
         source_w=grid.source_w.ravel()[cells][free],
-        total_w=float(grid.source_w.sum()),
+        total_w=total_w,
         inner=inner,
         order=order,
         indices=cols[order].astype(np.intc),
@@ -196,10 +214,13 @@ def _harmonic(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
 
 def _conduct(faces: _Faces, material: MaterialModel, t: np.ndarray):
     """Sheet conductance kappa(T) * thickness per cell (W/K), harmonically
-    averaged face conductance g and heat flow g * (T_a - T_b) per face."""
-    s = kappa(material, t) * faces.geom
-    g = _harmonic(s[faces.a], s[faces.b])
-    return s, g, g * (t[faces.a] - t[faces.b])
+    averaged face conductance g and heat flow g * (T_a - T_b) per face; None
+    when a flow overflows, as it does wherever g does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = kappa(material, t) * faces.geom
+        g = _harmonic(s[faces.a], s[faces.b])
+        flow = g * (t[faces.a] - t[faces.b])
+    return (s, g, flow) if np.isfinite(flow).all() else None
 
 
 def _residual(faces: _Faces, flow: np.ndarray) -> np.ndarray:
@@ -217,10 +238,11 @@ def _imbalance(faces: _Faces, flow: np.ndarray) -> float:
 
 
 def energy_residual(field: TemperatureField) -> float:
-    """Recompute the relative energy imbalance directly from the field."""
+    """Recompute the relative energy imbalance directly from the field: NaN
+    where a flow overflows, GridError for a grid the solver refuses."""
     faces = _faces(field.grid)
-    t = field.t_k.reshape(-1)[faces.cells]
-    return _imbalance(faces, _conduct(faces, field.grid.material, t)[2])
+    state = _conduct(faces, field.grid.material, field.t_k.reshape(-1)[faces.cells])
+    return math.nan if state is None else _imbalance(faces, state[2])
 
 
 def _assemble(faces: _Faces, g: np.ndarray, da=0.0, db=0.0) -> sp.csr_matrix:
@@ -293,29 +315,31 @@ def _newton_step(faces: _Faces, material: MaterialModel, t, s, g, flow):
     The step is taken in U: dU = (T / t_ref)^p dT, mapped back through the
     closed-form inverse, which keeps the update close to the near-linear
     path of the Kirchhoff start. It is halved until every free T is finite
-    and positive and |R| decreases. Returns the new t with its (s, g, flow)
-    from _conduct, or, when no halving reduces |R|, the full step's t
-    with None.
+    and positive, no flow overflows and |R| decreases. Returns the new t
+    with its (s, g, flow) from _conduct, or, when no halving reduces |R|,
+    the full step's t with None.
     """
     p, tr = material.exponent, material.t_ref_k
     ta, tb = t[faces.a], t[faces.b]
     sa, sb = s[faces.a], s[faces.b]
-    # dg/ds_a = 2 s_b^2 / (s_a + s_b)^2 and ds/dT = p s / T
-    w = 2.0 * p * (ta - tb) / (sa + sb) ** 2
-    jac = _assemble(faces, g, w * sb**2 * sa / ta, w * sa**2 * sb / tb)
     r = _residual(faces, flow)
+    # dg/ds_a = 2 s_b^2 / (s_a + s_b)^2 and ds/dT = p s / T
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = 2.0 * p * (ta - tb) / (sa + sb) ** 2
+        jac = _assemble(faces, g, w * sb**2 * sa / ta, w * sa**2 * sb / tb)
+        norm = np.linalg.norm(r)
     tf = t[faces.free]
     du = _solve(jac, -r) * (tf / tr) ** p
     u = _kirchhoff(material, tf)
-    norm = np.linalg.norm(r)
     step = 1.0
     for _ in range(_MAX_HALVINGS):
         t_new = t.copy()
         t_new[faces.free] = _kirchhoff_inverse(material, u + step * du)
         if np.all(_valid(t_new)):
             state = _conduct(faces, material, t_new)
-            if np.linalg.norm(_residual(faces, state[2])) < norm:
-                return t_new, state
+            with np.errstate(over="ignore"):
+                if state is not None and np.linalg.norm(_residual(faces, state[2])) < norm:
+                    return t_new, state
         step *= 0.5
     t_new[faces.free] = _kirchhoff_inverse(material, u + du)
     return t_new, None
@@ -323,11 +347,15 @@ def _newton_step(faces: _Faces, material: MaterialModel, t, s, g, flow):
 
 def solve_steady_state(
     grid: ThermalGrid,
-    t_bath_k: float | None = None,
     tol: float = 1e-6,
     max_iter: int = 100,
 ) -> tuple[TemperatureField, SolveReport]:
     """Solve the nonlinear conduction problem on the grid.
+
+    A grid it cannot conduct through raises GridError: no active cells,
+    cell sources that do not add up to the absorbed power, or a cell with no
+    conducting path to a fixed cell (a void gap, zero thickness or zero
+    kappa_scale). rasterize builds no such grid from a valid layout.
 
     The first linear solve is the Kirchhoff start: with U = integral of
     (T / t_ref)^p dT the power-law problem becomes linear in U, so one solve
@@ -339,49 +367,43 @@ def solve_steady_state(
     iterations counts linear solves, the Kirchhoff start included, so
     max_iter=1 stops after the start. Convergence requires both the
     largest relative temperature change of the last solve and the
-    recomputed energy imbalance to fall below tol. Exhausting max_iter, or
-    a Newton step that no backtracking makes reduce the residual, returns
-    converged=False instead of raising; structural problems (disconnected
-    grid) raise GridError.
+    recomputed energy imbalance to fall below tol. Exhausting max_iter, a
+    Newton step that no backtracking makes reduce the residual, or a state
+    whose conductances overflow (the start field included, with residual
+    NaN) returns converged=False instead of raising.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    grid.validate()
-    if not grid.active().any():
-        raise GridError("grid has no active cells")
     material = grid.material
     faces = _faces(grid)
 
-    if t_bath_k is None:
-        t = grid.dirichlet_k.reshape(-1)[faces.cells].copy()
-    else:
-        t = np.full(faces.cells.size, float(t_bath_k))
+    t = grid.dirichlet_k.reshape(-1)[faces.cells].copy()
     t[faces.free] = np.min(t[~faces.free])
 
-    s, g, flow = _conduct(faces, material, t)
-    res = _imbalance(faces, flow)
+    state = _conduct(faces, material, t)
+    res = math.nan if state is None else _imbalance(faces, state[2])
     iterations = 0
     rel = 0.0
     converged = res <= tol
-    while not converged and iterations < max_iter:
+    while state is not None and not converged and iterations < max_iter:
         iterations += 1
         if iterations == 1:
             t_new = _kirchhoff_start(faces, material, t)
-            state = _conduct(faces, material, t_new)
+            new = _conduct(faces, material, t_new)
         else:
-            t_new, state = _newton_step(faces, material, t, s, g, flow)
+            t_new, new = _newton_step(faces, material, t, *state)
         old = t[faces.free]
         rel = float(np.max(np.abs(t_new[faces.free] - old) / old))
-        if state is None:
-            # No halving lowers |R|: T stays, and the full Newton correction,
-            # rel, says how far it still is from the discrete solution.
+        if new is None:
+            # No halving lowers |R|, or the start overflows: T stays, and the
+            # full correction, rel, says how far it still is from the
+            # discrete solution.
             converged = rel < tol and res <= tol
             break
-        t = t_new
-        s, g, flow = state
-        res = _imbalance(faces, flow)
+        t, state = t_new, new
+        res = _imbalance(faces, state[2])
         converged = rel < tol and res <= tol
 
     t_k = np.full(grid.shape, np.nan)

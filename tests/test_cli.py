@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import shlex
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,20 @@ def test_thermal_underiterated_solver_fails_with_exit_3(configs_dir, tmp_path):
     assert code == 3
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["converged"] is False
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--power-abs-mw", "1e300"), ("--power-abs-mw", "1e200"), ("--bath-k", "1e300")]
+)
+def test_thermal_overflowing_solve_fails_without_warnings(configs_dir, tmp_path, flag, value):
+    # conductances overflow a float at these inputs: the solve stops at the
+    # first such state instead of iterating on inf and NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(
+            "thermal", configs_dir / "fig1b.json", "--dx-um", 0.1, flag, value, "--out", tmp_path
+        )
+    assert code == 3
 
 
 def _thermal_flag(flag, value):

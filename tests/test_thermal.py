@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from qdtuner import device
 from qdtuner.config import load_device
 from qdtuner.device import GridError, MaterialModel, default_layout, rasterize
 from qdtuner.thermal import (
+    TemperatureField,
     ThermalModelError,
     absorbed_power_for_temperature,
     bridge_conductance_factor_cm,
@@ -258,27 +260,29 @@ def test_energy_residual_under_iterated_solve():
 
 
 def test_solve_rejects_disconnected_grid():
-    shape = (1, 8)
-    kind = np.full(shape, device.BRIDGE, dtype=np.int8)
-    kind[0, 4] = device.VOID
-    dirichlet = np.zeros(shape, dtype=bool)
-    dirichlet[0, 0] = True
-    source = np.zeros(shape)
-    source[0, -1] = 1e-6
-    grid = device.ThermalGrid(
-        dx_um=0.1,
-        x0_um=0.0,
-        y0_um=0.0,
-        kind=kind,
-        thickness_um=np.full(shape, 0.15),
-        source_w=source,
-        dirichlet=dirichlet,
-        dirichlet_k=np.where(dirichlet, 10.0, np.nan),
-        material=MaterialModel(),
-        absorbed_power_w=1e-6,
-    )
-    with pytest.raises(GridError, match="disconnected"):
-        solve_steady_state(grid)
+    # an 8-cell bar held at its left end, heated at its right end
+    bar = bar_grid(8, 1e-6)
+    cut = bar.kind.copy()
+    cut[0, 4] = device.VOID
+    thin = bar.thickness_um.copy()
+    thin[0, 4] = 0.0
+    dead = bar.kappa_scale.copy()
+    dead[0, -1] = 0.0
+    cases = [
+        (replace(bar, kind=cut), "disconnected"),
+        # active cells of zero sheet conductance: the operator would be singular
+        (replace(bar, thickness_um=thin), "disconnected"),
+        (replace(bar, kappa_scale=dead), "disconnected"),
+        (replace(bar, kind=np.zeros_like(bar.kind)), "no active cells"),
+        (replace(bar, absorbed_power_w=2e-6), "do not add up"),
+    ]
+    for grid, match in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match=match):
+                solve_steady_state(grid)
+            with pytest.raises(GridError, match=match):
+                energy_residual(TemperatureField(grid, np.full(grid.shape, 10.0)))
 
 
 def test_solve_parameter_validation():
