@@ -26,6 +26,11 @@ DEFAULT_BRIDGE_WIDTH_NM = 320.0
 DEFAULT_BRIDGE_LENGTH_UM = 2.0
 DEFAULT_BRIDGE_COUNT = 6
 
+# Largest grid rasterize builds: the device's bounding box (membrane plus
+# the longest bridge on each side) over dx^2. A 0.025 um pitch on the
+# shipped devices is 153,600 cells.
+MAX_GRID_CELLS = 1_000_000
+
 
 class LayoutError(ValueError):
     """A device layout violates a geometric invariant."""
@@ -247,7 +252,8 @@ def rasterize(
     narrow bridge keeps the same cell width at any grid phase; the far-end
     row of each bridge is flagged Dirichlet at the bath temperature. Pad
     cells share the absorbed power according to the pad profile, normalized
-    so the cell sources add up to absorbed_power_w.
+    so the cell sources add up to absorbed_power_w. A pitch that would give
+    more than MAX_GRID_CELLS cells is refused before any array is built.
     """
     validate_layout(layout)
     if not 0.0 < t_bath_k < math.inf:
@@ -262,6 +268,17 @@ def rasterize(
     if dx_um > min_feature:
         raise GridError(
             f"dx too coarse: {dx_um} um pitch exceeds the smallest feature ({min_feature} um)"
+        )
+    reach = {side: 0.0 for side in SIDES}
+    for b in layout.bridges:
+        reach[b.side] = max(reach[b.side], b.length_um)
+    span_x = reach["left"] + m.length_um + reach["right"]
+    span_y = reach["bottom"] + m.width_um + reach["top"]
+    cells = (span_x / dx_um) * (span_y / dx_um)
+    if not cells <= MAX_GRID_CELLS:
+        raise GridError(
+            f"dx too fine: {dx_um} um pitch gives about {cells:.3g} cells, "
+            f"over the cap of {MAX_GRID_CELLS:,}"
         )
 
     extent = {side: 0 for side in SIDES}
@@ -340,7 +357,9 @@ def rasterize(
             cx = pad.x_um + pad.w_um / 2.0
             cy = pad.y_um + pad.h_um / 2.0
             rr = (xc[pi] - cx) ** 2 + (yc[pj] - cy) ** 2
-            weights = np.exp(-rr / (2.0 * pad.sigma_um**2))
+            # relative to the cell nearest the center, so that no weight
+            # sum underflows to 0 however small sigma is
+            weights = np.exp(-(rr - rr.min()) / (2.0 * pad.sigma_um**2))
         weights = weights / weights.sum()
         source[pj, pi] = absorbed_power_w * weights
 

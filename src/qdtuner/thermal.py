@@ -5,9 +5,14 @@ The 2-D solver treats the membrane as a conducting sheet, div(kappa(T) t grad T)
 averaged face conductances g(T). Because kappa is a power law, the Kirchhoff
 transform U = integral of kappa dT makes the problem linear: one sparse solve
 in U plus a closed-form inverse per cell gives the starting field, and one or
-two backtracked Newton steps on the g(T) discretization finish the solve. The
-lumped model collapses the structure to an isothermal island drained by the
-bridges; it is linear in U, so its island temperature is closed-form.
+two backtracked Newton steps on the g(T) discretization finish the solve.
+The solve factors one LU, that of the Kirchhoff operator in U; in U each
+Newton system is close to that operator, so GMRES preconditioned with the
+same LU solves it in a few Krylov iterations. A direct sparse solve takes
+any step GMRES misses, and every step of a rerun when a solve that took
+GMRES steps ends unconverged. The lumped model collapses the structure to
+an isothermal island drained by the bridges; it is linear in U, so its
+island temperature is closed-form.
 
 The solver refuses a grid it cannot conduct through with GridError (exit 3
 from the CLI), e.g. one where a cell has no path of conducting faces to a
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, gmres, splu, spsolve
 
 from .device import UM_PER_CM, DeviceLayout, GridError, MaterialModel, ThermalGrid
 
@@ -161,7 +166,7 @@ def _faces(grid: ThermalGrid) -> _Faces:
         raise GridError("grid has no active cells")
     total_w = float(grid.source_w.sum())
     power_w = grid.absorbed_power_w
-    if power_w > 0.0 and abs(total_w - power_w) > 1e-12 * power_w:
+    if power_w > 0.0 and not abs(total_w - power_w) <= 1e-12 * power_w:  # NaN too
         raise GridError("cell sources do not add up to the absorbed power")
     compact = np.full(ny * nx, -1, dtype=np.int64)
     compact[cells] = np.arange(cells.size)
@@ -258,12 +263,6 @@ def _assemble(faces: _Faces, g: np.ndarray, da=0.0, db=0.0) -> sp.csr_matrix:
     return sp.csr_matrix((data, faces.indices, faces.indptr), shape=(n, n))
 
 
-def _solve(a: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    # The operator pattern is symmetric, so a symmetric fill-reducing
-    # ordering gives about half the L+U fill of the default COLAMD.
-    return spsolve(a, rhs, permc_spec="MMD_AT_PLUS_A")
-
-
 def _kirchhoff(material: MaterialModel, t: np.ndarray) -> np.ndarray:
     """Kirchhoff variable U = integral of (T / t_ref)^p dT, up to a constant.
 
@@ -288,9 +287,10 @@ def _valid(t: np.ndarray) -> np.ndarray:
     return np.isfinite(t) & (t > 0.0)
 
 
-def _kirchhoff_start(faces: _Faces, material: MaterialModel, t: np.ndarray) -> np.ndarray:
+def _kirchhoff_start(faces: _Faces, material: MaterialModel, t: np.ndarray):
     """Temperatures from one linear solve in U, with face conductances from
-    the temperature-independent prefactor kappa_ref * thickness.
+    the temperature-independent prefactor kappa_ref * thickness, and the LU
+    factors of that Kirchhoff operator.
 
     The field is exact for constant kappa; otherwise it differs from the
     harmonic-g(T) solution only where T varies strongly across a cell.
@@ -300,36 +300,68 @@ def _kirchhoff_start(faces: _Faces, material: MaterialModel, t: np.ndarray) -> n
     c = material.kappa_ref_w_per_k_cm * faces.geom
     g0 = _harmonic(c[faces.a], c[faces.b])
     rhs = -_residual(faces, g0 * (u[faces.a] - u[faces.b]))
-    start = _kirchhoff_inverse(material, u[faces.free] + _solve(_assemble(faces, g0), rhs))
+    # The operator is symmetric, so its CSR arrays read as CSC (.T) are the
+    # same matrix, and a symmetric fill-reducing ordering gives about half
+    # the L+U fill of the default COLAMD.
+    lu = splu(_assemble(faces, g0).T, permc_spec="MMD_AT_PLUS_A")
+    start = _kirchhoff_inverse(material, u[faces.free] + lu.solve(rhs))
     out = t.copy()
     out[faces.free] = np.where(_valid(start), start, t[faces.free])
-    return out
+    return out, lu
 
 
 _MAX_HALVINGS = 30
+# Relative residual to which GMRES solves a Newton system, and its Krylov
+# basis size and restart budget; a step that misses it is solved exactly.
+_KRYLOV_RTOL = 1e-10
+_KRYLOV_RESTART = 20
+_KRYLOV_CYCLES = 2
 
 
-def _newton_step(faces: _Faces, material: MaterialModel, t, s, g, flow):
+def _krylov_step(jac: sp.csr_matrix, dudt: np.ndarray, r: np.ndarray, lu):
+    """dU with J * diag(1 / dudt) * dU = -R, by GMRES right-preconditioned
+    with the Kirchhoff LU; None unless its true residual meets _KRYLOV_RTOL."""
+    n = r.size
+    op = LinearOperator((n, n), matvec=lambda y: jac @ (lu.solve(y) / dudt), dtype=float)
+    with np.errstate(all="ignore"):
+        y, info = gmres(
+            op, -r, rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_RESTART, maxiter=_KRYLOV_CYCLES
+        )
+        du = lu.solve(y)
+        miss = np.linalg.norm(jac @ (du / dudt) + r)
+        ok = info == 0 and miss <= _KRYLOV_RTOL * np.linalg.norm(r) and np.isfinite(du).all()
+    return du if ok else None
+
+
+def _newton_step(faces: _Faces, material: MaterialModel, t, s, g, flow, lu):
     """One Newton step on the harmonic-g(T) residual R.
 
     The step is taken in U: dU = (T / t_ref)^p dT, mapped back through the
     closed-form inverse, which keeps the update close to the near-linear
-    path of the Kirchhoff start. It is halved until every free T is finite
-    and positive, no flow overflows and |R| decreases. Returns the new t
-    with its (s, g, flow) from _conduct, or, when no halving reduces |R|,
-    the full step's t with None.
+    path of the Kirchhoff start. In U the Jacobian is close to the Kirchhoff
+    operator, so GMRES preconditioned with its LU solves the step in a few
+    Krylov iterations. With lu None, or when GMRES misses _KRYLOV_RTOL, a
+    direct sparse solve takes the step instead. The step is halved until
+    every free T is finite and positive, no flow overflows and |R|
+    decreases. Returns the new t with its (s, g, flow) from _conduct, or,
+    when no halving reduces |R|, the full step's t with None; and whether
+    GMRES took the step.
     """
     p, tr = material.exponent, material.t_ref_k
     ta, tb = t[faces.a], t[faces.b]
     sa, sb = s[faces.a], s[faces.b]
     r = _residual(faces, flow)
+    tf = t[faces.free]
     # dg/ds_a = 2 s_b^2 / (s_a + s_b)^2 and ds/dT = p s / T
     with np.errstate(over="ignore", invalid="ignore"):
         w = 2.0 * p * (ta - tb) / (sa + sb) ** 2
         jac = _assemble(faces, g, w * sb**2 * sa / ta, w * sa**2 * sb / tb)
         norm = np.linalg.norm(r)
-    tf = t[faces.free]
-    du = _solve(jac, -r) * (tf / tr) ** p
+        dudt = (tf / tr) ** p
+    du = None if lu is None else _krylov_step(jac, dudt, r, lu)
+    krylov = du is not None
+    if not krylov:
+        du = spsolve(jac, -r, permc_spec="MMD_AT_PLUS_A") * dudt
     u = _kirchhoff(material, tf)
     step = 1.0
     for _ in range(_MAX_HALVINGS):
@@ -339,10 +371,43 @@ def _newton_step(faces: _Faces, material: MaterialModel, t, s, g, flow):
             state = _conduct(faces, material, t_new)
             with np.errstate(over="ignore"):
                 if state is not None and np.linalg.norm(_residual(faces, state[2])) < norm:
-                    return t_new, state
+                    return t_new, state, krylov
         step *= 0.5
     t_new[faces.free] = _kirchhoff_inverse(material, u + du)
-    return t_new, None
+    return t_new, None, krylov
+
+
+def _iterate(faces: _Faces, material: MaterialModel, t, tol: float, max_iter: int, exact: bool):
+    """The Kirchhoff start from t, then Newton steps, by GMRES unless exact,
+    until converged, stuck or max_iter linear solves. Returns the field,
+    imbalance, last relative change, linear solves, convergence and whether
+    GMRES took any step."""
+    state = _conduct(faces, material, t)
+    res = math.nan if state is None else _imbalance(faces, state[2])
+    iterations = 0
+    rel = 0.0
+    converged = res <= tol
+    krylov = False
+    while state is not None and not converged and iterations < max_iter:
+        iterations += 1
+        if iterations == 1:
+            t_new, lu = _kirchhoff_start(faces, material, t)
+            new = _conduct(faces, material, t_new)
+        else:
+            t_new, new, by_krylov = _newton_step(faces, material, t, *state, None if exact else lu)
+            krylov |= by_krylov
+        old = t[faces.free]
+        rel = float(np.max(np.abs(t_new[faces.free] - old) / old))
+        if new is None:
+            # No halving lowers |R|, or the start overflows: T stays, and the
+            # full correction, rel, says how far it still is from the
+            # discrete solution.
+            converged = rel < tol and res <= tol
+            break
+        t, state = t_new, new
+        res = _imbalance(faces, state[2])
+        converged = rel < tol and res <= tol
+    return t, res, rel, iterations, converged, krylov
 
 
 def solve_steady_state(
@@ -359,52 +424,38 @@ def solve_steady_state(
 
     The first linear solve is the Kirchhoff start: with U = integral of
     (T / t_ref)^p dT the power-law problem becomes linear in U, so one solve
-    and a closed-form inverse per cell give a near-exact field. Newton steps
-    on the discretization with harmonically averaged face conductances
-    g(T) then remove the remaining difference, each backtracked until all
-    temperatures stay positive and the residual norm drops.
+    and a closed-form inverse per cell give a near-exact field. It is the
+    solve's one LU factorization. Newton steps on the discretization with
+    harmonically averaged face conductances g(T) then remove the remaining
+    difference, each backtracked until all temperatures stay positive and
+    the residual norm drops. Each step's linear system is solved by GMRES
+    preconditioned with the Kirchhoff LU, to a relative residual of
+    _KRYLOV_RTOL; a system it does not solve to that tolerance is solved
+    exactly by a direct sparse solve. A solve that took any GMRES step and
+    ends unconverged is run again with exact steps throughout, so that an
+    inexact step never costs a solve the convergence of exact Newton.
 
-    iterations counts linear solves, the Kirchhoff start included, so
-    max_iter=1 stops after the start. Convergence requires both the
-    largest relative temperature change of the last solve and the
-    recomputed energy imbalance to fall below tol. Exhausting max_iter, a
-    Newton step that no backtracking makes reduce the residual, or a state
-    whose conductances overflow (the start field included, with residual
-    NaN) returns converged=False instead of raising.
+    iterations counts linear solves, the Kirchhoff start included, of the
+    run that gave the field, so max_iter=1 stops after the start.
+    Convergence requires both the largest relative temperature change of
+    the last solve and the recomputed energy imbalance to fall below tol.
+    Exhausting max_iter, a Newton step that no backtracking makes reduce
+    the residual, or a state whose conductances overflow (the start field
+    included, with residual NaN) returns converged=False instead of raising.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    material = grid.material
     faces = _faces(grid)
-
-    t = grid.dirichlet_k.reshape(-1)[faces.cells].copy()
-    t[faces.free] = np.min(t[~faces.free])
-
-    state = _conduct(faces, material, t)
-    res = math.nan if state is None else _imbalance(faces, state[2])
-    iterations = 0
-    rel = 0.0
-    converged = res <= tol
-    while state is not None and not converged and iterations < max_iter:
-        iterations += 1
-        if iterations == 1:
-            t_new = _kirchhoff_start(faces, material, t)
-            new = _conduct(faces, material, t_new)
-        else:
-            t_new, new = _newton_step(faces, material, t, *state)
-        old = t[faces.free]
-        rel = float(np.max(np.abs(t_new[faces.free] - old) / old))
-        if new is None:
-            # No halving lowers |R|, or the start overflows: T stays, and the
-            # full correction, rel, says how far it still is from the
-            # discrete solution.
-            converged = rel < tol and res <= tol
+    bath = grid.dirichlet_k.reshape(-1)[faces.cells].copy()
+    bath[faces.free] = np.min(bath[~faces.free])
+    for exact in (False, True):
+        t, res, rel, iterations, converged, krylov = _iterate(
+            faces, grid.material, bath, tol, max_iter, exact
+        )
+        if converged or not krylov:
             break
-        t, state = t_new, new
-        res = _imbalance(faces, state[2])
-        converged = rel < tol and res <= tol
 
     t_k = np.full(grid.shape, np.nan)
     t_k.reshape(-1)[faces.cells] = t

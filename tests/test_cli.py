@@ -115,6 +115,7 @@ def _thermal_flag(flag, value):
         _thermal_flag("--bath-k", "inf"),
         _thermal_flag("--bath-k", "-5"),
         _thermal_flag("--dx-um", "nan"),
+        _thermal_flag("--dx-um", "5e-324"),
         _thermal_flag("--max-iter", "0"),
         pytest.param(["sweep", "{configs}/fig2a.json", "--power-max", "nan"], id="sweep--power-max-nan"),
         pytest.param(["sweep", "{configs}/fig2a.json", "--power-max", "inf"], id="sweep--power-max-inf"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -103,12 +104,32 @@ def test_source_sum_matches_absorbed_power(profile):
     assert np.all(g.source_w[g.kind != device.PAD] == 0.0)
 
 
+def test_tiny_gaussian_spot_keeps_finite_sources():
+    # exp(-r^2 / 2 sigma^2) underflows to 0 in every pad cell at this spot
+    # size; the weights are taken relative to the cell nearest the center
+    lay = replace(default_layout(), pad=HeatingPad(profile="gaussian", sigma_um=1e-6))
+    p = 3.4e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = rasterize(lay, 0.1, absorbed_power_w=p)
+    assert np.all(np.isfinite(g.source_w))
+    assert abs(float(g.source_w.sum()) - p) <= 1e-12 * p
+
+
 def test_gaussian_profile_peaks_at_pad_center():
     lay = replace(default_layout(), pad=HeatingPad(profile="gaussian", sigma_um=0.6))
     g = rasterize(lay, 0.1, absorbed_power_w=1e-6)
     j, i = np.unravel_index(np.argmax(g.source_w), g.shape)
     assert abs(g.cell_x_um()[i] - 1.5) < 0.11
     assert abs(g.cell_y_um()[j] - 2.0) < 0.11
+
+
+def test_rasterize_caps_the_cell_count():
+    # the shipped 12 x 4 um membrane with 2 um bridges at 0.025 um pitch
+    assert rasterize(default_layout(), 0.025).kind.size == 153_600 <= device.MAX_GRID_CELLS
+    for dx in (0.009, 1e-300, 5e-324):
+        with pytest.raises(GridError, match="dx too fine"):
+            rasterize(default_layout(), dx)
 
 
 def test_refinement_keeps_total_area():

@@ -2,9 +2,9 @@
 
 Any value in a settings block of a shipped scenario, and any value of a float
 flag, ends in a documented exit code (0, 2, 3 or 4) without a traceback, and a
-config error (2) writes nothing. thermal's --dx-um is left out: no cap bounds
-the cell count yet, and a tiny pitch allocates gigabytes before any rule could
-refuse it.
+config error (2) writes nothing. thermal's --dx-um is among the flags: a pitch
+that would give more than device.MAX_GRID_CELLS cells is refused before any
+array is built.
 """
 
 import contextlib
@@ -54,6 +54,7 @@ FLAG_CASES = [
     (["thermal", "fig1b.json", "--dx-um", "0.1"], "--power-abs-mw"),
     (["thermal", "fig1b.json", "--dx-um", "0.1"], "--tol"),
     (["thermal", "fig1b.json", "--dx-um", "0.1"], "--bath-k"),
+    (["thermal", "fig1b.json", "--power-abs-mw", "0.01"], "--dx-um"),
 ]
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bar_end_temperature_analytic, bar_grid
-from qdtuner import device
+from qdtuner import device, thermal
 from qdtuner.config import load_device
 from qdtuner.device import GridError, MaterialModel, default_layout, rasterize
 from qdtuner.thermal import (
@@ -268,6 +268,8 @@ def test_solve_rejects_disconnected_grid():
     thin[0, 4] = 0.0
     dead = bar.kappa_scale.copy()
     dead[0, -1] = 0.0
+    nan_source = bar.source_w.copy()
+    nan_source[0, -1] = math.nan
     cases = [
         (replace(bar, kind=cut), "disconnected"),
         # active cells of zero sheet conductance: the operator would be singular
@@ -275,6 +277,7 @@ def test_solve_rejects_disconnected_grid():
         (replace(bar, kappa_scale=dead), "disconnected"),
         (replace(bar, kind=np.zeros_like(bar.kind)), "no active cells"),
         (replace(bar, absorbed_power_w=2e-6), "do not add up"),
+        (replace(bar, source_w=nan_source), "do not add up"),
     ]
     for grid, match in cases:
         with warnings.catch_warnings():
@@ -330,14 +333,71 @@ def test_solve_saturating_kappa_reports_no_convergence():
     assert np.all(field.t_k[grid.active()] > 0.0)
 
 
+def _counted(monkeypatch, name):
+    """Record each call of thermal.<name> in the returned list."""
+    calls = []
+    original = getattr(thermal, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(thermal, name, counted)
+    return calls
+
+
+def _gmres_misses(op, rhs, **kwargs):
+    return np.zeros_like(rhs), 1
+
+
 @pytest.mark.parametrize("name", ["device_w320.json", "device_w800.json"])
-def test_solve_iterations_on_shipped_devices(configs_dir, name):
+def test_solve_iterations_on_shipped_devices(configs_dir, monkeypatch, name):
+    # one LU factorization per solve: the Kirchhoff start's LU preconditions
+    # GMRES on every Newton step, and no step needs the exact fallback
+    factors = _counted(monkeypatch, "splu")
+    exact = _counted(monkeypatch, "spsolve")
     layout = load_device(configs_dir / name).layout
     for power_mw in np.linspace(0.002, 0.02, 5):
         grid = rasterize(layout, 0.1, absorbed_power_w=power_mw * 1e-3)
+        factors.clear()
         _, report = solve_steady_state(grid)
         assert report.converged
         assert report.iterations <= 5
+        assert len(factors) == 1
+    assert not exact
+
+
+def test_exact_fallback_matches_the_krylov_steps(configs_dir, monkeypatch):
+    # GMRES failing on every step leaves each Newton step to the direct
+    # solve; both reach one discrete field in as many linear solves
+    layout = load_device(configs_dir / "device_w320.json").layout
+    grids = [rasterize(layout, 0.1, absorbed_power_w=p * 1e-3) for p in (0.002, 0.02)]
+    krylov = [solve_steady_state(grid) for grid in grids]
+    exact = _counted(monkeypatch, "spsolve")
+    monkeypatch.setattr(thermal, "gmres", _gmres_misses)
+    for grid, (field, report) in zip(grids, krylov):
+        exact.clear()
+        fallback_field, fallback = solve_steady_state(grid)
+        assert fallback.converged
+        assert fallback.iterations == report.iterations
+        assert len(exact) == report.iterations - 1
+        active = grid.active()
+        assert np.max(np.abs(fallback_field.t_k[active] - field.t_k[active])) <= 1e-12
+
+
+def test_unconverged_krylov_solve_is_rerun_exact(monkeypatch):
+    # no steady state exists (exponent -2 saturates): the solve that took
+    # GMRES steps is rerun with exact steps, so it reports what a solve
+    # without GMRES does
+    grid = rasterize(default_layout(material=MaterialModel(exponent=-2.0)), 0.1, absorbed_power_w=1e-5)
+    factors = _counted(monkeypatch, "splu")
+    field, report = solve_steady_state(grid, max_iter=10)
+    assert not report.converged
+    assert len(factors) == 2  # one Kirchhoff start per run
+    monkeypatch.setattr(thermal, "gmres", _gmres_misses)
+    exact_field, exact_report = solve_steady_state(grid, max_iter=10)
+    assert exact_report == report
+    np.testing.assert_array_equal(exact_field.t_k, field.t_k)
 
 
 @settings(max_examples=8, deadline=None)
