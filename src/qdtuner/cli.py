@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -149,7 +150,7 @@ def cmd_thermal(args) -> int:
 
     out = _out_dir(args)
     cfg.write_field_csv(field, out / "field.csv")
-    cfg.write_report_json(report, extras, out / "report.json")
+    cfg.write_json({**report.to_dict(), **extras}, out / "report.json")
     if not report.converged:
         print(
             f"solver error: no convergence in {report.iterations} iterations "
@@ -313,7 +314,7 @@ def cmd_tune(args) -> int:
         )
 
     out = _out_dir(args)
-    cfg.write_solution_json(solution, out / "solution.json")
+    cfg.write_json(solution.to_dict(), out / "solution.json")
     for note in solution.warnings:
         print(f"warning: {note}", file=sys.stderr)
     return EXIT_OK if solution.feasible else EXIT_INFEASIBLE
@@ -325,8 +326,14 @@ def _fit_through_origin(x: np.ndarray, y: np.ndarray, ctx: str) -> tuple[float, 
         raise ConfigError(f"{ctx}: need at least two anchor points")
     if np.unique(x).size < 2:
         raise ConfigError(f"{ctx}: degenerate anchors, all points share one abscissa")
-    slope = float(np.dot(x, y) / np.dot(x, x))
-    residual = float(np.sqrt(np.mean((y - slope * x) ** 2)))
+    with np.errstate(all="ignore"):
+        xx = float(np.dot(x, x))
+        if not 0.0 < xx < math.inf:
+            raise ConfigError(f"{ctx}: anchor abscissae out of range, their squares under- or overflow")
+        slope = float(np.dot(x, y) / xx)
+        residual = float(np.sqrt(np.mean((y - slope * x) ** 2)))
+    if not (math.isfinite(slope) and math.isfinite(residual)):
+        raise ConfigError(f"{ctx}: anchors out of range, the fit overflows")
     return slope, residual
 
 

@@ -7,6 +7,7 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -15,17 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import control, spectral
-from .control import Crosstalk, PowerMap, TuningSolution
-from .device import (
-    DeviceLayout,
-    HeatingPad,
-    MaterialModel,
-    Membrane,
-    spread_bridges,
-    validate_layout,
-)
+from .control import Crosstalk, PowerMap
+from .device import DeviceLayout, HeatingPad, MaterialModel, Membrane, spread_bridges
 from .spectral import CavityState, QDState
-from .thermal import SolveReport, TemperatureField
+from .thermal import TemperatureField
 
 
 class ConfigError(ValueError):
@@ -75,6 +69,12 @@ def _number(obj: dict, key: str, ctx: str, default: float | None = None) -> floa
     return finite(float(v), f"{ctx}: {key}")
 
 
+def _numbers(obj: dict, names: dict[str, str], ctx: str) -> dict[str, float]:
+    """The numbers obj gives for the JSON keys of names, keyed by the record
+    fields they name; an absent key keeps the record's default."""
+    return {name: _number(obj, key, ctx) for key, name in names.items() if key in obj}
+
+
 def _json_int(text: str) -> int | float:
     """Read a JSON integer; one beyond float range reads as a signed infinity,
     which the finite checks reject, instead of overflowing later in float()."""
@@ -101,22 +101,29 @@ def _load_json(path: Path) -> dict:
         raise ConfigError(f"{path}: cannot read ({e.strerror})") from e
 
 
-def _build(cls, ctx: str, **values):
-    """cls(**values), with the ValueError of cls's own rules (a ConfigError
-    included) reported as a config error under ctx."""
+def _build(cls, ctx: str, *args, **values):
+    """cls(*args, **values), with the ValueError of cls's own rules (a
+    ConfigError included) reported as a config error under ctx."""
     try:
-        return cls(**values)
+        return cls(*args, **values)
     except ValueError as e:
         raise ConfigError(f"{ctx}: {e}") from e
 
 
-def _record(cls, obj: dict, ctx: str):
-    """A settings record from its JSON block: the keys are the record's
-    fields, numbers for float fields are read by _number, lists become
-    tuples, absent keys keep the field default, and the record's own rules
-    check every value."""
-    defaults = {f.name: f.default for f in fields(cls)}
-    _check_keys(obj, set(defaults), set(), ctx)
+@functools.cache
+def _field_defaults(cls) -> dict:
+    """Field name -> default of a record class; one table per class, shared
+    by every call, so callers only read it."""
+    return {f.name: f.default for f in fields(cls)}
+
+
+def _record(cls, obj: dict, ctx: str, required: set[str] = frozenset()):
+    """A record from its JSON block: the keys are the record's fields,
+    `required` among them, numbers for float fields are read by _number,
+    lists become tuples, absent keys keep the field default, and the
+    record's own rules check every value."""
+    defaults = _field_defaults(cls)
+    _check_keys(obj, defaults.keys(), required, ctx)
     values = {}
     for key, v in obj.items():
         if isinstance(defaults[key], float) or (defaults[key] is None and v is not None):
@@ -148,7 +155,7 @@ class Device:
 
 
 def load_device(path: str | Path) -> Device:
-    """Parse a device description file."""
+    """Parse a device description file; each record built checks its own rules."""
     path = Path(path)
     raw = _load_json(path)
     ctx = str(path)
@@ -158,59 +165,28 @@ def load_device(path: str | Path) -> Device:
         {"membrane", "bridges", "pad", "material"},
         ctx,
     )
-
-    m = raw["membrane"]
-    _check_keys(m, {"length_um", "width_um", "thickness_nm"}, {"length_um", "width_um", "thickness_nm"}, f"{ctx}: membrane")
-    membrane = Membrane(
-        length_um=_number(m, "length_um", ctx),
-        width_um=_number(m, "width_um", ctx),
-        thickness_nm=_number(m, "thickness_nm", ctx),
-    )
+    membrane = _record(Membrane, raw["membrane"], f"{ctx}: membrane", {"length_um", "width_um", "thickness_nm"})
 
     b = raw["bridges"]
-    _check_keys(b, {"count", "width_nm", "length_um"}, {"count", "width_nm", "length_um"}, f"{ctx}: bridges")
-    count = b["count"]
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise ConfigError(f"{ctx}: bridges.count must be an integer")
-    bridges = spread_bridges(
-        count, _number(b, "width_nm", ctx), _number(b, "length_um", ctx), membrane
-    )
+    bctx = f"{ctx}: bridges"
+    _check_keys(b, {"count", "width_nm", "length_um"}, {"count", "width_nm", "length_um"}, bctx)
+    _integer(b["count"], f"{bctx}: count", 1)
+    width, length = _number(b, "width_nm", bctx), _number(b, "length_um", bctx)
+    bridges = _build(spread_bridges, bctx, b["count"], width, length, membrane)
 
-    p = raw["pad"]
-    _check_keys(
-        p,
-        {"x_um", "y_um", "w_um", "h_um", "profile", "sigma_um"},
-        {"x_um", "y_um", "w_um", "h_um", "profile"},
-        f"{ctx}: pad",
-    )
-    pad = HeatingPad(
-        x_um=_number(p, "x_um", ctx),
-        y_um=_number(p, "y_um", ctx),
-        w_um=_number(p, "w_um", ctx),
-        h_um=_number(p, "h_um", ctx),
-        profile=p["profile"],
-        sigma_um=_number(p, "sigma_um", ctx, default=1.0),
-    )
+    pad = _record(HeatingPad, raw["pad"], f"{ctx}: pad", {"x_um", "y_um", "w_um", "h_um", "profile"})
 
     mt = raw["material"]
-    _check_keys(
-        mt,
-        {"kappa_ref", "t_ref", "exponent", "body_scale"},
-        {"kappa_ref", "t_ref", "exponent"},
-        f"{ctx}: material",
-    )
-    material = MaterialModel(
-        kappa_ref_w_per_k_cm=_number(mt, "kappa_ref", ctx),
-        t_ref_k=_number(mt, "t_ref", ctx),
-        exponent=_number(mt, "exponent", ctx),
-    )
-    body_scale = _number(mt, "body_scale", ctx, default=1.0)
+    mctx = f"{ctx}: material"
+    _check_keys(mt, {"kappa_ref", "t_ref", "exponent", "body_scale"}, {"kappa_ref", "t_ref", "exponent"}, mctx)
+    fields_of = {"kappa_ref": "kappa_ref_w_per_k_cm", "t_ref": "t_ref_k", "exponent": "exponent"}
+    material = _build(MaterialModel, mctx, **_numbers(mt, fields_of, mctx))
 
     qd_states: list[QDState] = []
     qd_positions: list[tuple[str, tuple[float, float]]] = []
     # a dot's optical keys are QDState's fields; absent ones keep its defaults
     place = ("id", "x_um", "y_um")
-    optical = {f.name for f in fields(QDState)} - {"qd_id"}
+    optical = _field_defaults(QDState).keys() - {"qd_id"}
     for k, q in enumerate(raw.get("qds") or []):
         qctx = f"{ctx}: qds[{k}]"
         _check_keys(q, {*place, *optical}, {*place, "lambda0_nm"}, qctx)
@@ -226,33 +202,30 @@ def load_device(path: str | Path) -> Device:
     cavity_xy = None
     c = raw.get("cavity")
     if c is not None:
+        cctx = f"{ctx}: cavity"
         _check_keys(
             c,
             {"x_um", "y_um", "lambda0_nm", "q0", "shift_ratio", "q_slope"},
             {"x_um", "y_um", "lambda0_nm"},
-            f"{ctx}: cavity",
+            cctx,
         )
-        cavity_xy = (_number(c, "x_um", ctx), _number(c, "y_um", ctx))
+        cavity_xy = (_number(c, "x_um", cctx), _number(c, "y_um", cctx))
+        fields_of = {"lambda0_nm": "lambda0_nm", "q0": "q0", "shift_ratio": "shift_ratio", "q_slope": "q_slope_per_k2"}
         cavity = _build(
-            CavityState,
-            f"{ctx}: cavity",
-            lambda0_nm=_number(c, "lambda0_nm", ctx),
-            q0=_number(c, "q0", ctx, default=spectral.DEFAULT_Q0),
-            shift_ratio=_number(c, "shift_ratio", ctx, default=spectral.DEFAULT_SHIFT_RATIO),
-            q_slope_per_k2=_number(c, "q_slope", ctx, default=spectral.DEFAULT_Q_SLOPE_PER_K2),
-            alpha_nm_per_k2=_structure_alpha(qd_states),
+            CavityState, cctx, alpha_nm_per_k2=_structure_alpha(qd_states), **_numbers(c, fields_of, cctx)
         )
 
-    layout = DeviceLayout(
+    layout = _build(
+        DeviceLayout,
+        ctx,
         membrane=membrane,
         bridges=bridges,
         pad=pad,
         material=material,
         cavity_xy_um=cavity_xy,
         qds=tuple(qd_positions),
-        body_kappa_scale=body_scale,
+        **_numbers(mt, {"body_scale": "body_kappa_scale"}, mctx),
     )
-    _build(validate_layout, ctx, layout=layout)
     return Device(layout=layout, qd_states=tuple(qd_states), cavity=cavity)
 
 
@@ -370,12 +343,8 @@ def _parse_calibration(raw: dict | None, bath_k: float, structure_id: str, alpha
     else:
         shift = _number(raw, "anchor_shift_nm", ctx, default=control.SHIFT_ANCHOR_NM)
         power = _number(raw, "anchor_power_mw", ctx, default=control.POWER_ANCHOR_MW)
-        beta = control.calibrate_beta(shift, power, alpha)
-    p_max = _number(raw, "p_max_mw", ctx, default=control.DEFAULT_P_MAX_MW)
-    try:
-        return PowerMap(structure_id, bath_k, beta, p_max)
-    except ValueError as e:
-        raise ConfigError(f"{ctx}: {e}") from e
+        beta = _build(control.calibrate_beta, ctx, shift, power, alpha)
+    return _build(PowerMap, ctx, structure_id, bath_k, beta, **_numbers(raw, {"p_max_mw": "p_max_mw"}, ctx))
 
 
 def _structure_alpha(qd_states) -> float:
@@ -570,13 +539,3 @@ def write_field_csv(field: TemperatureField, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("x_um,y_um,T_K\n")
         f.write("".join(lines))
-
-
-def write_report_json(report: SolveReport, extras: dict, path: str | Path) -> None:
-    out = dict(report.to_dict())
-    out.update(extras)
-    write_json(out, path)
-
-
-def write_solution_json(solution: TuningSolution, path: str | Path) -> None:
-    write_json(solution.to_dict(), path)

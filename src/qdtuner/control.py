@@ -50,11 +50,13 @@ class PowerMap:
     p_max_mw: float = DEFAULT_P_MAX_MW
 
     def __post_init__(self) -> None:
-        if self.t_bath_k <= 0.0:
-            raise ValueError("bath temperature must be positive")
-        if self.beta_k2_per_mw <= 0.0:
-            raise ValueError("beta must be positive")
-        if self.p_max_mw <= 0.0:
+        # T_bath^2 is taken with *, which gives inf where float ** raises
+        t2 = self.t_bath_k * self.t_bath_k
+        if not (self.t_bath_k > 0.0 and 0.0 < t2 < math.inf):
+            raise ValueError("bath temperature must be positive, its square a positive finite float")
+        if not 0.0 < self.beta_k2_per_mw < math.inf:
+            raise ValueError("beta must be positive and finite")
+        if not self.p_max_mw > 0.0:
             raise ValueError("p_max must be positive")
 
 
@@ -396,22 +398,3 @@ def _infeasible_multi(ids: list[str], msg: str) -> TuningSolution:
         feasible=False,
         warnings=(msg,),
     )
-
-
-def absorbed_fraction_estimate(
-    layout,
-    pm: PowerMap,
-    qd: QDState,
-    incident_anchor_mw: float = POWER_ANCHOR_MW,
-) -> float:
-    """Absorbed power needed to hold the dot's maximum-shift temperature,
-    as a fraction of the incident calibration anchor.
-
-    Diagnostic linking the incident-power calibration to the absorbed-power
-    thermal model; the two are never converted silently elsewhere.
-    """
-    from . import thermal
-
-    t_max = float(np.sqrt(pm.t_bath_k**2 + qd.max_shift_nm / qd.alpha_nm_per_k2))
-    p_abs_w = thermal.absorbed_power_for_temperature(layout, t_max, pm.t_bath_k)
-    return p_abs_w / (incident_anchor_mw * 1e-3)

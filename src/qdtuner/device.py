@@ -48,6 +48,10 @@ class Membrane:
     width_um: float = 4.0
     thickness_nm: float = 150.0
 
+    def __post_init__(self) -> None:
+        if not (self.length_um > 0 and self.width_um > 0 and self.thickness_nm > 0):
+            raise LayoutError("membrane dimensions must be positive")
+
     @property
     def thickness_um(self) -> float:
         return self.thickness_nm * 1.0e-3
@@ -66,6 +70,12 @@ class Bridge:
     side: str = "bottom"       # membrane edge the bridge is attached to
     position_um: float = 6.0   # anchor center along that edge
 
+    def __post_init__(self) -> None:
+        if self.side not in SIDES:
+            raise LayoutError(f"unknown bridge side {self.side!r}")
+        if not (self.width_nm > 0 and self.length_um > 0):
+            raise LayoutError("bridge must have positive width and length")
+
     @property
     def width_um(self) -> float:
         return self.width_nm * 1.0e-3
@@ -82,6 +92,14 @@ class HeatingPad:
     profile: str = "uniform"   # "uniform" or "gaussian"
     sigma_um: float = 1.0      # gaussian spot size; unused for uniform
 
+    def __post_init__(self) -> None:
+        if not (self.w_um > 0 and self.h_um > 0):
+            raise LayoutError("pad must have positive size")
+        if self.profile not in ("uniform", "gaussian"):
+            raise LayoutError(f"unknown pad profile {self.profile!r}")
+        if self.profile == "gaussian" and not self.sigma_um > 0:
+            raise LayoutError("gaussian pad profile needs sigma_um > 0")
+
 
 @dataclass(frozen=True)
 class MaterialModel:
@@ -91,6 +109,10 @@ class MaterialModel:
     t_ref_k: float = 10.0
     exponent: float = 2.0
 
+    def __post_init__(self) -> None:
+        if not (self.kappa_ref_w_per_k_cm > 0 and self.t_ref_k > 0):
+            raise LayoutError("material reference conductivity and temperature must be positive")
+
 
 @dataclass(frozen=True)
 class DeviceLayout:
@@ -99,6 +121,8 @@ class DeviceLayout:
     body_kappa_scale multiplies the conductivity on the membrane body only
     (bridges keep the bare material law); it defaults to 1 so the body and
     the bridges share one conductivity, and exists for sensitivity studies.
+    Each part checks its own rules; the layout checks those that join them,
+    so no invalid layout can be built.
     """
 
     membrane: Membrane
@@ -109,6 +133,30 @@ class DeviceLayout:
     qds: tuple[tuple[str, tuple[float, float]], ...] = ()
     body_kappa_scale: float = 1.0
 
+    def __post_init__(self) -> None:
+        m = self.membrane
+        if not self.bridges:
+            raise LayoutError("no heat path: layout needs at least one bridge")
+        for b in self.bridges:
+            span = m.length_um if b.side in ("bottom", "top") else m.width_um
+            if not 0.0 <= b.position_um <= span:
+                raise LayoutError("bridge anchor off the membrane perimeter")
+        p = self.pad
+        if not (
+            0.0 <= p.x_um
+            and 0.0 <= p.y_um
+            and p.x_um + p.w_um <= m.length_um
+            and p.y_um + p.h_um <= m.width_um
+        ):
+            raise LayoutError("pad out of bounds")
+        if not self.body_kappa_scale > 0:
+            raise LayoutError("body conductivity scale must be positive")
+        cavity = () if self.cavity_xy_um is None else ((None, self.cavity_xy_um),)
+        for qd_id, (x, y) in (*cavity, *self.qds):
+            if not (0.0 <= x <= m.length_um and 0.0 <= y <= m.width_um):
+                what = "cavity" if qd_id is None else f"QD {qd_id!r}"
+                raise LayoutError(f"{what} out of bounds: ({x}, {y}) um not on the membrane")
+
 
 def spread_bridges(
     count: int,
@@ -117,8 +165,6 @@ def spread_bridges(
     membrane: Membrane,
 ) -> tuple[Bridge, ...]:
     """Distribute bridges evenly over the two long membrane edges."""
-    if count < 1:
-        raise LayoutError("no heat path: bridge count must be >= 1")
     n_bottom = (count + 1) // 2
     n_top = count - n_bottom
     bridges: list[Bridge] = []
@@ -148,52 +194,6 @@ def default_layout(
         cavity_xy_um=(10.0, 2.0),
         qds=(),
     )
-
-
-def _require_inside(membrane: Membrane, x: float, y: float, what: str) -> None:
-    if not (0.0 <= x <= membrane.length_um and 0.0 <= y <= membrane.width_um):
-        raise LayoutError(f"{what} out of bounds: ({x}, {y}) um not on the membrane")
-
-
-def validate_layout(layout: DeviceLayout) -> DeviceLayout:
-    """Return the layout unchanged if every geometric invariant holds."""
-    m = layout.membrane
-    if m.length_um <= 0 or m.width_um <= 0 or m.thickness_nm <= 0:
-        raise LayoutError("membrane dimensions must be positive")
-    if len(layout.bridges) < 1:
-        raise LayoutError("no heat path: layout needs at least one bridge")
-    for b in layout.bridges:
-        if b.side not in SIDES:
-            raise LayoutError(f"unknown bridge side {b.side!r}")
-        if b.width_nm <= 0 or b.length_um <= 0:
-            raise LayoutError("bridge must have positive width and length")
-        span = m.length_um if b.side in ("bottom", "top") else m.width_um
-        if not 0.0 <= b.position_um <= span:
-            raise LayoutError("bridge anchor off the membrane perimeter")
-    p = layout.pad
-    if p.w_um <= 0 or p.h_um <= 0:
-        raise LayoutError("pad must have positive size")
-    if (
-        p.x_um < 0.0
-        or p.y_um < 0.0
-        or p.x_um + p.w_um > m.length_um
-        or p.y_um + p.h_um > m.width_um
-    ):
-        raise LayoutError("pad out of bounds")
-    if p.profile not in ("uniform", "gaussian"):
-        raise LayoutError(f"unknown pad profile {p.profile!r}")
-    if p.profile == "gaussian" and p.sigma_um <= 0:
-        raise LayoutError("gaussian pad profile needs sigma_um > 0")
-    mat = layout.material
-    if mat.kappa_ref_w_per_k_cm <= 0 or mat.t_ref_k <= 0:
-        raise LayoutError("material reference conductivity and temperature must be positive")
-    if layout.body_kappa_scale <= 0:
-        raise LayoutError("body conductivity scale must be positive")
-    if layout.cavity_xy_um is not None:
-        _require_inside(m, *layout.cavity_xy_um, what="cavity")
-    for qd_id, (x, y) in layout.qds:
-        _require_inside(m, x, y, what=f"QD {qd_id!r}")
-    return layout
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,6 @@ def rasterize(
     so the cell sources add up to absorbed_power_w. A pitch that would give
     more than MAX_GRID_CELLS cells is refused before any array is built.
     """
-    validate_layout(layout)
     if not 0.0 < t_bath_k < math.inf:
         raise GridError("bath temperature must be positive and finite")
     if dx_um <= 0:

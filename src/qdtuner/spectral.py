@@ -77,6 +77,8 @@ class CavityState:
     alpha_nm_per_k2: float = DEFAULT_ALPHA_NM_PER_K2
 
     def __post_init__(self) -> None:
+        if not self.lambda0_nm > 0.0:  # the linewidth is lambda / Q
+            raise ValueError("cavity wavelength must be positive")
         if self.alpha_nm_per_k2 <= 0.0:
             raise ValueError("cavity alpha must be positive")
         if self.q0 <= 0.0:
@@ -149,8 +151,10 @@ def purcell_factor(
         raise ValueError("cavity FWHM must be positive")
     if f0 < 1.0:
         raise ValueError("peak enhancement must be >= 1")
-    detuning = qd_lambda_nm - cav_lambda_nm
-    return 1.0 + (f0 - 1.0) / (1.0 + (2.0 * detuning / cav_fwhm_nm) ** 2)
+    # x * x, not x ** 2: far off resonance the square overflows to inf,
+    # where float ** raises, and the factor takes its limit, 1
+    x = 2.0 * (qd_lambda_nm - cav_lambda_nm) / cav_fwhm_nm
+    return 1.0 + (f0 - 1.0) / (1.0 + x * x)
 
 
 @dataclass(frozen=True)
@@ -212,17 +216,20 @@ def synthesize_spectrum(
         cav_lambda = cavity_wavelength(cavity, cavity.alpha_nm_per_k2 * (t_k**2 - t_ref_k**2))
         cav_width = cav_lambda / cavity_q(cavity, t_k, t_ref_k)
 
-    for qd in qds:
-        center = qd_wavelength(qd, t_k, t_ref_k)
-        width = qd_linewidth(qd, t_k, t_ref_k)
-        height = qd_intensity(qd, t_k, t_ref_k)
-        if cavity is not None:
-            height *= purcell_factor(center, cav_lambda, cav_width, f0)
-        y += lorentzian(x, center, width, height)
-        peaks.append(SpectralPeak("qd", qd.qd_id, center, width, height))
+    # a sample far out on a line's wing overflows the squared distance; the
+    # Lorentzian's limit there, 0, is the right value
+    with np.errstate(over="ignore"):
+        for qd in qds:
+            center = qd_wavelength(qd, t_k, t_ref_k)
+            width = qd_linewidth(qd, t_k, t_ref_k)
+            height = qd_intensity(qd, t_k, t_ref_k)
+            if cavity is not None:
+                height *= purcell_factor(center, cav_lambda, cav_width, f0)
+            y += lorentzian(x, center, width, height)
+            peaks.append(SpectralPeak("qd", qd.qd_id, center, width, height))
 
-    if cavity is not None:
-        y += lorentzian(x, cav_lambda, cav_width, float(cavity_height))
-        peaks.append(SpectralPeak("cavity", "cavity", cav_lambda, cav_width, float(cavity_height)))
+        if cavity is not None:
+            y += lorentzian(x, cav_lambda, cav_width, float(cavity_height))
+            peaks.append(SpectralPeak("cavity", "cavity", cav_lambda, cav_width, float(cavity_height)))
 
     return Spectrum(wavelengths_nm=x, intensities=y, peaks=tuple(peaks))

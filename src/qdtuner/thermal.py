@@ -16,7 +16,8 @@ island temperature is closed-form.
 
 The solver refuses a grid it cannot conduct through with GridError (exit 3
 from the CLI), e.g. one where a cell has no path of conducting faces to a
-cell held at the bath temperature. No grid rasterized from a valid layout is.
+cell held at the bath temperature. A grid rasterized from a valid layout is
+refused only when its conductances are so small that they underflow.
 """
 
 from __future__ import annotations
@@ -133,8 +134,9 @@ class _Faces:
     Cells are numbered over the active set. Face k joins active cells a[k]
     and b[k]; slot_a and slot_b give each end's row among the free cells,
     or n_free for a fixed cell, so one bincount moves per-face terms into
-    the free rows. Faces between two fixed cells, and faces with an end of
-    zero sheet conductance, are left out.
+    the free rows. Faces between two fixed cells, and faces whose ends'
+    prefactor conductances multiply to 0 (an end of zero sheet conductance,
+    or a product that underflows), are left out.
     """
 
     cells: np.ndarray     # flat grid ids of the active cells
@@ -177,7 +179,11 @@ def _faces(grid: ThermalGrid) -> _Faces:
     face = (a >= 0) & (b >= 0)
     a, b = a[face], b[face]
     free = ~grid.dirichlet.ravel()[cells]
-    keep = (geom[a] > 0.0) & (geom[b] > 0.0) & (free[a] | free[b])
+    # the harmonic mean 2 c_a c_b / (c_a + c_b) is 0 where the product
+    # underflows, and such a face conducts nothing
+    c = grid.material.kappa_ref_w_per_k_cm * geom
+    with np.errstate(over="ignore"):
+        keep = (c[a] * c[b] > 0.0) & (free[a] | free[b])
     a, b = a[keep], b[keep]
     links = sp.csr_matrix((np.ones(a.size), (a, b)), shape=(cells.size, cells.size))
     n_parts, part = connected_components(links, directed=False)
@@ -420,7 +426,8 @@ def solve_steady_state(
     A grid it cannot conduct through raises GridError: no active cells,
     cell sources that do not add up to the absorbed power, or a cell with no
     conducting path to a fixed cell (a void gap, zero thickness or zero
-    kappa_scale). rasterize builds no such grid from a valid layout.
+    kappa_scale, or prefactor conductances whose products underflow).
+    rasterize builds such a grid from a valid layout only in the last case.
 
     The first linear solve is the Kirchhoff start: with U = integral of
     (T / t_ref)^p dT the power-law problem becomes linear in U, so one solve

@@ -295,11 +295,3 @@ def test_power_map_invariants():
         PowerMap("s", 10.0, -1.0)
     with pytest.raises(ValueError):
         PowerMap("s", 0.0, 388.9)
-
-
-def test_absorbed_fraction_estimate():
-    from qdtuner.device import default_layout
-
-    fraction = control.absorbed_fraction_estimate(default_layout(), PM, QD)
-    # lumped model: 90.72 uW absorbed for the 40 K full-shift point vs 3 mW incident
-    assert math.isclose(fraction, 9.072e-5 / 3e-3, rel_tol=1e-9)

@@ -19,7 +19,6 @@ from qdtuner.device import (
     default_layout,
     rasterize,
     spread_bridges,
-    validate_layout,
 )
 from qdtuner.thermal import _faces
 
@@ -43,35 +42,33 @@ def test_bridge_width_override():
 
 def test_default_layout_is_valid():
     lay = default_layout()
-    assert validate_layout(lay) is lay
+    assert replace(lay) == lay
 
 
 def test_pad_outside_membrane_rejected():
-    bad = replace(default_layout(), pad=HeatingPad(x_um=10.0, y_um=0.5, w_um=3.0, h_um=3.0))
     with pytest.raises(LayoutError, match="pad out of bounds"):
-        validate_layout(bad)
+        replace(default_layout(), pad=HeatingPad(x_um=10.0, y_um=0.5, w_um=3.0, h_um=3.0))
 
 
 def test_no_bridges_rejected():
     with pytest.raises(LayoutError, match="no heat path"):
-        validate_layout(replace(default_layout(), bridges=()))
+        replace(default_layout(), bridges=())
     with pytest.raises(LayoutError, match="no heat path"):
-        spread_bridges(0, 320.0, 2.0, default_layout().membrane)
+        replace(default_layout(), bridges=spread_bridges(0, 320.0, 2.0, default_layout().membrane))
 
 
 def test_zero_width_bridge_rejected():
     lay = default_layout()
-    bad = replace(lay, bridges=(replace(lay.bridges[0], width_nm=0.0),))
     with pytest.raises(LayoutError, match="positive width"):
-        validate_layout(bad)
+        replace(lay, bridges=(replace(lay.bridges[0], width_nm=0.0),))
 
 
 def test_positions_must_sit_on_membrane():
     lay = default_layout()
     with pytest.raises(LayoutError, match="cavity out of bounds"):
-        validate_layout(replace(lay, cavity_xy_um=(13.0, 2.0)))
+        replace(lay, cavity_xy_um=(13.0, 2.0))
     with pytest.raises(LayoutError, match="QD 'q' out of bounds"):
-        validate_layout(replace(lay, qds=(("q", (1.0, 5.0)),)))
+        replace(lay, qds=(("q", (1.0, 5.0)),))
 
 
 def test_rasterize_membrane_block_count():
@@ -189,7 +186,7 @@ def _layouts(draw):
         profile=draw(st.sampled_from(["uniform", "gaussian"])),
         sigma_um=draw(st.floats(min_value=1e-3, max_value=10.0)),
     )
-    return validate_layout(DeviceLayout(membrane, bridges, pad, MaterialModel()))
+    return DeviceLayout(membrane, bridges, pad, MaterialModel())
 
 
 @settings(max_examples=60, deadline=None)

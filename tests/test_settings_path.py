@@ -1,10 +1,10 @@
 """Property test of the one settings path.
 
-Any value in a settings block of a shipped scenario, and any value of a float
-flag, ends in a documented exit code (0, 2, 3 or 4) without a traceback, and a
-config error (2) writes nothing. thermal's --dx-um is among the flags: a pitch
-that would give more than device.MAX_GRID_CELLS cells is refused before any
-array is built.
+Any value at a numeric leaf of a shipped config file (scenario, device or
+anchors), and any value of a float flag, ends in a documented exit code
+(0, 2, 3 or 4) without a traceback, and a config error (2) writes nothing.
+thermal's --dx-um is among the flags: a pitch that would give more than
+device.MAX_GRID_CELLS cells is refused before any array is built.
 """
 
 import contextlib
@@ -12,13 +12,41 @@ import io
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIGS
-from qdtuner import cli
+from qdtuner import cli, control, spectral
 
 VALUES = [math.nan, math.inf, -math.inf, 0, -0.0, -1, 1e300, 1e-300, 10**400, "1", True, [], None]
+
+# shipped config -> the command lines run on it
+RUNS = {
+    "fig2a.json": (("sweep", "fig2a.json"),),
+    "fig4.json": (("sweep", "fig4.json"), ("tune", "fig4.json")),
+    "qd_pair.json": (("tune", "qd_pair.json"),),
+    "fig1b.json": (("thermal", "fig1b.json", "--dx-um", "0.1"),),
+    "anchors_power.json": (("calibrate", "--anchors-file", "anchors_power.json"),),
+    "anchors_temperature.json": (("calibrate", "--anchors-file", "anchors_temperature.json"),),
+}
+DEVICES = sorted(p.name for p in CONFIGS.glob("device_*.json"))
+
+# optional keys absent from the shipped files, set to valid values so that
+# their leaves are mutated too: the quality floor, and the crosstalk matrix
+# as its diagonal of the two structures' betas
+_BETA = control.calibrate_beta(1.4, 3.0, spectral.DEFAULT_ALPHA_NM_PER_K2)
+OPTIONAL = {
+    "fig4.json": lambda raw: raw["tune"].update(min_q=1.0),
+    "qd_pair.json": lambda raw: raw.update(crosstalk_k2_per_mw=[[_BETA, 0.0], [0.0, _BETA]]),
+}
+
+
+def _load(name):
+    raw = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+    if name in OPTIONAL:
+        OPTIONAL[name](raw)
+    return raw
 
 
 def _leaves(obj, path=()):
@@ -33,15 +61,107 @@ def _leaves(obj, path=()):
     return [p for key, value in items for p in _leaves(value, path + (key,))]
 
 
-def _scenario_cases():
-    cases = []
-    for name, commands in (("fig2a.json", ("sweep",)), ("fig4.json", ("sweep", "tune"))):
-        raw = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
-        blocks = {key: raw[key] for key in ("spectrum", "sweep", "tune") if key in raw}
-        cases += [(name, command, path) for path in _leaves(blocks) for command in commands]
-    # the optional quality floor, absent from the shipped files
-    cases.append(("fig4.json", "tune", ("tune", "min_q")))
-    return cases
+def _config_cases():
+    return [
+        (argv, None, path)
+        for name, runs in RUNS.items()
+        for path in _leaves(_load(name))
+        for argv in runs
+    ]
+
+
+def _device_cases():
+    """Each shipped device in place of the scenario's own, one leaf at a time."""
+    return [
+        (argv, device, path)
+        for name in ("fig2a.json", "fig4.json", "fig1b.json")
+        for device in DEVICES
+        for path in _leaves(_load(device))
+        for argv in RUNS[name]
+    ]
+
+
+def _set(raw, path, value):
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+def _run(argv, out):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([*argv, "--out", str(out)])
+        except SystemExit as e:  # argparse refuses a flag value that is not a number
+            code = e.code
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert not out.exists()
+    return code
+
+
+def _run_mutated(work, argv, device, path, value):
+    """Run argv on a copy of its config file with value at path: a leaf of
+    the named device file, used in place of the scenario's own, or else a
+    leaf of the config file itself."""
+    name = next(a for a in argv if a in RUNS)
+    raw = _load(name)
+    if device is None:
+        _set(raw, path, value)
+    else:
+        dev = _load(device)
+        _set(dev, path, value)
+        # json.dumps writes the NaN/Infinity literals that the loader accepts
+        (work / device).write_text(json.dumps(dev), encoding="utf-8")
+        raw["device"] = str(work / device)
+    for s in [raw, *raw.get("structures", [])]:
+        if "device" in s:
+            s["device"] = str(CONFIGS / s["device"])
+    (work / name).write_text(json.dumps(raw), encoding="utf-8")
+    return _run([str(work / a) if a == name else a for a in argv], work / "out")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(_config_cases()), value=st.sampled_from(VALUES))
+def test_any_settings_value_ends_in_a_documented_exit(tmp_path_factory, case, value):
+    _run_mutated(tmp_path_factory.mktemp("settings"), *case, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(_device_cases()), value=st.sampled_from(VALUES))
+def test_any_device_value_ends_in_a_documented_exit(tmp_path_factory, case, value):
+    _run_mutated(tmp_path_factory.mktemp("device"), *case, value)
+
+
+FIG2A = RUNS["fig2a.json"][0]
+FIG1B = RUNS["fig1b.json"][0]
+POWER_ANCHORS = RUNS["anchors_power.json"][0]
+
+
+@pytest.mark.parametrize(
+    "argv, device, path, value, code",
+    [
+        pytest.param(FIG2A, None, ("calibration", "anchor_shift_nm"), 0, 2, id="anchor-shift-0"),
+        pytest.param(FIG2A, None, ("calibration", "anchor_power_mw"), -1, 2, id="anchor-power-neg"),
+        # T_bath^2 overflows, or underflows to 0
+        pytest.param(FIG2A, None, ("bath_k",), 1e300, 2, id="bath-1e300"),
+        pytest.param(FIG2A, None, ("bath_k",), 1e-300, 2, id="bath-1e-300"),
+        # every face's harmonic-mean conductance underflows to 0
+        pytest.param(FIG1B, "device_w320.json", ("membrane", "thickness_nm"), 1e-300, 3, id="thickness-1e-300"),
+        pytest.param(FIG1B, "device_w320.json", ("material", "kappa_ref"), 1e-300, 3, id="kappa-1e-300"),
+        # the fit's sum of squared abscissae underflows, or overflows
+        pytest.param(POWER_ANCHORS, None, ("power_anchors", 1, 0), 1e-300, 2, id="abscissa-1e-300"),
+        pytest.param(POWER_ANCHORS, None, ("power_anchors", 1, 0), 1e300, 2, id="abscissa-1e300"),
+        # a cavity of zero linewidth (lambda / Q), and a Purcell overlap whose
+        # squared detuning overflows at a cavity Q of 1e300
+        pytest.param(FIG2A, "device_w320_cavity.json", ("cavity", "lambda0_nm"), 0, 2, id="cavity-lambda-0"),
+        pytest.param(FIG2A, "device_w320_two_qds.json", ("cavity", "q0"), 1e300, 0, id="cavity-q0-1e300"),
+    ],
+)
+def test_out_of_range_values_exit_cleanly(tmp_path, argv, device, path, value, code):
+    assert _run_mutated(tmp_path, argv, device, path, value) == code
 
 
 FLAG_CASES = [
@@ -56,36 +176,6 @@ FLAG_CASES = [
     (["thermal", "fig1b.json", "--dx-um", "0.1"], "--bath-k"),
     (["thermal", "fig1b.json", "--power-abs-mw", "0.01"], "--dx-um"),
 ]
-
-
-def _run(argv, out):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        try:
-            code = cli.main([*argv, "--out", str(out)])
-        except SystemExit as e:  # argparse refuses a flag value that is not a number
-            code = e.code
-    assert code in (0, 2, 3, 4), err.getvalue()
-    assert "Traceback" not in err.getvalue()
-    if code == 2:
-        assert not out.exists()
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=st.sampled_from(_scenario_cases()), value=st.sampled_from(VALUES))
-def test_any_settings_value_ends_in_a_documented_exit(tmp_path_factory, case, value):
-    name, command, path = case
-    raw = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
-    raw["device"] = str(CONFIGS / raw["device"])
-    node = raw
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    work = tmp_path_factory.mktemp("settings")
-    scenario = work / "s.json"
-    # json.dumps writes the NaN/Infinity literals that the loader accepts
-    scenario.write_text(json.dumps(raw), encoding="utf-8")
-    _run([command, str(scenario)], work / "out")
 
 
 @settings(max_examples=150, deadline=None)
