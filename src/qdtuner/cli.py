@@ -213,6 +213,7 @@ def _track_rows(spectrum: Spectrum, refit: bool) -> list[tuple[str, str, float, 
 def cmd_sweep(args) -> int:
     scenario = cfg.load_scenario(args.scenario)
     sweep = _merge(scenario.sweep or cfg.SweepParams(), args)
+    cfg.check_sweep_size(scenario.spectrum, sweep)
 
     structure = scenario.main
     pm = structure.power_map

@@ -187,7 +187,10 @@ def load_device(path: str | Path) -> Device:
     # a dot's optical keys are QDState's fields; absent ones keep its defaults
     place = ("id", "x_um", "y_um")
     optical = _field_defaults(QDState).keys() - {"qd_id"}
-    for k, q in enumerate(raw.get("qds") or []):
+    qds = [] if raw.get("qds") is None else raw["qds"]
+    if not isinstance(qds, list):
+        raise ConfigError(f"{ctx}: qds must be a list")
+    for k, q in enumerate(qds):
         qctx = f"{ctx}: qds[{k}]"
         _check_keys(q, {*place, *optical}, {*place, "lambda0_nm"}, qctx)
         _check_id(q.get("id"), qctx)
@@ -253,6 +256,11 @@ class SpectrumParams:
         finite(self.baseline, "baseline")
 
 
+# Most spectrum samples a sweep synthesizes and writes, samples x steps:
+# one spectra.csv row each. The shipped fig4 sweep has 280,000.
+MAX_SWEEP_SAMPLES = 10_000_000
+
+
 @dataclass(frozen=True)
 class SweepParams:
     power_min_mw: float = 0.0
@@ -263,6 +271,15 @@ class SweepParams:
         if finite(self.power_min_mw, "power_min_mw") > finite(self.power_max_mw, "power_max_mw"):
             raise ConfigError("sweep needs power_min_mw <= power_max_mw")
         _integer(self.steps, "steps", 2)
+
+
+def check_sweep_size(spectrum: SpectrumParams, sweep: SweepParams) -> None:
+    """Refuse a sweep of more than MAX_SWEEP_SAMPLES spectrum samples in all."""
+    if spectrum.samples * sweep.steps > MAX_SWEEP_SAMPLES:
+        raise ConfigError(
+            f"sweep too large: {spectrum.samples} samples x {sweep.steps} steps "
+            f"is over the cap of {MAX_SWEEP_SAMPLES:,} samples"
+        )
 
 
 @dataclass(frozen=True)
@@ -352,6 +369,12 @@ def _structure_alpha(qd_states) -> float:
     return qd_states[0].alpha_nm_per_k2 if qd_states else spectral.DEFAULT_ALPHA_NM_PER_K2
 
 
+def _device_path(scenario: Path, value, ctx: str) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"{ctx}: device must be a file path")
+    return scenario.parent / value
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Parse a scenario file; device paths resolve relative to the scenario."""
     path = Path(path)
@@ -379,7 +402,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
     structures: list[StructureConfig] = []
     if "device" in raw:
-        device = load_device(path.parent / raw["device"])
+        device = load_device(_device_path(path, raw["device"], ctx))
         alpha = _structure_alpha(device.qd_states)
         pm = _parse_calibration(raw.get("calibration"), bath_k, "main", alpha, f"{ctx}: calibration")
         structures.append(StructureConfig("main", device, pm))
@@ -390,7 +413,7 @@ def load_scenario(path: str | Path) -> Scenario:
             sctx = f"{ctx}: structures[{k}]"
             _check_keys(s, {"id", "device", "calibration"}, {"id", "device"}, sctx)
             _check_id(s.get("id"), sctx)
-            device = load_device(path.parent / s["device"])
+            device = load_device(_device_path(path, s["device"], sctx))
             alpha = _structure_alpha(device.qd_states)
             pm = _parse_calibration(s.get("calibration"), bath_k, s["id"], alpha, f"{sctx}: calibration")
             structures.append(StructureConfig(s["id"], device, pm))

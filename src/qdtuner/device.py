@@ -31,6 +31,9 @@ DEFAULT_BRIDGE_COUNT = 6
 # shipped devices is 153,600 cells.
 MAX_GRID_CELLS = 1_000_000
 
+# Most bridges spread_bridges lays out; the shipped devices have six.
+MAX_BRIDGES = 1_000
+
 
 class LayoutError(ValueError):
     """A device layout violates a geometric invariant."""
@@ -164,7 +167,10 @@ def spread_bridges(
     length_um: float,
     membrane: Membrane,
 ) -> tuple[Bridge, ...]:
-    """Distribute bridges evenly over the two long membrane edges."""
+    """Distribute bridges evenly over the two long membrane edges;
+    LayoutError for more than MAX_BRIDGES."""
+    if count > MAX_BRIDGES:
+        raise LayoutError(f"bridge count {count} is over the cap of {MAX_BRIDGES:,}")
     n_bottom = (count + 1) // 2
     n_top = count - n_bottom
     bridges: list[Bridge] = []

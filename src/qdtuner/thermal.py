@@ -18,17 +18,21 @@ The solver refuses a grid it cannot conduct through with GridError (exit 3
 from the CLI), e.g. one where a cell has no path of conducting faces to a
 cell held at the bath temperature. A grid rasterized from a valid layout is
 refused only when its conductances are so small that they underflow.
+
+scipy's sparse stack is imported inside the functions that build and solve
+the operator, not by this module: importing qdtuner.thermal costs only
+numpy, so the commands that never solve a sparse system (sweep, tune,
+calibrate) start without scipy, and tuner thermal loads it on its first
+solve.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, gmres, splu, spsolve
 
 from .device import UM_PER_CM, DeviceLayout, GridError, MaterialModel, ThermalGrid
 
@@ -162,6 +166,9 @@ class _Faces:
 def _faces(grid: ThermalGrid) -> _Faces:
     """The grid's faces; GridError for no active cells, sources that do not
     add up to the absorbed power, or a cell with no kept-face path to a fixed cell."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     ny, nx = grid.shape
     cells = np.flatnonzero(grid.active())
     if not cells.size:
@@ -256,10 +263,13 @@ def energy_residual(field: TemperatureField) -> float:
     return math.nan if state is None else _imbalance(faces, state[2])
 
 
-def _assemble(faces: _Faces, g: np.ndarray, da=0.0, db=0.0) -> sp.csr_matrix:
-    """Derivative of the free-cell residual for face flows g * (T_a - T_b)
-    whose conductance also moves as dg/dT_a = da / (T_a - T_b), likewise
-    db; with da = db = 0 it is the linear operator of fixed conductances g."""
+def _assemble(faces: _Faces, g: np.ndarray, da=0.0, db=0.0):
+    """Derivative of the free-cell residual, as a CSR matrix, for face flows
+    g * (T_a - T_b) whose conductance also moves as dg/dT_a = da / (T_a - T_b),
+    likewise db; with da = db = 0 it is the linear operator of fixed
+    conductances g."""
+    import scipy.sparse as sp
+
     n = faces.n_free
     diag = (
         np.bincount(faces.slot_a, g + da, n + 1) + np.bincount(faces.slot_b, g - db, n + 1)
@@ -302,6 +312,8 @@ def _kirchhoff_start(faces: _Faces, material: MaterialModel, t: np.ndarray):
     harmonic-g(T) solution only where T varies strongly across a cell.
     Cells whose U has no temperature keep their value from t.
     """
+    from scipy.sparse.linalg import splu
+
     u = _kirchhoff(material, t)
     c = material.kappa_ref_w_per_k_cm * faces.geom
     g0 = _harmonic(c[faces.a], c[faces.b])
@@ -324,9 +336,11 @@ _KRYLOV_RESTART = 20
 _KRYLOV_CYCLES = 2
 
 
-def _krylov_step(jac: sp.csr_matrix, dudt: np.ndarray, r: np.ndarray, lu):
+def _krylov_step(jac, dudt: np.ndarray, r: np.ndarray, lu):
     """dU with J * diag(1 / dudt) * dU = -R, by GMRES right-preconditioned
     with the Kirchhoff LU; None unless its true residual meets _KRYLOV_RTOL."""
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     n = r.size
     op = LinearOperator((n, n), matvec=lambda y: jac @ (lu.solve(y) / dudt), dtype=float)
     with np.errstate(all="ignore"):
@@ -347,11 +361,12 @@ def _newton_step(faces: _Faces, material: MaterialModel, t, s, g, flow, lu):
     path of the Kirchhoff start. In U the Jacobian is close to the Kirchhoff
     operator, so GMRES preconditioned with its LU solves the step in a few
     Krylov iterations. With lu None, or when GMRES misses _KRYLOV_RTOL, a
-    direct sparse solve takes the step instead. The step is halved until
-    every free T is finite and positive, no flow overflows and |R|
-    decreases. Returns the new t with its (s, g, flow) from _conduct, or,
-    when no halving reduces |R|, the full step's t with None; and whether
-    GMRES took the step.
+    direct sparse solve takes the step instead; where the conductances
+    underflow to 0 that system is singular, its step NaN, and no halving
+    takes it. The step is halved until every free T is finite and positive,
+    no flow overflows and |R| decreases. Returns the new t with its
+    (s, g, flow) from _conduct, or, when no halving reduces |R|, the full
+    step's t with None; and whether GMRES took the step.
     """
     p, tr = material.exponent, material.t_ref_k
     ta, tb = t[faces.a], t[faces.b]
@@ -359,7 +374,7 @@ def _newton_step(faces: _Faces, material: MaterialModel, t, s, g, flow, lu):
     r = _residual(faces, flow)
     tf = t[faces.free]
     # dg/ds_a = 2 s_b^2 / (s_a + s_b)^2 and ds/dT = p s / T
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w = 2.0 * p * (ta - tb) / (sa + sb) ** 2
         jac = _assemble(faces, g, w * sb**2 * sa / ta, w * sa**2 * sb / tb)
         norm = np.linalg.norm(r)
@@ -367,7 +382,11 @@ def _newton_step(faces: _Faces, material: MaterialModel, t, s, g, flow, lu):
     du = None if lu is None else _krylov_step(jac, dudt, r, lu)
     krylov = du is not None
     if not krylov:
-        du = spsolve(jac, -r, permc_spec="MMD_AT_PLUS_A") * dudt
+        from scipy.sparse.linalg import MatrixRankWarning, spsolve
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MatrixRankWarning)
+            du = spsolve(jac, -r, permc_spec="MMD_AT_PLUS_A") * dudt
     u = _kirchhoff(material, tf)
     step = 1.0
     for _ in range(_MAX_HALVINGS):

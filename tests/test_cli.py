@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -493,3 +496,37 @@ def test_shipped_artifacts_match_golden_digests(configs_dir, tmp_path):
         if got != digests:
             mismatched.append(" ".join(argv))
     assert not mismatched, f"artifacts changed: {mismatched}"
+
+
+# Runs one command in a fresh interpreter and prints its exit code and which
+# of scipy and qdtuner.thermal it loaded. pytest's warning filters import
+# scipy.sparse.linalg, so no in-process check can see a cold start.
+_COLD_RUN = """
+import sys
+from qdtuner import cli
+code = cli.main(sys.argv[1:])
+print(code, "scipy" in sys.modules, "qdtuner.thermal" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, solves",
+    [
+        (("tune", "fig4.json"), False),
+        (("sweep", "fig2a.json"), False),
+        (("calibrate", "--anchors-file", "anchors_temperature.json"), False),
+        (("thermal", "device_w320.json", "--dx-um", "0.1", "--power-abs-mw", "0.01"), True),
+    ],
+    ids=["tune", "sweep", "calibrate", "thermal"],
+)
+def test_only_a_thermal_solve_imports_scipy(configs_dir, tmp_path, argv, solves):
+    # thermal itself stays loaded: it is cheap to import without scipy
+    args = [str(configs_dir / a) if a.endswith(".json") else a for a in argv]
+    run = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN, *args, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(configs_dir.parent / "src")},
+    )
+    assert run.stdout.split() == ["0", str(solves), "True"], run.stderr

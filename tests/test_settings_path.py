@@ -1,8 +1,9 @@
 """Property test of the one settings path.
 
 Any value at a numeric leaf of a shipped config file (scenario, device or
-anchors), and any value of a float flag, ends in a documented exit code
-(0, 2, 3 or 4) without a traceback, and a config error (2) writes nothing.
+anchors), a value of another kind at any key of one, and any value of a
+float flag end in a documented exit code (0, 2, 3 or 4) without a
+traceback, and a config error (2) writes nothing.
 thermal's --dx-um is among the flags: a pitch that would give more than
 device.MAX_GRID_CELLS cells is refused before any array is built.
 """
@@ -17,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIGS
-from qdtuner import cli, control, spectral
+from qdtuner import cli, config, control, spectral
+from qdtuner.device import MAX_BRIDGES, LayoutError, Membrane, spread_bridges
 
-VALUES = [math.nan, math.inf, -math.inf, 0, -0.0, -1, 1e300, 1e-300, 10**400, "1", True, [], None]
+VALUES = [math.nan, math.inf, -math.inf, 0, -0.0, -1, 1e300, 1e-300, 10**9, 10**400, "1", True, [], None]
 
 # shipped config -> the command lines run on it
 RUNS = {
@@ -61,22 +63,33 @@ def _leaves(obj, path=()):
     return [p for key, value in items for p in _leaves(value, path + (key,))]
 
 
-def _config_cases():
+def _nodes(obj, path=()):
+    """Paths to every value inside a JSON value, objects and lists included."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return []
+    return [p for key, value in items for p in (path + (key,), *_nodes(value, path + (key,)))]
+
+
+def _config_cases(paths=_leaves):
     return [
         (argv, None, path)
         for name, runs in RUNS.items()
-        for path in _leaves(_load(name))
+        for path in paths(_load(name))
         for argv in runs
     ]
 
 
-def _device_cases():
-    """Each shipped device in place of the scenario's own, one leaf at a time."""
+def _device_cases(paths=_leaves):
+    """Each shipped device in place of the scenario's own, one path at a time."""
     return [
         (argv, device, path)
         for name in ("fig2a.json", "fig4.json", "fig1b.json")
         for device in DEVICES
-        for path in _leaves(_load(device))
+        for path in paths(_load(device))
         for argv in RUNS[name]
     ]
 
@@ -116,8 +129,9 @@ def _run_mutated(work, argv, device, path, value):
         # json.dumps writes the NaN/Infinity literals that the loader accepts
         (work / device).write_text(json.dumps(dev), encoding="utf-8")
         raw["device"] = str(work / device)
-    for s in [raw, *raw.get("structures", [])]:
-        if "device" in s:
+    structures = raw.get("structures")
+    for s in [raw, *(structures if isinstance(structures, list) else [])]:
+        if isinstance(s, dict) and isinstance(s.get("device"), str):
             s["device"] = str(CONFIGS / s["device"])
     (work / name).write_text(json.dumps(raw), encoding="utf-8")
     return _run([str(work / a) if a == name else a for a in argv], work / "out")
@@ -133,6 +147,17 @@ def test_any_settings_value_ends_in_a_documented_exit(tmp_path_factory, case, va
 @given(case=st.sampled_from(_device_cases()), value=st.sampled_from(VALUES))
 def test_any_device_value_ends_in_a_documented_exit(tmp_path_factory, case, value):
     _run_mutated(tmp_path_factory.mktemp("device"), *case, value)
+
+
+# values of another kind than the one a key holds: a number where a list,
+# an object or a path belongs, and the reverse
+KINDS = [5, "x", [], {}, None, [1], {"a": 1}]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(_config_cases(_nodes) + _device_cases(_nodes)), value=st.sampled_from(KINDS))
+def test_any_value_of_another_kind_ends_in_a_documented_exit(tmp_path_factory, case, value):
+    _run_mutated(tmp_path_factory.mktemp("kinds"), *case, value)
 
 
 FIG2A = RUNS["fig2a.json"][0]
@@ -162,6 +187,40 @@ POWER_ANCHORS = RUNS["anchors_power.json"][0]
 )
 def test_out_of_range_values_exit_cleanly(tmp_path, argv, device, path, value, code):
     assert _run_mutated(tmp_path, argv, device, path, value) == code
+
+
+QD_PAIR = RUNS["qd_pair.json"][0]
+FIG4_SWEEP = RUNS["fig4.json"][0]
+
+
+@pytest.mark.parametrize(
+    "argv, device, path, value",
+    [
+        # a list or a path that is a number
+        pytest.param(FIG1B, "device_w320.json", ("qds",), 5, id="qds-5"),
+        pytest.param(FIG1B, "device_w320.json", ("qds",), 0, id="qds-0"),
+        pytest.param(FIG1B, "device_w320.json", ("qds",), "QD1", id="qds-string"),
+        pytest.param(FIG2A, None, ("device",), 5, id="device-5"),
+        pytest.param(FIG2A, None, ("device",), None, id="device-null"),
+        pytest.param(QD_PAIR, None, ("structures", 0, "device"), 5, id="structure-device-5"),
+        # size caps: bridges, and spectrum samples over a whole sweep
+        pytest.param(FIG1B, "device_w320.json", ("bridges", "count"), MAX_BRIDGES + 1, id="bridges-over-cap"),
+        pytest.param(FIG2A, None, ("sweep", "steps"), config.MAX_SWEEP_SAMPLES // 1200 + 1, id="steps-over-cap"),
+        pytest.param(FIG4_SWEEP, None, ("spectrum", "samples"), 10**15, id="samples-1e15"),
+    ],
+)
+def test_wrong_kinds_and_oversized_inputs_are_config_errors(tmp_path, argv, device, path, value):
+    assert _run_mutated(tmp_path, argv, device, path, value) == 2
+
+
+def test_size_caps_sit_at_their_bounds():
+    assert len(spread_bridges(MAX_BRIDGES, 320.0, 2.0, Membrane())) == MAX_BRIDGES
+    with pytest.raises(LayoutError, match="over the cap"):
+        spread_bridges(MAX_BRIDGES + 1, 320.0, 2.0, Membrane())
+    spectrum = config.SpectrumParams(samples=1000)
+    config.check_sweep_size(spectrum, config.SweepParams(steps=config.MAX_SWEEP_SAMPLES // 1000))
+    with pytest.raises(config.ConfigError, match="over the cap"):
+        config.check_sweep_size(spectrum, config.SweepParams(steps=config.MAX_SWEEP_SAMPLES // 1000 + 1))
 
 
 FLAG_CASES = [
