@@ -87,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, LayoutError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GridError, thermal.ThermalModelError) as e:
+    except GridError as e:
         print(f"solver error: {e}", file=sys.stderr)
         return EXIT_SOLVER
 
@@ -129,7 +129,11 @@ def cmd_thermal(args) -> int:
         raise ConfigError(str(e)) from e
 
     field, report = thermal.solve_steady_state(grid, tol=params.tol, max_iter=params.max_iter)
-    lumped_k = thermal.lumped_temperature(layout, power_mw * 1e-3, bath_k)
+    try:
+        lumped_k = thermal.lumped_temperature(layout, power_mw * 1e-3, bath_k)
+    except thermal.ThermalModelError as e:
+        print(f"warning: lumped model: {e}", file=sys.stderr)
+        lumped_k = None
 
     pad_cells = field.t_k[grid.kind == PAD]
     extras = {

@@ -555,10 +555,8 @@ def write_field_csv(field: TemperatureField, path: str | Path) -> None:
     ys = [format(y, ".6g") for y in grid.cell_y_um()]
     active = grid.active()
     rows, cols = np.nonzero(active)
-    lines = [
-        f"{xs[i]},{ys[j]},{format(t, '.6g')}\n"
-        for j, i, t in zip(rows.tolist(), cols.tolist(), field.t_k[active].tolist())
-    ]
+    # one %-format over a template row per active cell; '%.6g' % t is format(t, '.6g')
+    template = "".join(f"{xs[i]},{ys[j]},%.6g\n" for j, i in zip(rows.tolist(), cols.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("x_um,y_um,T_K\n")
-        f.write("".join(lines))
+        f.write(template % tuple(field.t_k[active].tolist()))

@@ -20,14 +20,14 @@ MEMBRANE = 1
 BRIDGE = 2
 PAD = 3
 
-SIDES = ("bottom", "top", "left", "right")
+SIDES = ("bottom", "top")
 
 DEFAULT_BRIDGE_WIDTH_NM = 320.0
 DEFAULT_BRIDGE_LENGTH_UM = 2.0
 DEFAULT_BRIDGE_COUNT = 6
 
 # Largest grid rasterize builds: the device's bounding box (membrane plus
-# the longest bridge on each side) over dx^2. A 0.025 um pitch on the
+# the longest bridge below and above it) over dx^2. A 0.025 um pitch on the
 # shipped devices is 153,600 cells.
 MAX_GRID_CELLS = 1_000_000
 
@@ -70,8 +70,8 @@ class Bridge:
 
     width_nm: float = DEFAULT_BRIDGE_WIDTH_NM
     length_um: float = DEFAULT_BRIDGE_LENGTH_UM
-    side: str = "bottom"       # membrane edge the bridge is attached to
-    position_um: float = 6.0   # anchor center along that edge
+    side: str = "bottom"       # long membrane edge the bridge hangs from
+    position_um: float = 6.0   # anchor center along that edge, from x = 0
 
     def __post_init__(self) -> None:
         if self.side not in SIDES:
@@ -141,8 +141,7 @@ class DeviceLayout:
         if not self.bridges:
             raise LayoutError("no heat path: layout needs at least one bridge")
         for b in self.bridges:
-            span = m.length_um if b.side in ("bottom", "top") else m.width_um
-            if not 0.0 <= b.position_um <= span:
+            if not 0.0 <= b.position_um <= m.length_um:
                 raise LayoutError("bridge anchor off the membrane perimeter")
         p = self.pad
         if not (
@@ -209,26 +208,16 @@ class ThermalGrid:
     dx_um: float
     x0_um: float
     y0_um: float
-    kind: np.ndarray          # int8, VOID/MEMBRANE/BRIDGE/PAD
-    thickness_um: np.ndarray  # slab thickness per cell
-    source_w: np.ndarray      # absorbed power per cell, W
-    dirichlet: np.ndarray     # bool, fixed-temperature cells (bridge far ends)
-    dirichlet_k: np.ndarray   # fixed temperature, K (NaN where not fixed)
+    kind: np.ndarray       # int8, VOID/MEMBRANE/BRIDGE/PAD
+    sheet_um: np.ndarray   # conductivity multiplier x slab thickness per cell; 0 on void
+    source_w: np.ndarray   # absorbed power per cell, W
+    dirichlet: np.ndarray  # bool, cells held at t_bath_k (bridge far ends)
+    t_bath_k: float
     material: MaterialModel
     absorbed_power_w: float = 0.0
-    kappa_scale: np.ndarray | None = None  # per-cell conductivity multiplier
 
     def __post_init__(self) -> None:
-        if self.kappa_scale is None:
-            object.__setattr__(self, "kappa_scale", np.ones(self.kind.shape))
-        for a in (
-            self.kind,
-            self.thickness_um,
-            self.source_w,
-            self.dirichlet,
-            self.dirichlet_k,
-            self.kappa_scale,
-        ):
+        for a in (self.kind, self.sheet_um, self.source_w, self.dirichlet):
             a.setflags(write=False)
 
     @property
@@ -254,9 +243,11 @@ def rasterize(
     """Rasterize a layout onto a square-cell grid.
 
     Membrane and pad cells are classified by cell-center membership. Bridges
-    are laid down as blocks of round(width/dx) x round(length/dx) cells so a
-    narrow bridge keeps the same cell width at any grid phase; the far-end
-    row of each bridge is flagged Dirichlet at the bath temperature. Pad
+    hang below and above the membrane as blocks of round(width/dx) x
+    round(length/dx) cells so a narrow bridge keeps the same cell width at
+    any grid phase; the far-end row of each bridge is flagged Dirichlet at
+    the bath temperature. sheet_um is the slab thickness, times
+    body_kappa_scale on membrane and pad cells. Pad
     cells share the absorbed power according to the pad profile, normalized
     so the cell sources add up to absorbed_power_w. A pitch that would give
     more than MAX_GRID_CELLS cells is refused before any array is built.
@@ -274,39 +265,33 @@ def rasterize(
         raise GridError(
             f"dx too coarse: {dx_um} um pitch exceeds the smallest feature ({min_feature} um)"
         )
-    reach = {side: 0.0 for side in SIDES}
-    for b in layout.bridges:
-        reach[b.side] = max(reach[b.side], b.length_um)
-    span_x = reach["left"] + m.length_um + reach["right"]
+    reach = {s: max((b.length_um for b in layout.bridges if b.side == s), default=0.0) for s in SIDES}
     span_y = reach["bottom"] + m.width_um + reach["top"]
-    cells = (span_x / dx_um) * (span_y / dx_um)
+    cells = (m.length_um / dx_um) * (span_y / dx_um)
     if not cells <= MAX_GRID_CELLS:
         raise GridError(
             f"dx too fine: {dx_um} um pitch gives about {cells:.3g} cells, "
             f"over the cap of {MAX_GRID_CELLS:,}"
         )
 
-    extent = {side: 0 for side in SIDES}
-    for b in layout.bridges:
-        extent[b.side] = max(extent[b.side], max(1, int(round(b.length_um / dx_um))))
-
-    nx = extent["left"] + max(1, int(round(m.length_um / dx_um))) + extent["right"]
+    # round() is monotone, so the longest bridge on a side sets its rows
+    extent = {s: max(1, int(round(r / dx_um))) if r > 0.0 else 0 for s, r in reach.items()}
+    nx = max(1, int(round(m.length_um / dx_um)))
     ny = extent["bottom"] + max(1, int(round(m.width_um / dx_um))) + extent["top"]
-    x0 = -extent["left"] * dx_um
     y0 = -extent["bottom"] * dx_um
 
     kind = np.zeros((ny, nx), dtype=np.int8)
-    thickness = np.zeros((ny, nx))
+    sheet = np.zeros((ny, nx))
     source = np.zeros((ny, nx))
     dirichlet = np.zeros((ny, nx), dtype=bool)
 
-    xc = x0 + (np.arange(nx) + 0.5) * dx_um
+    xc = (np.arange(nx) + 0.5) * dx_um
     yc = y0 + (np.arange(ny) + 0.5) * dx_um
     in_mem_x = (xc >= 0.0) & (xc <= m.length_um)
     in_mem_y = (yc >= 0.0) & (yc <= m.width_um)
     mem_mask = np.outer(in_mem_y, in_mem_x)
     kind[mem_mask] = MEMBRANE
-    thickness[mem_mask] = m.thickness_um
+    sheet[mem_mask] = layout.body_kappa_scale * m.thickness_um
 
     pad_mask = (
         np.outer(
@@ -327,32 +312,16 @@ def rasterize(
     for b in layout.bridges:
         n_w = max(1, int(round(b.width_um / dx_um)))
         n_len = max(1, int(round(b.length_um / dx_um)))
-        if b.side in ("bottom", "top"):
-            ic = int(np.clip(np.floor((b.position_um - x0) / dx_um), i_lo, i_hi))
-            c0 = int(np.clip(ic - (n_w - 1) // 2, i_lo, i_hi - n_w + 1))
-            cols = slice(c0, c0 + n_w)
-            if b.side == "bottom":
-                rows = slice(j_lo - n_len, j_lo)
-                far = j_lo - n_len
-            else:
-                rows = slice(j_hi + 1, j_hi + 1 + n_len)
-                far = j_hi + n_len
-            kind[rows, cols] = BRIDGE
-            thickness[rows, cols] = m.thickness_um
-            dirichlet[far, cols] = True
+        ic = int(np.clip(np.floor(b.position_um / dx_um), i_lo, i_hi))
+        c0 = int(np.clip(ic - (n_w - 1) // 2, i_lo, i_hi - n_w + 1))
+        cols = slice(c0, c0 + n_w)
+        if b.side == "bottom":
+            rows, far = slice(j_lo - n_len, j_lo), j_lo - n_len
         else:
-            jc = int(np.clip(np.floor((b.position_um - y0) / dx_um), j_lo, j_hi))
-            r0 = int(np.clip(jc - (n_w - 1) // 2, j_lo, j_hi - n_w + 1))
-            rows = slice(r0, r0 + n_w)
-            if b.side == "left":
-                cols = slice(i_lo - n_len, i_lo)
-                far = i_lo - n_len
-            else:
-                cols = slice(i_hi + 1, i_hi + 1 + n_len)
-                far = i_hi + n_len
-            kind[rows, cols] = BRIDGE
-            thickness[rows, cols] = m.thickness_um
-            dirichlet[rows, far] = True
+            rows, far = slice(j_hi + 1, j_hi + 1 + n_len), j_hi + n_len
+        kind[rows, cols] = BRIDGE
+        sheet[rows, cols] = m.thickness_um
+        dirichlet[far, cols] = True
 
     if absorbed_power_w > 0.0:
         pj, pi = np.nonzero(pad_mask)
@@ -368,19 +337,15 @@ def rasterize(
         weights = weights / weights.sum()
         source[pj, pi] = absorbed_power_w * weights
 
-    kappa_scale = np.ones((ny, nx))
-    kappa_scale[(kind == MEMBRANE) | (kind == PAD)] = layout.body_kappa_scale
-
     return ThermalGrid(
         dx_um=dx_um,
-        x0_um=x0,
+        x0_um=0.0,
         y0_um=y0,
         kind=kind,
-        thickness_um=thickness,
+        sheet_um=sheet,
         source_w=source,
         dirichlet=dirichlet,
-        dirichlet_k=np.where(dirichlet, t_bath_k, np.nan),
+        t_bath_k=t_bath_k,
         material=layout.material,
         absorbed_power_w=absorbed_power_w,
-        kappa_scale=kappa_scale,
     )

@@ -38,8 +38,8 @@ from .device import UM_PER_CM, DeviceLayout, GridError, MaterialModel, ThermalGr
 
 
 class ThermalModelError(RuntimeError):
-    """The lumped model has no island temperature for the power: the bridge
-    conductance integral saturates below it (exponent < -1)."""
+    """The lumped model has no island temperature for the power: the bridges
+    saturate below it (exponent < -1), or it overflows a float."""
 
 
 def kappa(material: MaterialModel, t_k):
@@ -83,9 +83,12 @@ def lumped_temperature(layout: DeviceLayout, p_abs_w: float, t_bath_k: float) ->
         return t_bath_k
     m = layout.material
     du = p_abs_w / (m.kappa_ref_w_per_k_cm * bridge_conductance_factor_cm(layout))
-    t = _kirchhoff_inverse(m, _kirchhoff(m, np.float64(t_bath_k)) + du)
+    u = _kirchhoff(m, np.float64(t_bath_k)) + du
+    if m.exponent < -1.0 and not u < 0.0:  # for p < -1, U tends to 0 as T grows
+        raise ThermalModelError("no island temperature: the bridges saturate below this power")
+    t = _kirchhoff_inverse(m, u)
     if not _valid(t):
-        raise ThermalModelError("no island temperature: the bridges cannot carry this power")
+        raise ThermalModelError("no island temperature: it overflows a float")
     return float(t)
 
 
@@ -145,7 +148,7 @@ class _Faces:
 
     cells: np.ndarray     # flat grid ids of the active cells
     free: np.ndarray      # bool per active cell
-    geom: np.ndarray      # kappa_scale * thickness / UM_PER_CM: sheet conductance over kappa
+    geom: np.ndarray      # sheet_um / UM_PER_CM: sheet conductance over kappa
     a: np.ndarray
     b: np.ndarray
     slot_a: np.ndarray
@@ -182,7 +185,7 @@ def _faces(grid: ThermalGrid) -> _Faces:
     ids = compact.reshape(ny, nx)
     a = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
     b = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
-    geom = (grid.kappa_scale * grid.thickness_um).ravel()[cells] / UM_PER_CM
+    geom = grid.sheet_um.ravel()[cells] / UM_PER_CM
     face = (a >= 0) & (b >= 0)
     a, b = a[face], b[face]
     free = ~grid.dirichlet.ravel()[cells]
@@ -231,7 +234,7 @@ def _harmonic(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
 
 
 def _conduct(faces: _Faces, material: MaterialModel, t: np.ndarray):
-    """Sheet conductance kappa(T) * thickness per cell (W/K), harmonically
+    """Sheet conductance kappa(T) * sheet_um per cell (W/K), harmonically
     averaged face conductance g and heat flow g * (T_a - T_b) per face; None
     when a flow overflows, as it does wherever g does."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -305,7 +308,7 @@ def _valid(t: np.ndarray) -> np.ndarray:
 
 def _kirchhoff_start(faces: _Faces, material: MaterialModel, t: np.ndarray):
     """Temperatures from one linear solve in U, with face conductances from
-    the temperature-independent prefactor kappa_ref * thickness, and the LU
+    the temperature-independent prefactor kappa_ref * sheet_um, and the LU
     factors of that Kirchhoff operator.
 
     The field is exact for constant kappa; otherwise it differs from the
@@ -438,14 +441,14 @@ def _iterate(faces: _Faces, material: MaterialModel, t, tol: float, max_iter: in
 def solve_steady_state(
     grid: ThermalGrid,
     tol: float = 1e-6,
-    max_iter: int = 100,
+    max_iter: int = 200,
 ) -> tuple[TemperatureField, SolveReport]:
     """Solve the nonlinear conduction problem on the grid.
 
     A grid it cannot conduct through raises GridError: no active cells,
     cell sources that do not add up to the absorbed power, or a cell with no
-    conducting path to a fixed cell (a void gap, zero thickness or zero
-    kappa_scale, or prefactor conductances whose products underflow).
+    conducting path to a fixed cell (a void gap, a cell of zero sheet_um,
+    or prefactor conductances whose products underflow).
     rasterize builds such a grid from a valid layout only in the last case.
 
     The first linear solve is the Kirchhoff start: with U = integral of
@@ -474,8 +477,7 @@ def solve_steady_state(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     faces = _faces(grid)
-    bath = grid.dirichlet_k.reshape(-1)[faces.cells].copy()
-    bath[faces.free] = np.min(bath[~faces.free])
+    bath = np.full(faces.cells.size, grid.t_bath_k, dtype=float)
     for exact in (False, True):
         t, res, rel, iterations, converged, krylov = _iterate(
             faces, grid.material, bath, tol, max_iter, exact

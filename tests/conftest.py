@@ -22,7 +22,7 @@ def bar_grid(
     length_um: float = 2.0,
     material: MaterialModel | None = None,
     t_bath_k: float = 10.0,
-    thickness_um: float = 0.15,
+    sheet_um: float = 0.15,
 ) -> ThermalGrid:
     """Single-bridge bar: one row of cells with a fixed-temperature cell at one
     end and all power injected in the far cell."""
@@ -37,10 +37,10 @@ def bar_grid(
         x0_um=0.0,
         y0_um=0.0,
         kind=np.full(shape, device.BRIDGE, dtype=np.int8),
-        thickness_um=np.full(shape, thickness_um),
+        sheet_um=np.full(shape, sheet_um),
         source_w=source,
         dirichlet=dirichlet,
-        dirichlet_k=np.where(dirichlet, t_bath_k, np.nan),
+        t_bath_k=t_bath_k,
         material=material if material is not None else MaterialModel(),
         absorbed_power_w=power_w,
     )
@@ -51,7 +51,7 @@ def bar_end_temperature_analytic(grid: ThermalGrid, power_w: float, t_bath_k: fl
     over the center-to-center span of the discrete bar."""
     n = grid.shape[1]
     length_cm = (n - 1) * grid.dx_um / 1.0e4
-    area_cm2 = grid.dx_um * grid.thickness_um[0, 0] / 1.0e8
+    area_cm2 = grid.dx_um * grid.sheet_um[0, 0] / 1.0e8
     target = power_w * length_cm / area_cm2
     mat = grid.material
     p = mat.exponent

@@ -218,6 +218,28 @@ def test_thermal_large_exponent_converges(configs_dir, tmp_path):
     assert report["bath_k"] < report["lumped_island_k"] < report["max_k"]
 
 
+@pytest.mark.parametrize(
+    "exponent, cause", [(-1.0, "it overflows a float"), (-1.5, "the bridges saturate below this power")]
+)
+def test_thermal_without_a_lumped_island_writes_its_outputs(
+    configs_dir, tmp_path, capsys, exponent, cause
+):
+    # at 10 mW the lumped island has no temperature: for kappa ~ 1/T it
+    # overflows a float, below exponent -1 the bridges saturate. The report
+    # says so with a null, and the solve alone decides the exit code.
+    device = json.loads((configs_dir / "device_w320.json").read_text(encoding="utf-8"))
+    device["material"]["exponent"] = exponent
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(device), encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli("thermal", path, "--power-abs-mw", 10, "--dx-um", 0.1, "--out", out)
+    assert (out / "field.csv").exists()
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["lumped_island_k"] is None
+    assert code == (0 if report["converged"] else 3)
+    assert f"warning: lumped model: no island temperature: {cause}\n" in capsys.readouterr().err
+
+
 def test_sweep_tracks_reach_the_anchor_shift(configs_dir, tmp_path):
     out = tmp_path / "out"
     assert run_cli("sweep", configs_dir / "fig2a.json", "--steps", 16, "--out", out) == 0

@@ -202,10 +202,10 @@ def test_field_csv_matches_per_value_formatting(tmp_path):
         x0_um=-1.25,
         y0_um=1e-7,
         kind=kind,
-        thickness_um=np.full(shape, 0.15),
+        sheet_um=np.full(shape, 0.15),
         source_w=np.zeros(shape),
         dirichlet=dirichlet,
-        dirichlet_k=np.where(dirichlet, 10.0, np.nan),
+        t_bath_k=10.0,
         material=device.MaterialModel(),
     )
     t = 10.0 + np.random.default_rng(7).random(shape) * 1e3

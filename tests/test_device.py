@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -7,8 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import CONFIGS
 from qdtuner import device
+from qdtuner.config import load_device
 from qdtuner.device import (
+    Bridge,
     DeviceLayout,
     GridError,
     HeatingPad,
@@ -57,6 +61,13 @@ def test_no_bridges_rejected():
         replace(default_layout(), bridges=spread_bridges(0, 320.0, 2.0, default_layout().membrane))
 
 
+def test_bridges_hang_from_the_long_edges_only():
+    assert device.SIDES == ("bottom", "top")
+    for side in ("left", "right"):
+        with pytest.raises(LayoutError, match="unknown bridge side"):
+            Bridge(side=side)
+
+
 def test_zero_width_bridge_rejected():
     lay = default_layout()
     with pytest.raises(LayoutError, match="positive width"):
@@ -82,7 +93,31 @@ def test_rasterize_bridge_cell_counts():
     # 320 nm wide / 2 um long bridges at 0.1 um pitch: 3 x 20 cells each
     assert int((g.kind == device.BRIDGE).sum()) == 6 * 3 * 20
     assert int(g.dirichlet.sum()) == 6 * 3
-    assert np.all(g.dirichlet_k[g.dirichlet] == 10.0)
+    assert g.t_bath_k == 10.0
+
+
+# SHA-256 of rasterize's output for the shipped bridge widths at 0.01 mW
+# absorbed and a 4.2 K bath: the kind, dirichlet, sheet_um and source_w bytes,
+# then repr((shape, x0_um, y0_um, dx_um, t_bath_k)). rasterize is plain IEEE
+# arithmetic, so the digests do not depend on the platform.
+RASTER_DIGESTS = {
+    ("device_w320.json", 0.1): "6a87b03649d22fbcdef081f60904d17d1cfdc46bd7d67835aaaa4baa0d9355b1",
+    ("device_w320.json", 0.05): "527b5fbec5f07bbb176a3d8f160b6b19c9a986f8b0db0703096dc7cee8f2625f",
+    ("device_w320.json", 0.025): "371a33826d3c2debfec385bf65cc63ddc20fea0c0531403cf0eb16ea5c7d2179",
+    ("device_w800.json", 0.1): "f50f3b8e7731445061d2f5e2b4dc4da216818f26cbecd9831176d7efc927bcce",
+    ("device_w800.json", 0.05): "acddbc5ec03a8222b2aae18fa1b23dfef66223c806e9df7a3bd06447b3d972a1",
+    ("device_w800.json", 0.025): "da69e8fbc7b2a3c2cff9080bae169367915f1598301e9bf42674491931e0be3c",
+}
+
+
+@pytest.mark.parametrize("name, dx", list(RASTER_DIGESTS), ids=lambda v: str(v))
+def test_rasterize_matches_golden_digests(name, dx):
+    g = rasterize(load_device(CONFIGS / name).layout, dx, absorbed_power_w=1e-5, t_bath_k=4.2)
+    h = hashlib.sha256()
+    for a in (g.kind, g.dirichlet, g.sheet_um, g.source_w):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr((g.shape, g.x0_um, g.y0_um, g.dx_um, g.t_bath_k)).encode())
+    assert h.hexdigest() == RASTER_DIGESTS[name, dx]
 
 
 def test_rasterize_rejects_coarse_dx():
@@ -148,10 +183,10 @@ def test_disconnected_grid_detected():
         x0_um=0.0,
         y0_um=0.0,
         kind=kind,
-        thickness_um=np.full(shape, 0.15),
+        sheet_um=np.full(shape, 0.15),
         source_w=np.zeros(shape),
         dirichlet=dirichlet,
-        dirichlet_k=np.where(dirichlet, 10.0, np.nan),
+        t_bath_k=10.0,
         material=device.MaterialModel(),
     )
     with pytest.raises(GridError, match="disconnected"):

@@ -112,6 +112,9 @@ def _run(argv, out):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert not out.exists()
+    report = out / "report.json"
+    if report.exists():  # converged: true exactly when the run exits 0
+        assert json.loads(report.read_text(encoding="utf-8"))["converged"] == (code == 0)
     return code
 
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 from dataclasses import replace
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import bar_end_temperature_analytic, bar_grid
 from qdtuner import device
-from qdtuner.config import load_device
+from qdtuner.config import ThermalParams, load_device
 from qdtuner.device import GridError, MaterialModel, default_layout, rasterize
 from qdtuner.thermal import (
     TemperatureField,
@@ -118,6 +119,18 @@ def test_lumped_temperature_no_bracket():
     p = bridge_conductance_factor_cm(lay) * 0.31
     with pytest.raises(ThermalModelError, match="no island temperature"):
         lumped_temperature(lay, p, 10.0)
+
+
+def test_lumped_temperature_names_the_cause():
+    # exponent -1: U = t_ref log T is unbounded, only the float overflows
+    lay = default_layout(material=MaterialModel(exponent=-1.0))
+    with pytest.raises(ThermalModelError, match="overflows a float"):
+        lumped_temperature(lay, 1e-2, 10.0)
+    # exponent -1.5: 1 / (p + 1) = -2 is even, so the inverse of a saturated
+    # U would be a finite temperature below the bath
+    lay = default_layout(material=MaterialModel(exponent=-1.5))
+    with pytest.raises(ThermalModelError, match="saturate below this power"):
+        lumped_temperature(lay, 1e-2, 10.0)
 
 
 def test_absorbed_power_inverts_lumped_temperature():
@@ -260,22 +273,28 @@ def test_energy_residual_under_iterated_solve():
     assert energy_residual(field) > 1e-6
 
 
+def test_solver_defaults_are_the_run_settings_defaults():
+    params = inspect.signature(solve_steady_state).parameters
+    defaults = ThermalParams()
+    assert (params["tol"].default, params["max_iter"].default) == (defaults.tol, defaults.max_iter)
+
+
 def test_solve_rejects_disconnected_grid():
     # an 8-cell bar held at its left end, heated at its right end
     bar = bar_grid(8, 1e-6)
     cut = bar.kind.copy()
     cut[0, 4] = device.VOID
-    thin = bar.thickness_um.copy()
+    thin = bar.sheet_um.copy()
     thin[0, 4] = 0.0
-    dead = bar.kappa_scale.copy()
+    dead = bar.sheet_um.copy()
     dead[0, -1] = 0.0
     nan_source = bar.source_w.copy()
     nan_source[0, -1] = math.nan
     cases = [
         (replace(bar, kind=cut), "disconnected"),
         # active cells of zero sheet conductance: the operator would be singular
-        (replace(bar, thickness_um=thin), "disconnected"),
-        (replace(bar, kappa_scale=dead), "disconnected"),
+        (replace(bar, sheet_um=thin), "disconnected"),
+        (replace(bar, sheet_um=dead), "disconnected"),
         (replace(bar, kind=np.zeros_like(bar.kind)), "no active cells"),
         (replace(bar, absorbed_power_w=2e-6), "do not add up"),
         (replace(bar, source_w=nan_source), "do not add up"),
