@@ -551,12 +551,15 @@ def write_json(obj: dict, path: str | Path) -> None:
 def write_field_csv(field: TemperatureField, path: str | Path) -> None:
     """Temperature map as x_um,y_um,T_K rows (row-major, 6 significant digits)."""
     grid = field.grid
-    xs = [format(x, ".6g") for x in grid.cell_x_um()]
-    ys = [format(y, ".6g") for y in grid.cell_y_um()]
+    xs = np.array([format(x, ".6g") for x in grid.cell_x_um()], dtype=object)
     active = grid.active()
-    rows, cols = np.nonzero(active)
-    # one %-format over a template row per active cell; '%.6g' % t is format(t, '.6g')
-    template = "".join(f"{xs[i]},{ys[j]},%.6g\n" for j, i in zip(rows.tolist(), cols.tolist()))
+    # one %-format over a template built per grid row, its active x strings
+    # each followed by ",<y>,%.6g\n"; '%.6g' % t is format(t, '.6g')
+    template = "".join(
+        sep.join(xs[row].tolist()) + sep
+        for row, sep in zip(active, [f",{y:.6g},%.6g\n" for y in grid.cell_y_um().tolist()])
+        if row.any()
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("x_um,y_um,T_K\n")
         f.write(template % tuple(field.t_k[active].tolist()))

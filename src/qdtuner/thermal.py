@@ -8,11 +8,14 @@ in U plus a closed-form inverse per cell gives the starting field, and one or
 two backtracked Newton steps on the g(T) discretization finish the solve.
 The solve factors one LU, that of the Kirchhoff operator in U; in U each
 Newton system is close to that operator, so GMRES preconditioned with the
-same LU solves it in a few Krylov iterations. A direct sparse solve takes
-any step GMRES misses, and every step of a rerun when a solve that took
-GMRES steps ends unconverged. The lumped model collapses the structure to
-an isothermal island drained by the bridges; it is linear in U, so its
-island temperature is closed-form.
+same LU solves it in a few Krylov iterations. The operator is a symmetric,
+diagonally dominant M-matrix, so the LU is factored without pivot search,
+in SuperLU's symmetric mode and with small supernodes, which factor this
+5-point operator fastest. A direct sparse solve takes any step GMRES
+misses, and every step of a rerun when a solve that took GMRES steps ends
+unconverged. The lumped model collapses the structure to an isothermal
+island drained by the bridges; it is linear in U, so its island
+temperature is closed-form.
 
 The solver refuses a grid it cannot conduct through with GridError (exit 3
 from the CLI), e.g. one where a cell has no path of conducting faces to a
@@ -208,7 +211,8 @@ def _faces(grid: ThermalGrid) -> _Faces:
     diag = np.arange(n_free)
     rows = np.concatenate([diag, slot_a[inner], slot_b[inner]])
     cols = np.concatenate([diag, slot_b[inner], slot_a[inner]])
-    order = np.lexsort((cols, rows))
+    # (row, col) pairs are unique, so one key sorts them into CSR order
+    order = np.argsort(rows * n_free + cols, kind="stable")
     indptr = np.zeros(n_free + 1, dtype=np.intc)
     np.cumsum(np.bincount(rows, minlength=n_free), out=indptr[1:])
     return _Faces(
@@ -294,12 +298,20 @@ def _kirchhoff(material: MaterialModel, t: np.ndarray) -> np.ndarray:
 
 
 def _kirchhoff_inverse(material: MaterialModel, u: np.ndarray) -> np.ndarray:
-    """T from U; NaN or inf where no temperature has that U (p < -1 saturates)."""
+    """T from U; inf where no temperature has that U.
+
+    For p != -1, (p + 1) * U / t_ref = (T / t_ref)^(p + 1) is positive at
+    every temperature, so a U where it is not has none: U <= 0 for p > -1,
+    and U >= 0 for p < -1, where U tends to 0 as T grows (saturation). The
+    power alone would map such a U to a finite T when 1 / (p + 1) is an
+    even integer (p = -1.5, -1.25).
+    """
     p, tr = material.exponent, material.t_ref_k
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if p == -1.0:
             return np.exp(u / tr)
-        return tr * ((p + 1.0) * u / tr) ** (1.0 / (p + 1.0))
+        base = (p + 1.0) * u / tr
+        return np.where(base > 0.0, tr * base ** (1.0 / (p + 1.0)), np.inf)
 
 
 def _valid(t: np.ndarray) -> np.ndarray:
@@ -323,8 +335,27 @@ def _kirchhoff_start(faces: _Faces, material: MaterialModel, t: np.ndarray):
     rhs = -_residual(faces, g0 * (u[faces.a] - u[faces.b]))
     # The operator is symmetric, so its CSR arrays read as CSC (.T) are the
     # same matrix, and a symmetric fill-reducing ordering gives about half
-    # the L+U fill of the default COLAMD.
-    lu = splu(_assemble(faces, g0).T, permc_spec="MMD_AT_PLUS_A")
+    # the L+U fill of the default COLAMD. It is also a diagonally dominant
+    # M-matrix, so diagonal pivots are stable: the factor takes them without
+    # a pivot search (diag_pivot_thresh=0), and symmetric mode keeps the one
+    # ordering for rows and columns. On this 5-point operator small
+    # supernodes factor fastest. Median factor times in ms, w320 / w800,
+    # by relax/panel_size, against the pivoting factor at SuperLU's defaults
+    # (2 cores, scipy 1.17.1):
+    #   dx     defaults     1/1         2/2         4/4
+    #   0.1    18.8 / 13.4  10.5 / 6.6  10.6 / 6.8  11.9 / 9.1
+    #   0.05   85.3 / 88.1  45.8 / 48.3 51.3 / 60.1 58.0 / 58.5
+    #   0.025  393 / 540    257 / 374   263 / 371   278 / 396
+    # Of the nine pairs from {1, 2, 4}, 1/1 and 2/1 were fastest; the L+U
+    # fill is the same for all.
+    lu = splu(
+        _assemble(faces, g0).T,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        relax=1,
+        panel_size=1,
+        options={"SymmetricMode": True},
+    )
     start = _kirchhoff_inverse(material, u[faces.free] + lu.solve(rhs))
     out = t.copy()
     out[faces.free] = np.where(_valid(start), start, t[faces.free])

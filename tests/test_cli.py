@@ -240,6 +240,24 @@ def test_thermal_without_a_lumped_island_writes_its_outputs(
     assert f"warning: lumped model: no island temperature: {cause}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exponent", [-1.5, -1.25])
+def test_thermal_saturated_field_has_no_cell_below_the_bath(configs_dir, tmp_path, exponent):
+    # below exponent -1 the Kirchhoff variable saturates, so at 10 mW no
+    # steady state exists; 1 / (p + 1) is even here, so the power law alone
+    # would map a saturated U to a temperature near 0 K
+    device = json.loads((configs_dir / "device_w320.json").read_text(encoding="utf-8"))
+    device["material"]["exponent"] = exponent
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(device), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("thermal", path, "--power-abs-mw", 10, "--dx-um", 0.1, "--out", out) == 3
+    field = np.loadtxt(out / "field.csv", delimiter=",", skiprows=1)
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["converged"] is False
+    assert field.shape[0] == report["n_cells_active"]
+    assert field[:, 2].min() >= report["bath_k"]
+
+
 def test_sweep_tracks_reach_the_anchor_shift(configs_dir, tmp_path):
     out = tmp_path / "out"
     assert run_cli("sweep", configs_dir / "fig2a.json", "--steps", 16, "--out", out) == 0

@@ -191,10 +191,8 @@ def test_field_csv_round_trip(tmp_path):
     assert float(t) == 10.0  # first cell is the anchored end
 
 
-def test_field_csv_matches_per_value_formatting(tmp_path):
-    shape = (3, 4)
-    kind = np.full(shape, device.MEMBRANE, dtype=np.int8)
-    kind[0, 1] = kind[2, 3] = device.VOID
+def _assert_field_csv_matches_per_value_formatting(tmp_path, kind, seed):
+    shape = kind.shape
     dirichlet = np.zeros(shape, dtype=bool)
     dirichlet[0, 0] = True
     grid = device.ThermalGrid(
@@ -208,7 +206,7 @@ def test_field_csv_matches_per_value_formatting(tmp_path):
         t_bath_k=10.0,
         material=device.MaterialModel(),
     )
-    t = 10.0 + np.random.default_rng(7).random(shape) * 1e3
+    t = 10.0 + np.random.default_rng(seed).random(shape) * 1e3
     t[kind == device.VOID] = np.nan
     path = tmp_path / "field.csv"
     cfg.write_field_csv(TemperatureField(grid=grid, t_k=t), path)
@@ -221,6 +219,18 @@ def test_field_csv_matches_per_value_formatting(tmp_path):
         if kind[j, i] != device.VOID
     )
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_field_csv_matches_per_value_formatting(tmp_path):
+    kind = np.full((3, 4), device.MEMBRANE, dtype=np.int8)
+    kind[0, 1] = kind[2, 3] = device.VOID
+    _assert_field_csv_matches_per_value_formatting(tmp_path, kind, seed=7)
+    # the template is built per grid row: a row with no active cell writes
+    # nothing, and void cells inside a row drop out of it
+    kind = np.full((5, 6), device.MEMBRANE, dtype=np.int8)
+    kind[2, :] = device.VOID
+    kind[0, 2:4] = kind[3, 0] = kind[4, 5] = device.VOID
+    _assert_field_csv_matches_per_value_formatting(tmp_path, kind, seed=8)
 
 
 def test_write_json_rounds_and_sorts(tmp_path):

@@ -16,6 +16,8 @@ from qdtuner.device import GridError, MaterialModel, default_layout, rasterize
 from qdtuner.thermal import (
     TemperatureField,
     ThermalModelError,
+    _assemble,
+    _faces,
     absorbed_power_for_temperature,
     bridge_conductance_factor_cm,
     energy_residual,
@@ -378,6 +380,26 @@ def _counted(monkeypatch, name):
 
 def _gmres_misses(op, rhs, **kwargs):
     return np.zeros_like(rhs), 1
+
+
+@pytest.mark.parametrize("dx", [0.1, 0.05])
+@pytest.mark.parametrize("name", ["device_w320.json", "device_w800.json"])
+def test_assembled_operator_matches_scipy_csr(configs_dir, name, dx):
+    # _faces sorts the [diagonal, (a, b), (b, a)] entries into CSR order once;
+    # the operator must be the matrix scipy builds from the same entries
+    grid = rasterize(load_device(configs_dir / name).layout, dx, absorbed_power_w=1e-5)
+    faces = _faces(grid)
+    g = np.random.default_rng(3).uniform(0.5, 2.0, faces.a.size)
+    n, inner = faces.n_free, faces.inner
+    diag = (np.bincount(faces.slot_a, g, n + 1) + np.bincount(faces.slot_b, g, n + 1))[:n]
+    rows = np.concatenate([np.arange(n), faces.slot_a[inner], faces.slot_b[inner]])
+    cols = np.concatenate([np.arange(n), faces.slot_b[inner], faces.slot_a[inner]])
+    data = np.concatenate([diag, -g[inner], -g[inner]])
+    ref = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    op = _assemble(faces, g)
+    np.testing.assert_array_equal(op.indptr, ref.indptr)
+    np.testing.assert_array_equal(op.indices, ref.indices)
+    np.testing.assert_array_equal(op.data, ref.data)
 
 
 @pytest.mark.parametrize("name", ["device_w320.json", "device_w800.json"])
