@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -226,11 +227,11 @@ def cmd_sweep(args) -> int:
 
     powers = np.linspace(sweep.power_min_mw, sweep.power_max_mw, sweep.steps)
     # Every spectrum of a sweep is sampled on one wavelength grid, so its
-    # column is formatted once: row_tails[s] is ",<lambda_s>,%.9g\n". Per
+    # column is formatted once: row_tails[s] is b",<lambda_s>,%.9g\n". Per
     # power, only the formatted power and the intensities are kept.
-    row_tails: list[str] | None = None
-    spectra_rows: list[tuple[str, np.ndarray]] = []
-    track: list[str] = []
+    row_tails: list[bytes] | None = None
+    spectra_rows: list[tuple[bytes, np.ndarray]] = []
+    track: list[bytes] = []
     skipped: list[str] = []
     for p_mw in powers:
         try:
@@ -250,23 +251,25 @@ def cmd_sweep(args) -> int:
             skipped.append(f"power {p_mw:.9g} mW skipped: {e}")
             continue
         if row_tails is None:
-            row_tails = [f",{lam:.9g},%.9g\n" for lam in spectrum.wavelengths_nm.tolist()]
-        power = cfg.fmt9(p_mw)
+            row_tails = [b",%.9g,%%.9g\n" % lam for lam in spectrum.wavelengths_nm.tolist()]
+        power = b"%.9g" % p_mw
         spectra_rows.append((power, spectrum.intensities))
         for kind, label, center, fwhm, height in _track_rows(spectrum, args.refit):
+            # kind and label are arguments, never part of a template
             track.append(
-                f"{power},{kind},{label},{cfg.fmt9(center)},{cfg.fmt9(fwhm)},{cfg.fmt9(height)}\n"
+                b"%s,%s,%s,%.9g,%.9g,%.9g\n"
+                % (power, kind.encode(), label.encode(), center, fwhm, height)
             )
 
     out = _out_dir(args)
-    with open(out / "spectra.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("power_mw,lambda_nm,intensity\n")
-        for power, intensities in spectra_rows:
-            # '%.9g' % v formats exactly as format(v, '.9g'); the power is
-            # digits, sign, '.' and 'e', so it holds no '%' of its own
-            f.write((power + power.join(row_tails)) % tuple(intensities.tolist()))
-    with open(out / "peaks.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("power_mw,kind,label,center_nm,fwhm_nm,height\n" + "".join(track))
+    # b'%.9g' % v is exactly format(v, '.9g').encode(); the power is digits,
+    # sign, '.' and 'e', so it holds no '%' of its own. One chunk per spectrum,
+    # formatted as it is written.
+    spectra = (
+        (power + power.join(row_tails)) % tuple(intensities.tolist()) for power, intensities in spectra_rows
+    )
+    cfg.write_bytes(itertools.chain([b"power_mw,lambda_nm,intensity\n"], spectra), out / "spectra.csv")
+    cfg.write_bytes([b"power_mw,kind,label,center_nm,fwhm_nm,height\n", b"".join(track)], out / "peaks.csv")
     for msg in skipped:
         print(f"warning: {msg}", file=sys.stderr)
     return EXIT_OK

@@ -1,8 +1,9 @@
 """JSON device, scenario and anchors configs and deterministic CSV/JSON writers.
 
 Config files are strict: unknown keys are rejected so typos fail loudly.
-All writers use fixed float formatting and LF line endings so repeated runs
-produce byte-identical files.
+All writers format bytes with fixed float formatting and LF line endings and
+write them through `write_bytes`, so repeated runs produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -525,16 +527,12 @@ def load_anchors(path: str | Path) -> Anchors:
 # ---------------------------------------------------------------------------
 # deterministic writers
 
-def fmt9(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 def _round_floats(obj):
     """Round every float in a JSON-ready object to 9 significant digits."""
     if isinstance(obj, float):
         if math.isnan(obj) or math.isinf(obj):
             return None
-        return float(fmt9(obj))
+        return float(format(obj, ".9g"))
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -542,24 +540,36 @@ def _round_floats(obj):
     return obj
 
 
+def write_bytes(chunks: Iterable[bytes], path: str | Path) -> None:
+    """Write an artifact as the given bytes, each chunk as soon as it comes.
+
+    Every artifact goes through here, so none passes a text layer: the bytes
+    are those the caller formatted, LF endings included. A file that cannot
+    be opened or written (e.g. a directory sits at its path) is a ConfigError
+    naming it.
+    """
+    try:
+        with open(path, "wb") as f:
+            f.writelines(chunks)
+    except OSError as e:
+        raise ConfigError(f"{path}: {e.strerror or e}") from e
+
+
 def write_json(obj: dict, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(_round_floats(obj), f, indent=2, sort_keys=True)
-        f.write("\n")
+    text = json.dumps(_round_floats(obj), indent=2, sort_keys=True)
+    write_bytes([text.encode("utf-8"), b"\n"], path)
 
 
 def write_field_csv(field: TemperatureField, path: str | Path) -> None:
     """Temperature map as x_um,y_um,T_K rows (row-major, 6 significant digits)."""
     grid = field.grid
-    xs = np.array([format(x, ".6g") for x in grid.cell_x_um()], dtype=object)
+    xs = np.array([b"%.6g" % x for x in grid.cell_x_um().tolist()], dtype=object)
     active = grid.active()
     # one %-format over a template built per grid row, its active x strings
-    # each followed by ",<y>,%.6g\n"; '%.6g' % t is format(t, '.6g')
-    template = "".join(
+    # each followed by b",<y>,%.6g\n"; b'%.6g' % t is format(t, '.6g').encode()
+    template = b"".join(
         sep.join(xs[row].tolist()) + sep
-        for row, sep in zip(active, [f",{y:.6g},%.6g\n" for y in grid.cell_y_um().tolist()])
+        for row, sep in zip(active, [b",%.6g,%%.6g\n" % y for y in grid.cell_y_um().tolist()])
         if row.any()
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("x_um,y_um,T_K\n")
-        f.write(template % tuple(field.t_k[active].tolist()))
+    write_bytes([b"x_um,y_um,T_K\n", template % tuple(field.t_k[active].tolist())], path)

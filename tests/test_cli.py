@@ -204,6 +204,27 @@ def test_out_naming_a_file_is_config_error(configs_dir, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
+@pytest.mark.parametrize(
+    "argv, artifact",
+    [
+        (("thermal", "device_w320.json", "--dx-um", "0.1", "--power-abs-mw", "0.01"), "field.csv"),
+        (("sweep", "fig2a.json"), "spectra.csv"),
+        (("tune", "fig4.json"), "solution.json"),
+        (("calibrate", "--anchors-file", "anchors_temperature.json"), "calibration.json"),
+    ],
+    ids=["thermal", "sweep", "tune", "calibrate"],
+)
+def test_unwritable_artifact_is_config_error(configs_dir, tmp_path, capsys, argv, artifact):
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    args = [configs_dir / a if a.endswith(".json") else a for a in argv]
+    assert run_cli(*args, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert str(out / artifact) in err
+    assert (out / artifact).is_dir()
+
+
 def test_thermal_large_exponent_converges(configs_dir, tmp_path):
     # (T / t_ref)^401 of the Kirchhoff variable fits a float where T^401 does not
     device = json.loads((configs_dir / "device_w320.json").read_text(encoding="utf-8"))

@@ -91,10 +91,14 @@ def reference_sweep(scenario_path, refit):
 def sweep_scenarios(draw):
     lo = draw(st.floats(925.0, 935.0))
     hi = lo + draw(st.floats(0.05, 4.0))
+    # ids may hold '%' (config allows it): labels must reach peaks.csv
+    # verbatim, never as part of a %-format template
+    ids = draw(st.lists(st.sampled_from(["QD1", "QD2", "QD3", "QD%1", "%s", "%%", "%.9g"]),
+                        max_size=3, unique=True))
     qds = [
-        {"id": f"QD{k + 1}", "x_um": 9.5 + 0.2 * k, "y_um": 2.0,
+        {"id": qd_id, "x_um": 9.5 + 0.2 * k, "y_um": 2.0,
          "lambda0_nm": draw(st.floats(lo - 1.0, hi))}
-        for k in range(draw(st.integers(0, 3)))
+        for k, qd_id in enumerate(ids)
     ]
     cavity = None
     if draw(st.booleans()):
@@ -197,4 +201,7 @@ def test_refit_peaks_matches_per_sample_loop(y):
 @example(2.2250738585072014e-308)
 @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
 def test_percent_format_matches_format_builtin(v):
+    # the writers format bytes templates: b"%.9g" in sweep, b"%.6g" in field.csv
     assert "%.9g" % v == format(v, ".9g")
+    assert b"%.9g" % v == format(v, ".9g").encode()
+    assert b"%.6g" % v == format(v, ".6g").encode()
