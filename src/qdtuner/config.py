@@ -135,9 +135,14 @@ def _record(cls, obj: dict, ctx: str, required: set[str] = frozenset()):
 
 
 def _check_id(value, ctx: str) -> str:
-    # ids end up as CSV fields and JSON keys
+    # ids end up as CSV fields and JSON keys of UTF-8 files; json.load
+    # accepts a lone surrogate ("\ud800"), which UTF-8 cannot encode
     if not isinstance(value, str) or not value or any(c in value for c in ",\n\r"):
         raise ConfigError(f"{ctx}: id must be a non-empty string without commas")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"{ctx}: id must be encodable as UTF-8") from None
     return value
 
 

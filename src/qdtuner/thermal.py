@@ -2,19 +2,20 @@
 
 The 2-D solver treats the membrane as a conducting sheet, div(kappa(T) t grad T)
 + q = 0, discretized by a 5-point finite-volume operator with harmonically
-averaged face conductances g(T). Because kappa is a power law, the Kirchhoff
-transform U = integral of kappa dT makes the problem linear: one sparse solve
-in U plus a closed-form inverse per cell gives the starting field, and one or
-two backtracked Newton steps on the g(T) discretization finish the solve.
-The solve factors one LU, that of the Kirchhoff operator in U; in U each
-Newton system is close to that operator, so GMRES preconditioned with the
-same LU solves it in a few Krylov iterations. The operator is a symmetric,
-diagonally dominant M-matrix, so the LU is factored without pivot search,
-in SuperLU's symmetric mode and with small supernodes, which factor this
-5-point operator fastest. A direct sparse solve takes any step GMRES
-misses, and every step of a rerun when a solve that took GMRES steps ends
-unconverged. The lumped model collapses the structure to an isothermal
-island drained by the bridges; it is linear in U, so its island
+averaged face conductances g(T), and solves it by backtracked Newton steps
+from the bath field. Because kappa is a power law, the Kirchhoff transform
+U = integral of kappa dT makes the problem linear; at the bath field the
+Newton system in U is that linear Kirchhoff operator, so the first step,
+one sparse solve in U plus a closed-form inverse per cell, lands next to
+the answer. The solve factors that operator once: the LU takes the first
+step and preconditions GMRES, which solves each later Newton system, close
+to the operator in U, in a few Krylov iterations. The operator is a
+symmetric, diagonally dominant M-matrix, so the LU is factored without
+pivot search, in SuperLU's symmetric mode and with small supernodes, which
+factor this 5-point operator fastest. A direct sparse solve takes any step
+GMRES misses, and every later step of a rerun when a solve that took GMRES
+steps ends unconverged. The lumped model collapses the structure to an
+isothermal island drained by the bridges; it is linear in U, so its island
 temperature is closed-form.
 
 The solver refuses a grid it cannot conduct through with GridError (exit 3
@@ -121,7 +122,7 @@ class TemperatureField:
 
 @dataclass(frozen=True)
 class SolveReport:
-    iterations: int        # linear solves, the Kirchhoff start included
+    iterations: int        # Newton steps, one linear solve each
     residual: float        # relative energy imbalance, recomputed from the field
     converged: bool
     tol: float
@@ -318,21 +319,13 @@ def _valid(t: np.ndarray) -> np.ndarray:
     return np.isfinite(t) & (t > 0.0)
 
 
-def _kirchhoff_start(faces: _Faces, material: MaterialModel, t: np.ndarray):
-    """Temperatures from one linear solve in U, with face conductances from
-    the temperature-independent prefactor kappa_ref * sheet_um, and the LU
-    factors of that Kirchhoff operator.
-
-    The field is exact for constant kappa; otherwise it differs from the
-    harmonic-g(T) solution only where T varies strongly across a cell.
-    Cells whose U has no temperature keep their value from t.
-    """
+def _kirchhoff_lu(faces: _Faces, material: MaterialModel):
+    """LU factors of the Kirchhoff operator: the linear operator in U of face
+    conductances from the temperature-independent prefactor kappa_ref * sheet_um."""
     from scipy.sparse.linalg import splu
 
-    u = _kirchhoff(material, t)
     c = material.kappa_ref_w_per_k_cm * faces.geom
     g0 = _harmonic(c[faces.a], c[faces.b])
-    rhs = -_residual(faces, g0 * (u[faces.a] - u[faces.b]))
     # The operator is symmetric, so its CSR arrays read as CSC (.T) are the
     # same matrix, and a symmetric fill-reducing ordering gives about half
     # the L+U fill of the default COLAMD. It is also a diagonally dominant
@@ -348,7 +341,7 @@ def _kirchhoff_start(faces: _Faces, material: MaterialModel, t: np.ndarray):
     #   0.025  393 / 540    257 / 374   263 / 371   278 / 396
     # Of the nine pairs from {1, 2, 4}, 1/1 and 2/1 were fastest; the L+U
     # fill is the same for all.
-    lu = splu(
+    return splu(
         _assemble(faces, g0).T,
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
@@ -356,10 +349,6 @@ def _kirchhoff_start(faces: _Faces, material: MaterialModel, t: np.ndarray):
         panel_size=1,
         options={"SymmetricMode": True},
     )
-    start = _kirchhoff_inverse(material, u[faces.free] + lu.solve(rhs))
-    out = t.copy()
-    out[faces.free] = np.where(_valid(start), start, t[faces.free])
-    return out, lu
 
 
 _MAX_HALVINGS = 30
@@ -387,40 +376,48 @@ def _krylov_step(jac, dudt: np.ndarray, r: np.ndarray, lu):
     return du if ok else None
 
 
-def _newton_step(faces: _Faces, material: MaterialModel, t, s, g, flow, lu):
+def _newton_step(faces: _Faces, material: MaterialModel, t, s, g, flow, lu, exact: bool):
     """One Newton step on the harmonic-g(T) residual R.
 
     The step is taken in U: dU = (T / t_ref)^p dT, mapped back through the
-    closed-form inverse, which keeps the update close to the near-linear
-    path of the Kirchhoff start. In U the Jacobian is close to the Kirchhoff
-    operator, so GMRES preconditioned with its LU solves the step in a few
-    Krylov iterations. With lu None, or when GMRES misses _KRYLOV_RTOL, a
-    direct sparse solve takes the step instead; where the conductances
-    underflow to 0 that system is singular, its step NaN, and no halving
-    takes it. The step is halved until every free T is finite and positive,
-    no flow overflows and |R| decreases. Returns the new t with its
-    (s, g, flow) from _conduct, or, when no halving reduces |R|, the full
-    step's t with None; and whether GMRES took the step.
+    closed-form inverse. At the bath field every T_a - T_b and flow is 0,
+    so the Jacobian in U is the Kirchhoff operator: the first step is one
+    solve by its LU, exact for constant kappa. Later Jacobians in U stay
+    close to it, so GMRES preconditioned with the LU solves each step in a
+    few Krylov iterations. When exact, or when GMRES misses _KRYLOV_RTOL, a
+    direct sparse solve takes the step; where the conductances underflow to
+    0 that system is singular, its step NaN, and no halving takes it. The
+    step is halved toward t until every free T is finite and positive, no
+    flow overflows and |R| decreases; the first step skips the last test,
+    as it raises |R| though it lands next to the solution. Returns the new
+    t with its (s, g, flow) from _conduct, or, when no halving passes, the
+    full step's t with None; and whether GMRES took the step.
     """
     p, tr = material.exponent, material.t_ref_k
     ta, tb = t[faces.a], t[faces.b]
-    sa, sb = s[faces.a], s[faces.b]
     r = _residual(faces, flow)
     tf = t[faces.free]
-    # dg/ds_a = 2 s_b^2 / (s_a + s_b)^2 and ds/dT = p s / T
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w = 2.0 * p * (ta - tb) / (sa + sb) ** 2
-        jac = _assemble(faces, g, w * sb**2 * sa / ta, w * sa**2 * sb / tb)
-        norm = np.linalg.norm(r)
-        dudt = (tf / tr) ** p
-    du = None if lu is None else _krylov_step(jac, dudt, r, lu)
-    krylov = du is not None
-    if not krylov:
-        from scipy.sparse.linalg import MatrixRankWarning, spsolve
+    # every face path ends in a fixed cell, so only the bath field has T_a = T_b
+    first = np.array_equal(ta, tb)
+    krylov = False
+    if first:
+        du = lu.solve(-r)
+    else:
+        sa, sb = s[faces.a], s[faces.b]
+        # dg/ds_a = 2 s_b^2 / (s_a + s_b)^2 and ds/dT = p s / T
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w = 2.0 * p * (ta - tb) / (sa + sb) ** 2
+            jac = _assemble(faces, g, w * sb**2 * sa / ta, w * sa**2 * sb / tb)
+            norm = np.linalg.norm(r)
+            dudt = (tf / tr) ** p
+        du = None if exact else _krylov_step(jac, dudt, r, lu)
+        krylov = du is not None
+        if not krylov:
+            from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", MatrixRankWarning)
-            du = spsolve(jac, -r, permc_spec="MMD_AT_PLUS_A") * dudt
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", MatrixRankWarning)
+                du = spsolve(jac, -r, permc_spec="MMD_AT_PLUS_A") * dudt
     u = _kirchhoff(material, tf)
     step = 1.0
     for _ in range(_MAX_HALVINGS):
@@ -429,38 +426,30 @@ def _newton_step(faces: _Faces, material: MaterialModel, t, s, g, flow, lu):
         if np.all(_valid(t_new)):
             state = _conduct(faces, material, t_new)
             with np.errstate(over="ignore"):
-                if state is not None and np.linalg.norm(_residual(faces, state[2])) < norm:
+                if state is not None and (first or np.linalg.norm(_residual(faces, state[2])) < norm):
                     return t_new, state, krylov
         step *= 0.5
     t_new[faces.free] = _kirchhoff_inverse(material, u + du)
     return t_new, None, krylov
 
 
-def _iterate(faces: _Faces, material: MaterialModel, t, tol: float, max_iter: int, exact: bool):
-    """The Kirchhoff start from t, then Newton steps, by GMRES unless exact,
-    until converged, stuck or max_iter linear solves. Returns the field,
-    imbalance, last relative change, linear solves, convergence and whether
-    GMRES took any step."""
-    state = _conduct(faces, material, t)
-    res = math.nan if state is None else _imbalance(faces, state[2])
+def _iterate(faces: _Faces, material: MaterialModel, t, state, lu, tol, max_iter, exact: bool):
+    """Newton steps from the bath field t with its (s, g, flow), by GMRES
+    after the first unless exact, until converged, stuck or max_iter steps.
+    Returns the field, imbalance, last relative change, steps, convergence
+    and whether GMRES took any step."""
+    res = _imbalance(faces, state[2])
     iterations = 0
-    rel = 0.0
-    converged = res <= tol
-    krylov = False
-    while state is not None and not converged and iterations < max_iter:
+    converged = krylov = False
+    while not converged and iterations < max_iter:
         iterations += 1
-        if iterations == 1:
-            t_new, lu = _kirchhoff_start(faces, material, t)
-            new = _conduct(faces, material, t_new)
-        else:
-            t_new, new, by_krylov = _newton_step(faces, material, t, *state, None if exact else lu)
-            krylov |= by_krylov
+        t_new, new, by_krylov = _newton_step(faces, material, t, *state, lu, exact)
+        krylov |= by_krylov
         old = t[faces.free]
         rel = float(np.max(np.abs(t_new[faces.free] - old) / old))
         if new is None:
-            # No halving lowers |R|, or the start overflows: T stays, and the
-            # full correction, rel, says how far it still is from the
-            # discrete solution.
+            # No halving passes: T stays, and the full correction, rel, says
+            # how far it still is from the discrete solution.
             converged = rel < tol and res <= tol
             break
         t, state = t_new, new
@@ -482,26 +471,28 @@ def solve_steady_state(
     or prefactor conductances whose products underflow).
     rasterize builds such a grid from a valid layout only in the last case.
 
-    The first linear solve is the Kirchhoff start: with U = integral of
-    (T / t_ref)^p dT the power-law problem becomes linear in U, so one solve
-    and a closed-form inverse per cell give a near-exact field. It is the
-    solve's one LU factorization. Newton steps on the discretization with
-    harmonically averaged face conductances g(T) then remove the remaining
-    difference, each backtracked until all temperatures stay positive and
-    the residual norm drops. Each step's linear system is solved by GMRES
-    preconditioned with the Kirchhoff LU, to a relative residual of
-    _KRYLOV_RTOL; a system it does not solve to that tolerance is solved
-    exactly by a direct sparse solve. A solve that took any GMRES step and
-    ends unconverged is run again with exact steps throughout, so that an
+    Newton steps on the discretization with harmonically averaged face
+    conductances g(T) run from the bath field. With U = integral of
+    (T / t_ref)^p dT the power-law problem is linear in U, and at the bath
+    field the Newton system in U is that linear Kirchhoff operator, so the
+    first step is one solve by its LU and a closed-form inverse per cell:
+    a near-exact field. The LU is the solve's one factorization, made
+    only when the bath field has not converged. Each later step, halved
+    until all temperatures stay positive and the residual norm drops,
+    solves its linear system by GMRES preconditioned with the same LU, to a
+    relative residual of _KRYLOV_RTOL; a system it does not solve to that
+    tolerance is solved exactly by a direct sparse solve. A solve that took
+    any GMRES step and ends unconverged is run again from the bath with
+    exact steps throughout, reusing the LU for its first step, so that an
     inexact step never costs a solve the convergence of exact Newton.
 
-    iterations counts linear solves, the Kirchhoff start included, of the
-    run that gave the field, so max_iter=1 stops after the start.
+    iterations counts the Newton steps, one linear solve each, of the run
+    that gave the field, so max_iter=1 stops after the first.
     Convergence requires both the largest relative temperature change of
-    the last solve and the recomputed energy imbalance to fall below tol.
-    Exhausting max_iter, a Newton step that no backtracking makes reduce
-    the residual, or a state whose conductances overflow (the start field
-    included, with residual NaN) returns converged=False instead of raising.
+    the last step and the recomputed energy imbalance to fall below tol.
+    Exhausting max_iter, a step that no halving makes acceptable, or a bath
+    field whose conductances overflow (residual NaN) returns
+    converged=False instead of raising.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -509,12 +500,18 @@ def solve_steady_state(
         raise ValueError("max_iter must be >= 1")
     faces = _faces(grid)
     bath = np.full(faces.cells.size, grid.t_bath_k, dtype=float)
-    for exact in (False, True):
-        t, res, rel, iterations, converged, krylov = _iterate(
-            faces, grid.material, bath, tol, max_iter, exact
-        )
-        if converged or not krylov:
-            break
+    state = _conduct(faces, grid.material, bath)
+    t, rel, iterations = bath, 0.0, 0
+    res = math.nan if state is None else _imbalance(faces, state[2])
+    converged = res <= tol
+    if state is not None and not converged:
+        lu = _kirchhoff_lu(faces, grid.material)
+        for exact in (False, True):
+            t, res, rel, iterations, converged, krylov = _iterate(
+                faces, grid.material, bath, state, lu, tol, max_iter, exact
+            )
+            if converged or not krylov:
+                break
 
     t_k = np.full(grid.shape, np.nan)
     t_k.reshape(-1)[faces.cells] = t

@@ -162,6 +162,7 @@ def _thermal_flag(flag, value):
         pytest.param(["thermal", "{tmp}"], id="thermal-directory-config"),
         pytest.param(["sweep", "{tmp}/fwhm.json"], id="sweep-json-fwhm0_nm--1"),
         pytest.param(["tune", "{tmp}/q0.json"], id="tune-json-q0--9000"),
+        pytest.param(["sweep", "{tmp}/surrogate.json"], id="sweep-json-qd-id-lone-surrogate"),
     ],
 )
 def test_thermal_invalid_number_is_config_error(configs_dir, tmp_path, capsys, argv):
@@ -185,6 +186,9 @@ def test_thermal_invalid_number_is_config_error(configs_dir, tmp_path, capsys, a
     write("fwhm.json", {**scenario, "device": "fwhm_device.json"})
     write("q0_device.json", {**device, "cavity": {**device["cavity"], "q0": -9000}})
     write("q0.json", {**scenario, "device": "q0_device.json"})
+    # json.load accepts a lone surrogate, which no UTF-8 artifact can hold
+    write("surrogate_device.json", {**device, "qds": [device["qds"][0], {**device["qds"][1], "id": "\ud800"}]})
+    write("surrogate.json", {**scenario, "device": "surrogate_device.json"})
     out = tmp_path / "out"
     argv = [a.format(configs=configs_dir, tmp=tmp_path) for a in argv]
     code = run_cli(*argv, "--out", out)
@@ -258,6 +262,8 @@ def test_thermal_without_a_lumped_island_writes_its_outputs(
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["lumped_island_k"] is None
     assert code == (0 if report["converged"] else 3)
+    # the hottest cell is a pad cell even when the field nears the float limit
+    assert report["pad_peak_k"] == report["max_k"]
     assert f"warning: lumped model: no island temperature: {cause}\n" in capsys.readouterr().err
 
 

@@ -84,6 +84,17 @@ def test_device_duplicate_qd_ids(tmp_path):
         load_device(_write(tmp_path / "d.json", bad))
 
 
+def test_ids_must_encode_as_utf8(tmp_path):
+    # json.load accepts a lone surrogate, which no UTF-8 artifact can hold;
+    # QD ids are checked end to end in test_cli
+    _write(tmp_path / "d.json", DEVICE_OK)
+    payload = {"structures": [{"id": "\udfff", "device": "d.json"}, {"id": "B", "device": "d.json"}]}
+    with pytest.raises(ConfigError, match="id must be encodable as UTF-8"):
+        load_scenario(_write(tmp_path / "s.json", payload))
+    payload["structures"][0]["id"] = "A\u00b9"
+    assert load_scenario(_write(tmp_path / "s.json", payload)).structures[0].structure_id == "A\u00b9"
+
+
 def test_device_geometry_violations_surface_as_config_errors(tmp_path):
     bad = dict(DEVICE_OK, pad=dict(DEVICE_OK["pad"], x_um=11.0))
     with pytest.raises(ConfigError, match="pad out of bounds"):

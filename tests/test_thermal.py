@@ -346,12 +346,14 @@ def test_solve_inverse_kappa_branch():
     assert energy_residual(field) <= 1e-6
 
 
-def test_solve_saturating_kappa_reports_no_convergence():
+def test_solve_saturating_kappa_reports_no_convergence(monkeypatch):
     # for exponent -2 the integral of kappa is bounded, so the bridges cannot
     # carry 10 uW (the lumped model finds no bracket) and no steady state exists
     grid = rasterize(default_layout(material=MaterialModel(exponent=-2.0)), 0.1, absorbed_power_w=1e-5)
+    factors = _counted(monkeypatch, "splu")
     field, report = solve_steady_state(grid, max_iter=10)
     assert not report.converged
+    assert len(factors) == 1
     assert np.all(field.t_k[grid.active()] > 0.0)
 
 
@@ -404,8 +406,9 @@ def test_assembled_operator_matches_scipy_csr(configs_dir, name, dx):
 
 @pytest.mark.parametrize("name", ["device_w320.json", "device_w800.json"])
 def test_solve_iterations_on_shipped_devices(configs_dir, monkeypatch, name):
-    # one LU factorization per solve: the Kirchhoff start's LU preconditions
-    # GMRES on every Newton step, and no step needs the exact fallback
+    # one LU factorization per solve: the Kirchhoff LU takes the first step
+    # and preconditions GMRES on every later one, and no step needs the
+    # exact fallback
     factors = _counted(monkeypatch, "splu")
     exact = _counted(monkeypatch, "spsolve")
     layout = load_device(configs_dir / name).layout
@@ -445,7 +448,7 @@ def test_unconverged_krylov_solve_is_rerun_exact(monkeypatch):
     factors = _counted(monkeypatch, "splu")
     field, report = solve_steady_state(grid, max_iter=10)
     assert not report.converged
-    assert len(factors) == 2  # one Kirchhoff start per run
+    assert len(factors) == 1  # the rerun reuses the Kirchhoff LU
     monkeypatch.setattr(scipy.sparse.linalg, "gmres", _gmres_misses)
     exact_field, exact_report = solve_steady_state(grid, max_iter=10)
     assert exact_report == report
@@ -454,20 +457,28 @@ def test_unconverged_krylov_solve_is_rerun_exact(monkeypatch):
 
 @settings(max_examples=8, deadline=None)
 @given(
+    exponent=st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0]),
     p_low=st.floats(min_value=1e-7, max_value=5e-5),
     factor=st.floats(min_value=1.01, max_value=4.0),
 )
-def test_solve_invariants_over_random_powers(p_low, factor):
-    lay = default_layout()
+def test_solve_invariants_over_random_powers(exponent, p_low, factor):
+    lay = default_layout(material=MaterialModel(exponent=exponent))
     fields = []
     for p in (p_low, p_low * factor):
         grid = rasterize(lay, 0.1, absorbed_power_w=p)
         field, report = solve_steady_state(grid)
-        assert report.converged
+        if not report.converged:
+            # for kappa ~ 1/T, s * T is a constant c per cell, so the harmonic
+            # face flow 2 c (T_a - T_b) / (T_a + T_b) stays below 2 c: above
+            # about 0.16 mW this discretization has no steady state
+            assert exponent == -1.0 and p > 1.5e-4
+            return
         # energy balance, recomputed from the field
         assert energy_residual(field) <= report.tol
-        # maximum principle: no active cell below the bath
+        # maximum principle: no active cell below the bath, and the hottest
+        # active cell is a pad cell, where the heat enters
         assert float(np.nanmin(field.t_k)) >= 10.0 - 1e-9
+        assert np.max(field.t_k[grid.kind == device.PAD]) == np.nanmax(field.t_k)
         fields.append(field.t_k)
     low, high = fields
     active = ~np.isnan(low)
