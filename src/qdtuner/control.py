@@ -24,6 +24,12 @@ DEFAULT_P_MAX_MW = 4.0
 # 320 nm vs 800 nm bridge pair.
 GEOMETRIC_WIDTH_RATIO = 800.0 / 320.0
 MEASURED_WIDTH_RATIO = 2.65
+# beta scales as width^-gamma; the measured gamma maps the geometric ratio
+# onto the measured one
+_WIDTH_EXPONENTS = {
+    "geometric": 1.0,
+    "measured": math.log(MEASURED_WIDTH_RATIO) / math.log(GEOMETRIC_WIDTH_RATIO),
+}
 
 # Incident power at the shift anchor vs the absorbed power the lumped thermal
 # model needs for the same temperature; reported as a diagnostic, never
@@ -87,18 +93,18 @@ def beta_for_width(
 ) -> float:
     """Scale a power-map slope to a different bridge width.
 
-    "geometric" scales with the conductance (proportional to width);
-    "measured" rescales the geometric law so the 320 -> 800 nm pair
-    reproduces the observed 2.65 shift ratio.
+    The slope scales as (width_ref / width)^gamma. "geometric" scales with
+    the conductance (proportional to width), gamma = 1; "measured" takes
+    gamma = ln 2.65 / ln 2.5, so the 320 -> 800 nm pair reproduces the
+    observed 2.65 shift ratio. Either law is the identity at equal widths,
+    composes (w1 -> w2 -> w3 is w1 -> w3) and is its own inverse.
     """
-    if width_ref_nm <= 0.0 or width_nm <= 0.0:
-        raise ValueError("widths must be positive")
-    ratio = width_nm / width_ref_nm
-    if calibration == "geometric":
-        return beta_ref_k2_per_mw / ratio
-    if calibration == "measured":
-        return beta_ref_k2_per_mw / (ratio * (MEASURED_WIDTH_RATIO / GEOMETRIC_WIDTH_RATIO))
-    raise ValueError(f"unknown width calibration {calibration!r}")
+    if not (0.0 < width_ref_nm < math.inf and 0.0 < width_nm < math.inf):
+        raise ValueError("widths must be positive and finite")
+    gamma = _WIDTH_EXPONENTS.get(calibration)
+    if gamma is None:
+        raise ValueError(f"unknown width calibration {calibration!r}")
+    return beta_ref_k2_per_mw * (width_ref_nm / width_nm) ** gamma
 
 
 def temperature_from_power(pm: PowerMap, p_mw: float) -> float:

@@ -2,19 +2,18 @@
 
 The 2-D solver treats the membrane as a conducting sheet, div(kappa(T) t grad T)
 + q = 0, discretized by a 5-point finite-volume operator with harmonically
-averaged face conductances g(T), and solves it by backtracked Newton steps
-from the bath field. Because kappa is a power law, the Kirchhoff transform
-U = integral of kappa dT makes the problem linear; at the bath field the
-Newton system in U is that linear Kirchhoff operator, so the first step,
-one sparse solve in U plus a closed-form inverse per cell, lands next to
-the answer. The solve factors that operator once: the LU takes the first
-step and preconditions GMRES, which solves each later Newton system, close
-to the operator in U, in a few Krylov iterations. The operator is a
-symmetric, diagonally dominant M-matrix, so the LU is factored without
-pivot search, in SuperLU's symmetric mode and with small supernodes, which
-factor this 5-point operator fastest. A direct sparse solve takes any step
-GMRES misses, and every later step of a rerun when a solve that took GMRES
-steps ends unconverged. The lumped model collapses the structure to an
+averaged face conductances g(T), and solves it by chord steps from the bath
+field. Because kappa is a power law, the Kirchhoff transform U = integral of
+kappa dT makes the problem linear; at the bath field the Newton system in U
+is that linear Kirchhoff operator, so the first step, one sparse solve in U
+plus a closed-form inverse per cell, lands next to the answer. The solve
+factors that operator once, and its LU takes every later step too: the chord
+step in U, one triangular solve against the residual, mixed with the last
+few steps by Anderson acceleration so that the iteration converges in a few
+steps where the plain chord step would crawl. The operator is a symmetric,
+diagonally dominant M-matrix, so the LU is factored without pivot search, in
+SuperLU's symmetric mode and with small supernodes, which factor this
+5-point operator fastest. The lumped model collapses the structure to an
 isothermal island drained by the bridges; it is linear in U, so its island
 temperature is closed-form.
 
@@ -33,7 +32,6 @@ solve.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +120,7 @@ class TemperatureField:
 
 @dataclass(frozen=True)
 class SolveReport:
-    iterations: int        # Newton steps, one linear solve each
+    iterations: int        # chord steps, one triangular solve with the Kirchhoff LU each
     residual: float        # relative energy imbalance, recomputed from the field
     converged: bool
     tol: float
@@ -239,14 +237,13 @@ def _harmonic(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
 
 
 def _conduct(faces: _Faces, material: MaterialModel, t: np.ndarray):
-    """Sheet conductance kappa(T) * sheet_um per cell (W/K), harmonically
-    averaged face conductance g and heat flow g * (T_a - T_b) per face; None
-    when a flow overflows, as it does wherever g does."""
+    """Heat flow g * (T_a - T_b) per face, with g the harmonic mean of the
+    cells' sheet conductances kappa(T) * sheet_um (W/K); None when a flow
+    overflows, as it does wherever g does."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = kappa(material, t) * faces.geom
-        g = _harmonic(s[faces.a], s[faces.b])
-        flow = g * (t[faces.a] - t[faces.b])
-    return (s, g, flow) if np.isfinite(flow).all() else None
+        flow = _harmonic(s[faces.a], s[faces.b]) * (t[faces.a] - t[faces.b])
+    return flow if np.isfinite(flow).all() else None
 
 
 def _residual(faces: _Faces, flow: np.ndarray) -> np.ndarray:
@@ -267,23 +264,18 @@ def energy_residual(field: TemperatureField) -> float:
     """Recompute the relative energy imbalance directly from the field: NaN
     where a flow overflows, GridError for a grid the solver refuses."""
     faces = _faces(field.grid)
-    state = _conduct(faces, field.grid.material, field.t_k.reshape(-1)[faces.cells])
-    return math.nan if state is None else _imbalance(faces, state[2])
+    flow = _conduct(faces, field.grid.material, field.t_k.reshape(-1)[faces.cells])
+    return math.nan if flow is None else _imbalance(faces, flow)
 
 
-def _assemble(faces: _Faces, g: np.ndarray, da=0.0, db=0.0):
-    """Derivative of the free-cell residual, as a CSR matrix, for face flows
-    g * (T_a - T_b) whose conductance also moves as dg/dT_a = da / (T_a - T_b),
-    likewise db; with da = db = 0 it is the linear operator of fixed
-    conductances g."""
+def _assemble(faces: _Faces, g: np.ndarray):
+    """The free-cell operator of fixed face conductances g, as a CSR matrix."""
     import scipy.sparse as sp
 
     n = faces.n_free
-    diag = (
-        np.bincount(faces.slot_a, g + da, n + 1) + np.bincount(faces.slot_b, g - db, n + 1)
-    )[:n]
+    diag = (np.bincount(faces.slot_a, g, n + 1) + np.bincount(faces.slot_b, g, n + 1))[:n]
     inner = faces.inner
-    data = np.concatenate([diag, (db - g)[inner], -(g + da)[inner]])[faces.order]
+    data = np.concatenate([diag, -g[inner], -g[inner]])[faces.order]
     return sp.csr_matrix((data, faces.indices, faces.indptr), shape=(n, n))
 
 
@@ -351,111 +343,63 @@ def _kirchhoff_lu(faces: _Faces, material: MaterialModel):
     )
 
 
-_MAX_HALVINGS = 30
-# Relative residual to which GMRES solves a Newton system, and its Krylov
-# basis size and restart budget; a step that misses it is solved exactly.
-_KRYLOV_RTOL = 1e-10
-_KRYLOV_RESTART = 20
-_KRYLOV_CYCLES = 2
+# Anderson's depth m: each chord step is mixed with the last m steps.
+_ANDERSON_DEPTH = 5
 
 
-def _krylov_step(jac, dudt: np.ndarray, r: np.ndarray, lu):
-    """dU with J * diag(1 / dudt) * dU = -R, by GMRES right-preconditioned
-    with the Kirchhoff LU; None unless its true residual meets _KRYLOV_RTOL."""
-    from scipy.sparse.linalg import LinearOperator, gmres
+def _iterate(faces: _Faces, material: MaterialModel, t, flow, lu, tol, max_iter):
+    """Chord steps in U from the bath field t with its face flows, each mixed
+    with the last _ANDERSON_DEPTH steps, until converged, stuck or max_iter
+    steps. Returns the field, imbalance, last relative change, steps and
+    convergence.
 
-    n = r.size
-    op = LinearOperator((n, n), matvec=lambda y: jac @ (lu.solve(y) / dudt), dtype=float)
-    with np.errstate(all="ignore"):
-        y, info = gmres(
-            op, -r, rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_RESTART, maxiter=_KRYLOV_CYCLES
-        )
-        du = lu.solve(y)
-        miss = np.linalg.norm(jac @ (du / dudt) + r)
-        ok = info == 0 and miss <= _KRYLOV_RTOL * np.linalg.norm(r) and np.isfinite(du).all()
-    return du if ok else None
-
-
-def _newton_step(faces: _Faces, material: MaterialModel, t, s, g, flow, lu, exact: bool):
-    """One Newton step on the harmonic-g(T) residual R.
-
-    The step is taken in U: dU = (T / t_ref)^p dT, mapped back through the
-    closed-form inverse. At the bath field every T_a - T_b and flow is 0,
-    so the Jacobian in U is the Kirchhoff operator: the first step is one
-    solve by its LU, exact for constant kappa. Later Jacobians in U stay
-    close to it, so GMRES preconditioned with the LU solves each step in a
-    few Krylov iterations. When exact, or when GMRES misses _KRYLOV_RTOL, a
-    direct sparse solve takes the step; where the conductances underflow to
-    0 that system is singular, its step NaN, and no halving takes it. The
-    step is halved toward t until every free T is finite and positive, no
-    flow overflows and |R| decreases; the first step skips the last test,
-    as it raises |R| though it lands next to the solution. Returns the new
-    t with its (s, g, flow) from _conduct, or, when no halving passes, the
-    full step's t with None; and whether GMRES took the step.
+    The chord step is dU = -K^-1 R, with K the Kirchhoff operator whose LU
+    the solve holds: one triangular solve and no Jacobian. From the bath
+    field, where K is the Newton system in U, it is the Newton step. Anderson
+    mixing (Walker and Ni's form) fits the new step by the differences of the
+    past steps and iterates in one least-squares solve. Where the mixed U has
+    no temperature, or a flow overflows, the plain chord step is taken and
+    the history cleared; where that fails too, T stays, and the full step's
+    relative change, rel, says how far it still is from the discrete
+    solution.
     """
-    p, tr = material.exponent, material.t_ref_k
-    ta, tb = t[faces.a], t[faces.b]
-    r = _residual(faces, flow)
-    tf = t[faces.free]
-    # every face path ends in a fixed cell, so only the bath field has T_a = T_b
-    first = np.array_equal(ta, tb)
-    krylov = False
-    if first:
-        du = lu.solve(-r)
-    else:
-        sa, sb = s[faces.a], s[faces.b]
-        # dg/ds_a = 2 s_b^2 / (s_a + s_b)^2 and ds/dT = p s / T
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            w = 2.0 * p * (ta - tb) / (sa + sb) ** 2
-            jac = _assemble(faces, g, w * sb**2 * sa / ta, w * sa**2 * sb / tb)
-            norm = np.linalg.norm(r)
-            dudt = (tf / tr) ** p
-        du = None if exact else _krylov_step(jac, dudt, r, lu)
-        krylov = du is not None
-        if not krylov:
-            from scipy.sparse.linalg import MatrixRankWarning, spsolve
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", MatrixRankWarning)
-                du = spsolve(jac, -r, permc_spec="MMD_AT_PLUS_A") * dudt
-    u = _kirchhoff(material, tf)
-    step = 1.0
-    for _ in range(_MAX_HALVINGS):
-        t_new = t.copy()
-        t_new[faces.free] = _kirchhoff_inverse(material, u + step * du)
-        if np.all(_valid(t_new)):
-            state = _conduct(faces, material, t_new)
-            with np.errstate(over="ignore"):
-                if state is not None and (first or np.linalg.norm(_residual(faces, state[2])) < norm):
-                    return t_new, state, krylov
-        step *= 0.5
-    t_new[faces.free] = _kirchhoff_inverse(material, u + du)
-    return t_new, None, krylov
-
-
-def _iterate(faces: _Faces, material: MaterialModel, t, state, lu, tol, max_iter, exact: bool):
-    """Newton steps from the bath field t with its (s, g, flow), by GMRES
-    after the first unless exact, until converged, stuck or max_iter steps.
-    Returns the field, imbalance, last relative change, steps, convergence
-    and whether GMRES took any step."""
-    res = _imbalance(faces, state[2])
-    iterations = 0
-    converged = krylov = False
-    while not converged and iterations < max_iter:
-        iterations += 1
-        t_new, new, by_krylov = _newton_step(faces, material, t, *state, lu, exact)
-        krylov |= by_krylov
-        old = t[faces.free]
-        rel = float(np.max(np.abs(t_new[faces.free] - old) / old))
-        if new is None:
-            # No halving passes: T stays, and the full correction, rel, says
-            # how far it still is from the discrete solution.
+    free = faces.free
+    u = _kirchhoff(material, t[free])
+    res = _imbalance(faces, flow)
+    du_hist, df_hist, last = [], [], None
+    rel, iterations, converged = 0.0, 0, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not converged and iterations < max_iter:
+            iterations += 1
+            f = lu.solve(-_residual(faces, flow))
+            if last is not None:
+                du_hist.append(u - last[0])
+                df_hist.append(f - last[1])
+                del du_hist[:-_ANDERSON_DEPTH], df_hist[:-_ANDERSON_DEPTH]
+            last = u, f
+            tries = [u + f]  # the plain chord step, tried after the mixed one
+            if df_hist:
+                dfs = np.column_stack(df_hist)
+                if np.isfinite(dfs).all():  # so is f, and lstsq takes no NaN or inf
+                    gamma = np.linalg.lstsq(dfs, f, rcond=None)[0]
+                    tries.insert(0, tries[0] - (np.column_stack(du_hist) + dfs) @ gamma)
+            for u_new in tries:
+                t_new = t.copy()
+                t_new[free] = _kirchhoff_inverse(material, u_new)
+                new = _conduct(faces, material, t_new) if np.all(_valid(t_new)) else None
+                if new is not None:
+                    break
+            rel = float(np.max(np.abs(t_new[free] - t[free]) / t[free]))
+            if new is None:
+                converged = rel < tol and res <= tol
+                break
+            if u_new is tries[-1]:  # the plain step: the mixing starts afresh
+                du_hist.clear()
+                df_hist.clear()
+            u, t, flow = u_new, t_new, new
+            res = _imbalance(faces, flow)
             converged = rel < tol and res <= tol
-            break
-        t, state = t_new, new
-        res = _imbalance(faces, state[2])
-        converged = rel < tol and res <= tol
-    return t, res, rel, iterations, converged, krylov
+    return t, res, rel, iterations, converged
 
 
 def solve_steady_state(
@@ -471,28 +415,26 @@ def solve_steady_state(
     or prefactor conductances whose products underflow).
     rasterize builds such a grid from a valid layout only in the last case.
 
-    Newton steps on the discretization with harmonically averaged face
+    Chord steps on the discretization with harmonically averaged face
     conductances g(T) run from the bath field. With U = integral of
     (T / t_ref)^p dT the power-law problem is linear in U, and at the bath
     field the Newton system in U is that linear Kirchhoff operator, so the
     first step is one solve by its LU and a closed-form inverse per cell:
-    a near-exact field. The LU is the solve's one factorization, made
-    only when the bath field has not converged. Each later step, halved
-    until all temperatures stay positive and the residual norm drops,
-    solves its linear system by GMRES preconditioned with the same LU, to a
-    relative residual of _KRYLOV_RTOL; a system it does not solve to that
-    tolerance is solved exactly by a direct sparse solve. A solve that took
-    any GMRES step and ends unconverged is run again from the bath with
-    exact steps throughout, reusing the LU for its first step, so that an
-    inexact step never costs a solve the convergence of exact Newton.
+    a near-exact field. The LU is the solve's one factorization, made only
+    when the bath field has not converged. Every later step solves with the
+    same LU against the current residual, and Anderson acceleration mixes it
+    with the last _ANDERSON_DEPTH steps; no Jacobian is assembled. Where the
+    mixed field has no temperature or a flow overflows, the plain chord step
+    is taken and the mixing starts afresh; where that fails too, the solve
+    stops with the last field.
 
-    iterations counts the Newton steps, one linear solve each, of the run
-    that gave the field, so max_iter=1 stops after the first.
+    iterations counts the chord steps, one triangular solve each, so
+    max_iter=1 stops after the first.
     Convergence requires both the largest relative temperature change of
     the last step and the recomputed energy imbalance to fall below tol.
-    Exhausting max_iter, a step that no halving makes acceptable, or a bath
-    field whose conductances overflow (residual NaN) returns
-    converged=False instead of raising.
+    Exhausting max_iter, a step with no temperature or an overflowing flow
+    even unmixed, or a bath field whose conductances overflow (residual NaN)
+    returns converged=False instead of raising.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -500,18 +442,15 @@ def solve_steady_state(
         raise ValueError("max_iter must be >= 1")
     faces = _faces(grid)
     bath = np.full(faces.cells.size, grid.t_bath_k, dtype=float)
-    state = _conduct(faces, grid.material, bath)
+    flow = _conduct(faces, grid.material, bath)
     t, rel, iterations = bath, 0.0, 0
-    res = math.nan if state is None else _imbalance(faces, state[2])
+    res = math.nan if flow is None else _imbalance(faces, flow)
     converged = res <= tol
-    if state is not None and not converged:
+    if flow is not None and not converged:
         lu = _kirchhoff_lu(faces, grid.material)
-        for exact in (False, True):
-            t, res, rel, iterations, converged, krylov = _iterate(
-                faces, grid.material, bath, state, lu, tol, max_iter, exact
-            )
-            if converged or not krylov:
-                break
+        t, res, rel, iterations, converged = _iterate(
+            faces, grid.material, bath, flow, lu, tol, max_iter
+        )
 
     t_k = np.full(grid.shape, np.nan)
     t_k.reshape(-1)[faces.cells] = t

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qdtuner import control
 from qdtuner.control import (
@@ -143,6 +145,31 @@ def test_width_scaling_ratios():
     assert abs(PM.beta_k2_per_mw / beta_meas - 2.65) <= 1e-6
     with pytest.raises(ValueError):
         beta_for_width(PM.beta_k2_per_mw, 320.0, 800.0, calibration="nope")
+
+
+WIDTHS_NM = st.floats(min_value=50.0, max_value=5000.0)
+
+
+@pytest.mark.parametrize("law", ["geometric", "measured"])
+@given(w1=WIDTHS_NM, w2=WIDTHS_NM, w3=WIDTHS_NM)
+def test_width_law_is_a_consistent_scaling(law, w1, w2, w3):
+    beta = PM.beta_k2_per_mw
+    # identity at equal widths
+    assert math.isclose(beta_for_width(beta, w1, w1, law), beta, rel_tol=1e-15)
+    # composition: w1 -> w2 -> w3 is w1 -> w3
+    via = beta_for_width(beta_for_width(beta, w1, w2, law), w2, w3, law)
+    assert math.isclose(via, beta_for_width(beta, w1, w3, law), rel_tol=1e-12)
+    # inverse consistency: w1 -> w2 -> w1 returns the slope
+    back = beta_for_width(beta_for_width(beta, w1, w2, law), w2, w1, law)
+    assert math.isclose(back, beta, rel_tol=1e-12)
+
+
+def test_width_law_rejects_invalid_widths():
+    for w in (0.0, -320.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            beta_for_width(PM.beta_k2_per_mw, 320.0, w)
+        with pytest.raises(ValueError):
+            beta_for_width(PM.beta_k2_per_mw, w, 320.0)
 
 
 def test_align_already_resonant():

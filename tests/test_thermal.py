@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bar_end_temperature_analytic, bar_grid
-from qdtuner import device
+from qdtuner import device, thermal
 from qdtuner.config import ThermalParams, load_device
 from qdtuner.device import GridError, MaterialModel, default_layout, rasterize
 from qdtuner.thermal import (
@@ -358,12 +358,35 @@ def test_solve_saturating_kappa_reports_no_convergence(monkeypatch):
 
 
 def test_underflowing_conductances_end_unconverged_without_warnings():
-    # at 10 mW with kappa ~ 1/T the start field reaches ~1e302 K, where the
-    # sheet conductances underflow to 0: the Newton system is singular and
-    # the solve stops unconverged; the warning filters make a warning fail
+    # at 10 mW with kappa ~ 1/T the first step's U = t_ref log T maps past
+    # the float range, where the sheet conductances underflow to 0: no step
+    # has a temperature and finite flows, so the solve stops unconverged;
+    # the warning filters make a warning fail
     grid = rasterize(default_layout(material=MaterialModel(exponent=-1.0)), 0.1, absorbed_power_w=1e-2)
     _, report = solve_steady_state(grid)
     assert not report.converged
+
+
+def test_a_non_finite_step_stops_the_solve_before_the_mixing(monkeypatch):
+    # lstsq raises LinAlgError on NaN or inf: a step that is not finite
+    # must end the solve unconverged, on the last field, without a fit
+    kirchhoff_lu = thermal._kirchhoff_lu
+
+    class BlowsUp:
+        def __init__(self, lu):
+            self.lu, self.solves = lu, 0
+
+        def solve(self, rhs):
+            self.solves += 1
+            return self.lu.solve(rhs) if self.solves == 1 else np.full_like(rhs, np.inf)
+
+    monkeypatch.setattr(thermal, "_kirchhoff_lu", lambda *args: BlowsUp(kirchhoff_lu(*args)))
+    grid = rasterize(default_layout(), 0.1, absorbed_power_w=1e-5)
+    field, report = solve_steady_state(grid)
+    assert not report.converged
+    assert report.iterations == 2
+    assert np.all(np.isfinite(field.t_k[grid.active()]))
+    assert np.nanmax(field.t_k) > 10.0  # the first step's field
 
 
 def _counted(monkeypatch, name):
@@ -380,8 +403,8 @@ def _counted(monkeypatch, name):
     return calls
 
 
-def _gmres_misses(op, rhs, **kwargs):
-    return np.zeros_like(rhs), 1
+def _refused(*args, **kwargs):
+    raise AssertionError("the thermal solve takes no Krylov or direct sparse step")
 
 
 @pytest.mark.parametrize("dx", [0.1, 0.05])
@@ -406,11 +429,8 @@ def test_assembled_operator_matches_scipy_csr(configs_dir, name, dx):
 
 @pytest.mark.parametrize("name", ["device_w320.json", "device_w800.json"])
 def test_solve_iterations_on_shipped_devices(configs_dir, monkeypatch, name):
-    # one LU factorization per solve: the Kirchhoff LU takes the first step
-    # and preconditions GMRES on every later one, and no step needs the
-    # exact fallback
+    # one LU factorization per solve: the Kirchhoff LU takes every chord step
     factors = _counted(monkeypatch, "splu")
-    exact = _counted(monkeypatch, "spsolve")
     layout = load_device(configs_dir / name).layout
     for power_mw in np.linspace(0.002, 0.02, 5):
         grid = rasterize(layout, 0.1, absorbed_power_w=power_mw * 1e-3)
@@ -419,40 +439,33 @@ def test_solve_iterations_on_shipped_devices(configs_dir, monkeypatch, name):
         assert report.converged
         assert report.iterations <= 5
         assert len(factors) == 1
-    assert not exact
 
 
-def test_exact_fallback_matches_the_krylov_steps(configs_dir, monkeypatch):
-    # GMRES failing on every step leaves each Newton step to the direct
-    # solve; both reach one discrete field in as many linear solves
-    layout = load_device(configs_dir / "device_w320.json").layout
-    grids = [rasterize(layout, 0.1, absorbed_power_w=p * 1e-3) for p in (0.002, 0.02)]
-    krylov = [solve_steady_state(grid) for grid in grids]
-    exact = _counted(monkeypatch, "spsolve")
-    monkeypatch.setattr(scipy.sparse.linalg, "gmres", _gmres_misses)
-    for grid, (field, report) in zip(grids, krylov):
-        exact.clear()
-        fallback_field, fallback = solve_steady_state(grid)
-        assert fallback.converged
-        assert fallback.iterations == report.iterations
-        assert len(exact) == report.iterations - 1
-        active = grid.active()
-        assert np.max(np.abs(fallback_field.t_k[active] - field.t_k[active])) <= 1e-12
-
-
-def test_unconverged_krylov_solve_is_rerun_exact(monkeypatch):
-    # no steady state exists (exponent -2 saturates): the solve that took
-    # GMRES steps is rerun with exact steps, so it reports what a solve
-    # without GMRES does
-    grid = rasterize(default_layout(material=MaterialModel(exponent=-2.0)), 0.1, absorbed_power_w=1e-5)
+@pytest.mark.parametrize("dx", [0.1, 0.05])
+@pytest.mark.parametrize("name", ["device_w320.json", "device_w800.json"])
+def test_solve_factors_once_and_takes_only_chord_steps(configs_dir, monkeypatch, name, dx):
     factors = _counted(monkeypatch, "splu")
-    field, report = solve_steady_state(grid, max_iter=10)
-    assert not report.converged
-    assert len(factors) == 1  # the rerun reuses the Kirchhoff LU
-    monkeypatch.setattr(scipy.sparse.linalg, "gmres", _gmres_misses)
-    exact_field, exact_report = solve_steady_state(grid, max_iter=10)
-    assert exact_report == report
-    np.testing.assert_array_equal(exact_field.t_k, field.t_k)
+    for solver in ("gmres", "spsolve"):
+        monkeypatch.setattr(scipy.sparse.linalg, solver, _refused)
+    grid = rasterize(load_device(configs_dir / name).layout, dx, absorbed_power_w=2e-5)
+    _, report = solve_steady_state(grid)
+    assert report.converged
+    assert len(factors) == 1
+
+
+@pytest.mark.parametrize("power_mw", [0.002, 0.02, 2.0])
+def test_solve_reaches_the_discrete_field_of_a_tight_tolerance(configs_dir, power_mw):
+    # the stop rule lands within tol of the one discrete solution, however
+    # the steps were mixed on the way
+    grid = rasterize(
+        load_device(configs_dir / "device_w320.json").layout, 0.1, absorbed_power_w=power_mw * 1e-3
+    )
+    field, report = solve_steady_state(grid)
+    tight, tight_report = solve_steady_state(grid, tol=1e-11)
+    assert report.converged and tight_report.converged
+    active = grid.active()
+    rel = np.abs(field.t_k[active] - tight.t_k[active]) / tight.t_k[active]
+    assert np.max(rel) <= 1e-5
 
 
 @settings(max_examples=8, deadline=None)
