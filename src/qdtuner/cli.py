@@ -137,12 +137,14 @@ def cmd_thermal(args) -> int:
         lumped_k = None
 
     pad_cells = field.t_k[grid.kind == PAD]
+    with np.errstate(over="ignore"):  # an overflowing field's mean is inf, written as null
+        pad_mean_k = float(np.mean(pad_cells))
     extras = {
         "bath_k": bath_k,
         "power_abs_mw": power_mw,
         "dx_um": params.dx_um,
         "pad_peak_k": float(np.max(pad_cells)),
-        "pad_mean_k": float(np.mean(pad_cells)),
+        "pad_mean_k": pad_mean_k,
         "max_k": float(np.nanmax(field.t_k)),
         "lumped_island_k": lumped_k,
         "n_cells_active": int(grid.active().sum()),

@@ -300,7 +300,9 @@ class ThermalParams:
         if finite(self.power_abs_mw, "power_abs_mw") < 0:
             raise ConfigError("power_abs_mw must be non-negative")
         _positive(self.dx_um, "dx_um")
-        _positive(self.tol, "tol")
+        # the unheated bath field's energy imbalance is 1, so tol >= 1 passes it
+        if not 0 < finite(self.tol, "tol") < 1:
+            raise ConfigError("tol must lie in (0, 1)")
         _integer(self.max_iter, "max_iter", 1)
 
 

@@ -32,7 +32,7 @@ solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -124,16 +124,10 @@ class SolveReport:
     residual: float        # relative energy imbalance, recomputed from the field
     converged: bool
     tol: float
-    max_rel_change: float  # largest relative temperature update of the last solve
+    max_rel_change: float  # largest relative temperature update of the last chord step
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-            "tol": self.tol,
-            "max_rel_change": self.max_rel_change,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -158,10 +152,6 @@ class _Faces:
     outflow: np.ndarray   # +1 / -1 where heat on the face enters a fixed cell from b / a
     source_w: np.ndarray  # per free cell
     total_w: float        # over the whole grid, fixed cells included
-    inner: np.ndarray     # faces with both ends free
-    order: np.ndarray     # COO -> CSR permutation of [diagonal, (a, b), (b, a)] entries
-    indices: np.ndarray
-    indptr: np.ndarray
 
     @property
     def n_free(self) -> int:
@@ -205,30 +195,17 @@ def _faces(grid: ThermalGrid) -> _Faces:
     n_free = int(free.sum())
     slot = np.full(cells.size, n_free, dtype=np.int64)
     slot[free] = np.arange(n_free)
-    slot_a, slot_b = slot[a], slot[b]
-    inner = free[a] & free[b]
-    diag = np.arange(n_free)
-    rows = np.concatenate([diag, slot_a[inner], slot_b[inner]])
-    cols = np.concatenate([diag, slot_b[inner], slot_a[inner]])
-    # (row, col) pairs are unique, so one key sorts them into CSR order
-    order = np.argsort(rows * n_free + cols, kind="stable")
-    indptr = np.zeros(n_free + 1, dtype=np.intc)
-    np.cumsum(np.bincount(rows, minlength=n_free), out=indptr[1:])
     return _Faces(
         cells=cells,
         free=free,
         geom=geom,
         a=a,
         b=b,
-        slot_a=slot_a,
-        slot_b=slot_b,
+        slot_a=slot[a],
+        slot_b=slot[b],
         outflow=free[a].astype(float) - free[b].astype(float),
         source_w=grid.source_w.ravel()[cells][free],
         total_w=total_w,
-        inner=inner,
-        order=order,
-        indices=cols[order].astype(np.intc),
-        indptr=indptr,
     )
 
 
@@ -268,17 +245,6 @@ def energy_residual(field: TemperatureField) -> float:
     return math.nan if flow is None else _imbalance(faces, flow)
 
 
-def _assemble(faces: _Faces, g: np.ndarray):
-    """The free-cell operator of fixed face conductances g, as a CSR matrix."""
-    import scipy.sparse as sp
-
-    n = faces.n_free
-    diag = (np.bincount(faces.slot_a, g, n + 1) + np.bincount(faces.slot_b, g, n + 1))[:n]
-    inner = faces.inner
-    data = np.concatenate([diag, -g[inner], -g[inner]])[faces.order]
-    return sp.csr_matrix((data, faces.indices, faces.indptr), shape=(n, n))
-
-
 def _kirchhoff(material: MaterialModel, t: np.ndarray) -> np.ndarray:
     """Kirchhoff variable U = integral of (T / t_ref)^p dT, up to a constant.
 
@@ -314,17 +280,25 @@ def _valid(t: np.ndarray) -> np.ndarray:
 def _kirchhoff_lu(faces: _Faces, material: MaterialModel):
     """LU factors of the Kirchhoff operator: the linear operator in U of face
     conductances from the temperature-independent prefactor kappa_ref * sheet_um."""
+    import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
+    n = faces.n_free
     c = material.kappa_ref_w_per_k_cm * faces.geom
     g0 = _harmonic(c[faces.a], c[faces.b])
-    # The operator is symmetric, so its CSR arrays read as CSC (.T) are the
-    # same matrix, and a symmetric fill-reducing ordering gives about half
-    # the L+U fill of the default COLAMD. It is also a diagonally dominant
-    # M-matrix, so diagonal pivots are stable: the factor takes them without
-    # a pivot search (diag_pivot_thresh=0), and symmetric mode keeps the one
-    # ordering for rows and columns. On this 5-point operator small
-    # supernodes factor fastest. Median factor times in ms, w320 / w800,
+    diag = (np.bincount(faces.slot_a, g0, n + 1) + np.bincount(faces.slot_b, g0, n + 1))[:n]
+    both_free = (faces.slot_a < n) & (faces.slot_b < n)
+    sa, sb, off = faces.slot_a[both_free], faces.slot_b[both_free], -g0[both_free]
+    rows = np.concatenate([np.arange(n), sa, sb])
+    cols = np.concatenate([np.arange(n), sb, sa])
+    # Built as CSC, the format splu factors, so it converts nothing and only
+    # sorts each column. The operator is symmetric, so a symmetric
+    # fill-reducing ordering gives about half the L+U fill of the default
+    # COLAMD. It is also a diagonally dominant M-matrix, so diagonal pivots
+    # are stable: the factor takes them without a pivot search
+    # (diag_pivot_thresh=0), and symmetric mode keeps the one ordering for
+    # rows and columns. On this 5-point operator small supernodes factor
+    # fastest. Median factor times in ms, w320 / w800,
     # by relax/panel_size, against the pivoting factor at SuperLU's defaults
     # (2 cores, scipy 1.17.1):
     #   dx     defaults     1/1         2/2         4/4
@@ -334,7 +308,7 @@ def _kirchhoff_lu(faces: _Faces, material: MaterialModel):
     # Of the nine pairs from {1, 2, 4}, 1/1 and 2/1 were fastest; the L+U
     # fill is the same for all.
     return splu(
-        _assemble(faces, g0).T,
+        sp.csc_matrix((np.concatenate([diag, off, off]), (rows, cols)), shape=(n, n)),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         relax=1,
@@ -345,61 +319,6 @@ def _kirchhoff_lu(faces: _Faces, material: MaterialModel):
 
 # Anderson's depth m: each chord step is mixed with the last m steps.
 _ANDERSON_DEPTH = 5
-
-
-def _iterate(faces: _Faces, material: MaterialModel, t, flow, lu, tol, max_iter):
-    """Chord steps in U from the bath field t with its face flows, each mixed
-    with the last _ANDERSON_DEPTH steps, until converged, stuck or max_iter
-    steps. Returns the field, imbalance, last relative change, steps and
-    convergence.
-
-    The chord step is dU = -K^-1 R, with K the Kirchhoff operator whose LU
-    the solve holds: one triangular solve and no Jacobian. From the bath
-    field, where K is the Newton system in U, it is the Newton step. Anderson
-    mixing (Walker and Ni's form) fits the new step by the differences of the
-    past steps and iterates in one least-squares solve. Where the mixed U has
-    no temperature, or a flow overflows, the plain chord step is taken and
-    the history cleared; where that fails too, T stays, and the full step's
-    relative change, rel, says how far it still is from the discrete
-    solution.
-    """
-    free = faces.free
-    u = _kirchhoff(material, t[free])
-    res = _imbalance(faces, flow)
-    du_hist, df_hist, last = [], [], None
-    rel, iterations, converged = 0.0, 0, False
-    with np.errstate(over="ignore", invalid="ignore"):
-        while not converged and iterations < max_iter:
-            iterations += 1
-            f = lu.solve(-_residual(faces, flow))
-            if last is not None:
-                du_hist.append(u - last[0])
-                df_hist.append(f - last[1])
-                del du_hist[:-_ANDERSON_DEPTH], df_hist[:-_ANDERSON_DEPTH]
-            last = u, f
-            tries = [u + f]  # the plain chord step, tried after the mixed one
-            if df_hist:
-                dfs = np.column_stack(df_hist)
-                if np.isfinite(dfs).all():  # so is f, and lstsq takes no NaN or inf
-                    gamma = np.linalg.lstsq(dfs, f, rcond=None)[0]
-                    tries.insert(0, tries[0] - (np.column_stack(du_hist) + dfs) @ gamma)
-            for u_new in tries:
-                t_new = t.copy()
-                t_new[free] = _kirchhoff_inverse(material, u_new)
-                new = _conduct(faces, material, t_new) if np.all(_valid(t_new)) else None
-                if new is not None:
-                    break
-            rel = float(np.max(np.abs(t_new[free] - t[free]) / t[free]))
-            if new is None:
-                converged = rel < tol and res <= tol
-                break
-            if u_new is tries[-1]:  # the plain step: the mixing starts afresh
-                du_hist.clear()
-                df_hist.clear()
-            u, t, flow = u_new, t_new, new
-            res = _imbalance(faces, flow)
-            converged = rel < tol and res <= tol
-    return t, res, rel, iterations, converged
 
 
 def solve_steady_state(
@@ -418,39 +337,74 @@ def solve_steady_state(
     Chord steps on the discretization with harmonically averaged face
     conductances g(T) run from the bath field. With U = integral of
     (T / t_ref)^p dT the power-law problem is linear in U, and at the bath
-    field the Newton system in U is that linear Kirchhoff operator, so the
+    field the Newton system in U is that linear Kirchhoff operator K, so the
     first step is one solve by its LU and a closed-form inverse per cell:
     a near-exact field. The LU is the solve's one factorization, made only
-    when the bath field has not converged. Every later step solves with the
-    same LU against the current residual, and Anderson acceleration mixes it
-    with the last _ANDERSON_DEPTH steps; no Jacobian is assembled. Where the
-    mixed field has no temperature or a flow overflows, the plain chord step
-    is taken and the mixing starts afresh; where that fails too, the solve
-    stops with the last field.
+    when the bath field has not converged. Every later step is the chord
+    step dU = -K^-1 R, one triangular solve with the same LU against the
+    current residual R, and Anderson acceleration in Walker and Ni's form
+    mixes it with the last _ANDERSON_DEPTH steps by one least-squares fit to
+    their differences; no Jacobian is assembled. Where the mixed field has
+    no temperature or a flow overflows, the plain chord step is taken and
+    the mixing starts afresh; where that fails too, the solve stops with the
+    last field, and max_rel_change is the failed full step's, which says how
+    far that field still is from the discrete solution.
 
     iterations counts the chord steps, one triangular solve each, so
     max_iter=1 stops after the first.
     Convergence requires both the largest relative temperature change of
-    the last step and the recomputed energy imbalance to fall below tol.
+    the last step and the recomputed energy imbalance to fall below tol,
+    which must lie in (0, 1): the unheated bath field's imbalance is 1.
     Exhausting max_iter, a step with no temperature or an overflowing flow
     even unmixed, or a bath field whose conductances overflow (residual NaN)
     returns converged=False instead of raising.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must lie in (0, 1)")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    material = grid.material
     faces = _faces(grid)
-    bath = np.full(faces.cells.size, grid.t_bath_k, dtype=float)
-    flow = _conduct(faces, grid.material, bath)
-    t, rel, iterations = bath, 0.0, 0
+    free = faces.free
+    t = np.full(faces.cells.size, grid.t_bath_k, dtype=float)
+    flow = _conduct(faces, material, t)
     res = math.nan if flow is None else _imbalance(faces, flow)
-    converged = res <= tol
+    rel, iterations, converged = 0.0, 0, res <= tol
     if flow is not None and not converged:
-        lu = _kirchhoff_lu(faces, grid.material)
-        t, res, rel, iterations, converged = _iterate(
-            faces, grid.material, bath, flow, lu, tol, max_iter
-        )
+        lu = _kirchhoff_lu(faces, material)
+        u = _kirchhoff(material, t[free])
+        du_hist, df_hist, last = [], [], None
+        with np.errstate(over="ignore", invalid="ignore"):
+            while not converged and iterations < max_iter:
+                iterations += 1
+                f = lu.solve(-_residual(faces, flow))
+                if last is not None:
+                    du_hist.append(u - last[0])
+                    df_hist.append(f - last[1])
+                    del du_hist[:-_ANDERSON_DEPTH], df_hist[:-_ANDERSON_DEPTH]
+                last = u, f
+                tries = [u + f]  # the plain chord step, tried after the mixed one
+                if df_hist:
+                    dfs = np.column_stack(df_hist)
+                    if np.isfinite(dfs).all():  # so is f, and lstsq takes no NaN or inf
+                        gamma = np.linalg.lstsq(dfs, f, rcond=None)[0]
+                        tries.insert(0, tries[0] - (np.column_stack(du_hist) + dfs) @ gamma)
+                for u_new in tries:
+                    t_new = t.copy()
+                    t_new[free] = _kirchhoff_inverse(material, u_new)
+                    new = _conduct(faces, material, t_new) if np.all(_valid(t_new)) else None
+                    if new is not None:
+                        break
+                rel = float(np.max(np.abs(t_new[free] - t[free]) / t[free]))
+                if new is None:
+                    converged = rel < tol and res <= tol
+                    break
+                if u_new is tries[-1]:  # the plain step: the mixing starts afresh
+                    du_hist.clear()
+                    df_hist.clear()
+                u, t, flow = u_new, t_new, new
+                res = _imbalance(faces, flow)
+                converged = rel < tol and res <= tol
 
     t_k = np.full(grid.shape, np.nan)
     t_k.reshape(-1)[faces.cells] = t

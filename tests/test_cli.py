@@ -88,7 +88,13 @@ def test_thermal_underiterated_solver_fails_with_exit_3(configs_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--power-abs-mw", "1e300"), ("--power-abs-mw", "1e200"), ("--bath-k", "1e300")]
+    "flag, value",
+    [
+        ("--power-abs-mw", "1e300"),
+        ("--power-abs-mw", "1e200"),
+        ("--bath-k", "1e300"),
+        ("--bath-k", "1e308"),
+    ],
 )
 def test_thermal_overflowing_solve_fails_without_warnings(configs_dir, tmp_path, flag, value):
     # conductances overflow a float at these inputs: the solve stops at the
@@ -114,6 +120,10 @@ def _thermal_flag(flag, value):
         _thermal_flag("--tol", "nan"),
         _thermal_flag("--tol", "inf"),
         _thermal_flag("--tol", "0"),
+        # the unheated bath field's imbalance is 1, so it must not pass as converged
+        _thermal_flag("--tol", "1"),
+        _thermal_flag("--tol", "1e308"),
+        pytest.param(["thermal", "{tmp}/tol_one.json"], id="thermal-json-tol-1"),
         _thermal_flag("--bath-k", "nan"),
         _thermal_flag("--bath-k", "inf"),
         _thermal_flag("--bath-k", "-5"),
@@ -180,6 +190,11 @@ def test_thermal_invalid_number_is_config_error(configs_dir, tmp_path, capsys, a
     write("min_q.json", {**scenario, "tune": {**scenario["tune"], "min_q": -5}})
     write("t_ref.json", {"t_ref_k": -5, "power_anchors": [[0.0, 0.0], [3.0, 1.4]]})
     write("f0.json", {**scenario, "spectrum": {**scenario["spectrum"], "f0": 0.5}})
+    fig1b = json.loads((configs_dir / "fig1b.json").read_text(encoding="utf-8"))
+    write(
+        "tol_one.json",
+        {**fig1b, "device": str(configs_dir / fig1b["device"]), "thermal": {**fig1b["thermal"], "tol": 1}},
+    )
     (tmp_path / "latin1.json").write_bytes(b'{"device": "\xff"}')
     device = json.loads((configs_dir / "device_w320_two_qds.json").read_text(encoding="utf-8"))
     write("fwhm_device.json", {**device, "qds": [{**device["qds"][0], "fwhm0_nm": -1}]})
