@@ -280,20 +280,16 @@ def cmd_sweep(args) -> int:
 def cmd_tune(args) -> int:
     scenario = cfg.load_scenario(args.scenario)
     tune = _merge(scenario.tune or cfg.TuneParams(), args)
-    qd_ids = tune.qd_ids
+    qds = cfg.tuned_dots(scenario, tune)
 
     if tune.target == "qd-to-cavity":
         structure = scenario.main
-        device = structure.device
-        if device.cavity is None:
+        if structure.device.cavity is None:
             raise ConfigError("qd-to-cavity tuning needs a cavity in the device file")
-        if not device.qd_states:
-            raise ConfigError("qd-to-cavity tuning needs at least one QD")
-        qd = device.qd(qd_ids[0]) if qd_ids else device.qd_states[0]
         solution = control.align_qd_to_cavity(
             structure.power_map,
-            qd,
-            device.cavity,
+            qds[0],
+            structure.device.cavity,
             tol_nm=tune.tol_nm,
             f0=scenario.spectrum.f0,
             min_q=tune.min_q,
@@ -301,15 +297,6 @@ def cmd_tune(args) -> int:
     else:
         if len(scenario.structures) < 2:
             raise ConfigError("qd-to-qd tuning needs at least two structures")
-        if qd_ids and len(qd_ids) != len(scenario.structures):
-            raise ConfigError("qd-to-qd tuning needs one QD id per structure")
-        qds = []
-        for k, structure in enumerate(scenario.structures):
-            if not structure.device.qd_states:
-                raise ConfigError(f"structure {structure.structure_id!r} has no QDs")
-            qds.append(
-                structure.device.qd(qd_ids[k]) if qd_ids else structure.device.qd_states[0]
-            )
         # all dots meet at the reddest rest wavelength; that dot stays unpowered
         target_lambda = max(qd.lambda0_nm for qd in qds)
         targets = [
@@ -358,24 +345,11 @@ def cmd_calibrate(args) -> int:
             with np.errstate(over="ignore"):  # an infinite abscissa fails the fit's check
                 x = pts[:, 0] ** 2 - np.float64(t_ref) ** 2
             slope, residual = _fit_through_origin(x, pts[:, 1], ctx)
-            results[sid] = {
-                "mode": "temperature",
-                "alpha_nm_per_k2": slope,
-                "beta_k2_per_mw": None,
-                "alpha_beta_nm_per_mw": None,
-                "residual_rms_nm": residual,
-                "n_anchors": int(pts.shape[0]),
-            }
+            fit = {"alpha_nm_per_k2": slope, "beta_k2_per_mw": None, "alpha_beta_nm_per_mw": None}
         else:
             slope, residual = _fit_through_origin(pts[:, 0], pts[:, 1], ctx)
-            results[sid] = {
-                "mode": "power",
-                "alpha_nm_per_k2": alpha,
-                "beta_k2_per_mw": slope / alpha,
-                "alpha_beta_nm_per_mw": slope,
-                "residual_rms_nm": residual,
-                "n_anchors": int(pts.shape[0]),
-            }
+            fit = {"alpha_nm_per_k2": alpha, "beta_k2_per_mw": slope / alpha, "alpha_beta_nm_per_mw": slope}
+        results[sid] = {"mode": mode, **fit, "residual_rms_nm": residual, "n_anchors": int(pts.shape[0])}
 
     out = _out_dir(args)
     cfg.write_json(

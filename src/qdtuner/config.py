@@ -12,8 +12,9 @@ import functools
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -71,12 +72,6 @@ def _number(obj: dict, key: str, ctx: str, default: float | None = None) -> floa
     return finite(float(v), f"{ctx}: {key}")
 
 
-def _numbers(obj: dict, names: dict[str, str], ctx: str) -> dict[str, float]:
-    """The numbers obj gives for the JSON keys of names, keyed by the record
-    fields they name; an absent key keeps the record's default."""
-    return {name: _number(obj, key, ctx) for key, name in names.items() if key in obj}
-
-
 def _json_int(text: str) -> int | float:
     """Read a JSON integer; one beyond float range reads as a signed infinity,
     which the finite checks reject, instead of overflowing later in float()."""
@@ -112,25 +107,32 @@ def _build(cls, ctx: str, *args, **values):
         raise ConfigError(f"{ctx}: {e}") from e
 
 
-@functools.cache
-def _field_defaults(cls) -> dict:
-    """Field name -> default of a record class; one table per class, shared
-    by every call, so callers only read it."""
-    return {f.name: f.default for f in fields(cls)}
+# field name -> declared type of a record class; one table per class, shared
+# by every call, so callers only read it
+_field_types = functools.cache(get_type_hints)
 
 
-def _record(cls, obj: dict, ctx: str, required: set[str] = frozenset()):
-    """A record from its JSON block: the keys are the record's fields,
-    `required` among them, numbers for float fields are read by _number,
-    lists become tuples, absent keys keep the field default, and the
-    record's own rules check every value."""
-    defaults = _field_defaults(cls)
-    _check_keys(obj, defaults.keys(), required, ctx)
-    values = {}
+def _record(cls, obj: dict, ctx: str, required: set[str] = frozenset(), keys: dict | None = None, **values):
+    """A record from its JSON block; the one reader of every block that is a record.
+
+    `keys` maps each JSON key to the field it sets (by default the field
+    names themselves); a key mapped to None is allowed but read by the
+    caller. The keys in `required` must be given, a field declared float (or
+    float | None, when not null) is read by _number, lists become tuples,
+    absent keys keep the field default, `values` sets fields no key names,
+    and the record's own rules check every value.
+    """
+    types = _field_types(cls)
+    if keys is None:
+        keys = dict(zip(types, types))
+    _check_keys(obj, keys.keys(), required, ctx)
     for key, v in obj.items():
-        if isinstance(defaults[key], float) or (defaults[key] is None and v is not None):
+        name = keys[key]
+        if name is None:
+            continue
+        if types[name] is float or (types[name] == float | None and v is not None):
             v = _number(obj, key, ctx)
-        values[key] = tuple(v) if isinstance(v, list) else v
+        values[name] = tuple(v) if isinstance(v, list) else v
     return _build(cls, ctx, **values)
 
 
@@ -162,7 +164,9 @@ class Device:
 
 
 def load_device(path: str | Path) -> Device:
-    """Parse a device description file; each record built checks its own rules."""
+    """Parse a device description file; each record built checks its own rules.
+    _record reads every block but bridges: spread_bridges, a function and not
+    a record, builds those from their count."""
     path = Path(path)
     raw = _load_json(path)
     ctx = str(path)
@@ -185,25 +189,20 @@ def load_device(path: str | Path) -> Device:
 
     mt = raw["material"]
     mctx = f"{ctx}: material"
-    _check_keys(mt, {"kappa_ref", "t_ref", "exponent", "body_scale"}, {"kappa_ref", "t_ref", "exponent"}, mctx)
-    fields_of = {"kappa_ref": "kappa_ref_w_per_k_cm", "t_ref": "t_ref_k", "exponent": "exponent"}
-    material = _build(MaterialModel, mctx, **_numbers(mt, fields_of, mctx))
+    keys = {"kappa_ref": "kappa_ref_w_per_k_cm", "t_ref": "t_ref_k", "exponent": "exponent", "body_scale": None}
+    material = _record(MaterialModel, mt, mctx, {"kappa_ref", "t_ref", "exponent"}, keys)
 
-    qd_states: list[QDState] = []
-    qd_positions: list[tuple[str, tuple[float, float]]] = []
-    # a dot's optical keys are QDState's fields; absent ones keep its defaults
-    place = ("id", "x_um", "y_um")
-    optical = _field_defaults(QDState).keys() - {"qd_id"}
     qds = [] if raw.get("qds") is None else raw["qds"]
     if not isinstance(qds, list):
         raise ConfigError(f"{ctx}: qds must be a list")
+    # a dot's keys are its id, its position and QDState's optical fields
+    keys = {"id": "qd_id", "x_um": None, "y_um": None, **{f: f for f in _field_types(QDState) if f != "qd_id"}}
+    qd_states: list[QDState] = []
+    qd_positions: list[tuple[str, tuple[float, float]]] = []
     for k, q in enumerate(qds):
         qctx = f"{ctx}: qds[{k}]"
-        _check_keys(q, {*place, *optical}, {*place, "lambda0_nm"}, qctx)
-        _check_id(q.get("id"), qctx)
-        optics = {key: _number(q, key, qctx) for key in q if key not in place}
-        qd_states.append(_build(QDState, qctx, qd_id=q["id"], **optics))
-        qd_positions.append((q["id"], (_number(q, "x_um", qctx), _number(q, "y_um", qctx))))
+        qd_states.append(_record(QDState, q, qctx, {"id", "x_um", "y_um", "lambda0_nm"}, keys))
+        qd_positions.append((_check_id(q["id"], qctx), (_number(q, "x_um", qctx), _number(q, "y_um", qctx))))
     ids = [qd.qd_id for qd in qd_states]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"{ctx}: duplicate QD ids")
@@ -213,17 +212,13 @@ def load_device(path: str | Path) -> Device:
     c = raw.get("cavity")
     if c is not None:
         cctx = f"{ctx}: cavity"
-        _check_keys(
-            c,
-            {"x_um", "y_um", "lambda0_nm", "q0", "shift_ratio", "q_slope"},
-            {"x_um", "y_um", "lambda0_nm"},
-            cctx,
-        )
+        keys = {
+            "x_um": None, "y_um": None, "lambda0_nm": "lambda0_nm", "q0": "q0", "shift_ratio": "shift_ratio",
+            "q_slope": "q_slope_per_k2",
+        }
+        alpha = _structure_alpha(qd_states)
+        cavity = _record(CavityState, c, cctx, {"x_um", "y_um", "lambda0_nm"}, keys, alpha_nm_per_k2=alpha)
         cavity_xy = (_number(c, "x_um", cctx), _number(c, "y_um", cctx))
-        fields_of = {"lambda0_nm": "lambda0_nm", "q0": "q0", "shift_ratio": "shift_ratio", "q_slope": "q_slope_per_k2"}
-        cavity = _build(
-            CavityState, cctx, alpha_nm_per_k2=_structure_alpha(qd_states), **_numbers(c, fields_of, cctx)
-        )
 
     layout = _build(
         DeviceLayout,
@@ -234,7 +229,7 @@ def load_device(path: str | Path) -> Device:
         material=material,
         cavity_xy_um=cavity_xy,
         qds=tuple(qd_positions),
-        **_numbers(mt, {"body_scale": "body_kappa_scale"}, mctx),
+        body_kappa_scale=_number(mt, "body_scale", mctx, default=DeviceLayout.body_kappa_scale),
     )
     return Device(layout=layout, qd_states=tuple(qd_states), cavity=cavity)
 
@@ -370,7 +365,7 @@ def _parse_calibration(raw: dict | None, bath_k: float, structure_id: str, alpha
         shift = _number(raw, "anchor_shift_nm", ctx, default=control.SHIFT_ANCHOR_NM)
         power = _number(raw, "anchor_power_mw", ctx, default=control.POWER_ANCHOR_MW)
         beta = _build(control.calibrate_beta, ctx, shift, power, alpha)
-    return _build(PowerMap, ctx, structure_id, bath_k, beta, **_numbers(raw, {"p_max_mw": "p_max_mw"}, ctx))
+    return _build(PowerMap, ctx, structure_id, bath_k, beta, _number(raw, "p_max_mw", ctx, default=PowerMap.p_max_mw))
 
 
 def _structure_alpha(qd_states) -> float:
@@ -451,20 +446,28 @@ def load_scenario(path: str | Path) -> Scenario:
         spectrum=_record(SpectrumParams, raw.get("spectrum") or {}, f"{ctx}: spectrum"),
         **blocks,
     )
-    _check_referenced_qds(scenario, ctx)
+    if scenario.tune is not None and scenario.tune.qd_ids:
+        _build(tuned_dots, ctx, scenario, scenario.tune)
     return scenario
 
 
-def _check_referenced_qds(scenario: Scenario, ctx: str) -> None:
-    if scenario.tune is None or not scenario.tune.qd_ids:
-        return
-    if scenario.tune.target == "qd-to-cavity":
-        scenario.main.device.qd(scenario.tune.qd_ids[0])
-        return
-    if len(scenario.tune.qd_ids) != len(scenario.structures):
-        raise ConfigError(f"{ctx}: tune.qd_ids must name one QD per structure")
-    for s, qd_id in zip(scenario.structures, scenario.tune.qd_ids):
-        s.device.qd(qd_id)
+def tuned_dots(scenario: Scenario, tune: TuneParams) -> list[QDState]:
+    """The dot each tuned structure moves; the one check of tune.qd_ids, from
+    a file or the --qd-id flags. qd-to-cavity moves one dot of the main
+    structure, by default its first, and takes at most one id; qd-to-qd
+    moves one dot per structure, by default each one's first, and takes no
+    ids or one per structure."""
+    cavity = tune.target == "qd-to-cavity"
+    structures = scenario.structures[:1] if cavity else scenario.structures
+    if tune.qd_ids and len(tune.qd_ids) != len(structures):
+        per = "" if cavity else f" per structure ({len(structures)})"
+        raise ConfigError(f"{tune.target} tuning takes one QD id{per}, got {len(tune.qd_ids)}")
+    if tune.qd_ids:
+        return [s.device.qd(qd_id) for s, qd_id in zip(structures, tune.qd_ids)]
+    for s in structures:
+        if not s.device.qd_states:
+            raise ConfigError(f"{tune.target} tuning needs a QD in structure {s.structure_id!r}")
+    return [s.device.qd_states[0] for s in structures]
 
 
 def load_device_or_scenario(path: str | Path) -> tuple[Device, float, ThermalParams]:

@@ -391,6 +391,38 @@ def test_tune_second_dot_via_flag(configs_dir, tmp_path):
     assert math.isclose(sol["powers_mw"]["main"], 1.1412363, rel_tol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "name, qd_ids",
+    [
+        pytest.param("fig4.json", ["NOPE"], id="qd-to-cavity-unknown-id"),
+        pytest.param("qd_pair.json", ["QD1", "NOPE"], id="qd-to-qd-unknown-id"),
+        pytest.param("qd_pair.json", ["QD1"], id="qd-to-qd-too-few-ids"),
+        pytest.param("qd_pair.json", ["QD1", "QD1", "QD1"], id="qd-to-qd-too-many-ids"),
+        pytest.param("fig4.json", ["QD1", "QD2"], id="qd-to-cavity-two-ids"),
+        pytest.param("fig4.json", ["QD1", "NOPE"], id="qd-to-cavity-extra-unknown-id"),
+    ],
+)
+def test_tune_dot_selection_has_one_path(configs_dir, tmp_path, capsys, name, qd_ids):
+    # the same bad ids as the file's tune.qd_ids and as --qd-id flags: exit 2,
+    # one message (the file's after its path) and nothing written
+    raw = json.loads((configs_dir / name).read_text(encoding="utf-8"))
+    for s in [raw, *raw.get("structures", [])]:
+        if "device" in s:
+            s["device"] = str(configs_dir / s["device"])
+    raw["tune"]["qd_ids"] = qd_ids
+    scenario = tmp_path / name
+    scenario.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("tune", scenario, "--out", tmp_path / "file") == 2
+    from_file = capsys.readouterr().err
+    flags = [a for qd_id in qd_ids for a in ("--qd-id", qd_id)]
+    assert run_cli("tune", configs_dir / name, *flags, "--out", tmp_path / "flags") == 2
+    from_flags = capsys.readouterr().err
+    assert from_flags.startswith("config error: ")
+    assert from_file == from_flags.replace("config error: ", f"config error: {scenario}: ", 1)
+    assert not (tmp_path / "file").exists() and not (tmp_path / "flags").exists()
+
+
 def test_tune_red_detuned_dot_exits_4_with_solution(tmp_path, configs_dir):
     device = json.loads((configs_dir / "device_w320_two_qds.json").read_text(encoding="utf-8"))
     device["qds"][0]["lambda0_nm"] = 930.1  # red of the 930.0 cavity

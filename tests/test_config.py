@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,6 +156,26 @@ def test_scenario_tune_qd_must_exist(tmp_path):
     bad = {"device": "d.json", "tune": {"target": "qd-to-cavity", "qd_ids": ["QD7"]}}
     with pytest.raises(ConfigError, match="unknown QD id"):
         load_scenario(_write(tmp_path / "s.json", bad))
+
+
+def test_tuned_dots_defaults_and_ids(configs_dir):
+    fig4 = load_scenario(configs_dir / "fig4.json")
+    assert [q.qd_id for q in cfg.tuned_dots(fig4, cfg.TuneParams())] == ["QD1"]  # the main structure's first dot
+    assert [q.qd_id for q in cfg.tuned_dots(fig4, cfg.TuneParams(qd_ids=("QD2",)))] == ["QD2"]
+    pair = load_scenario(configs_dir / "qd_pair.json")
+    dots = cfg.tuned_dots(pair, cfg.TuneParams(target="qd-to-qd"))  # each structure's first dot
+    assert dots == [s.device.qd_states[0] for s in pair.structures]
+    with pytest.raises(ConfigError, match="one QD id per structure"):
+        cfg.tuned_dots(pair, cfg.TuneParams(target="qd-to-qd", qd_ids=("QD1",)))
+    with pytest.raises(ConfigError, match="qd-to-cavity tuning takes one QD id, got 2"):
+        cfg.tuned_dots(fig4, cfg.TuneParams(qd_ids=("QD1", "QD2")))  # a second id is refused
+
+
+def test_tuned_dots_needs_a_dot(configs_dir):
+    fig4 = load_scenario(configs_dir / "fig4.json")
+    main = replace(fig4.main, device=replace(fig4.main.device, qd_states=()))
+    with pytest.raises(ConfigError, match="needs a QD in structure 'main'"):
+        cfg.tuned_dots(replace(fig4, structures=(main,)), cfg.TuneParams())
 
 
 def test_scenario_crosstalk_validated(tmp_path):

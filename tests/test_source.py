@@ -1,0 +1,40 @@
+"""Source guards: every module-level private name of the package is used."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qdtuner"
+
+
+def _defined(stmt) -> list[str]:
+    """The names a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _referenced(node) -> set[str]:
+    """The names a node reads, bare (`_x`) or as attributes (`cfg._x`)."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)
+    }
+
+
+def test_every_private_module_name_is_referenced():
+    # a private name counts as used when a statement other than the one that
+    # binds it reads it, in any module; a recursive call alone does not count
+    statements = [stmt for path in sorted(SRC.glob("*.py")) for stmt in ast.parse(path.read_text("utf-8")).body]
+    private = {
+        (name, id(stmt))
+        for stmt in statements
+        for name in _defined(stmt)
+        if name.startswith("_") and not name.startswith("__")
+    }
+    reads = [(id(stmt), _referenced(stmt)) for stmt in statements]
+    unused = sorted(
+        name for name, home in private if not any(name in names for where, names in reads if where != home)
+    )
+    assert not unused, f"private names referenced nowhere else in src/qdtuner: {unused}"
