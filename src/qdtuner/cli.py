@@ -219,7 +219,7 @@ def _track_rows(spectrum: Spectrum, refit: bool) -> list[tuple[str, str, float, 
 
 def cmd_sweep(args) -> int:
     scenario = cfg.load_scenario(args.scenario)
-    sweep = _merge(scenario.sweep or cfg.SweepParams(), args)
+    sweep = _merge(scenario.sweep, args)
     cfg.check_sweep_size(scenario.spectrum, sweep)
 
     structure = scenario.main
@@ -279,7 +279,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_tune(args) -> int:
     scenario = cfg.load_scenario(args.scenario)
-    tune = _merge(scenario.tune or cfg.TuneParams(), args)
+    tune = _merge(scenario.tune, args)
     qds = cfg.tuned_dots(scenario, tune)
 
     if tune.target == "qd-to-cavity":

@@ -163,12 +163,13 @@ class Device:
         raise ConfigError(f"unknown QD id {qd_id!r}")
 
 
-def load_device(path: str | Path) -> Device:
-    """Parse a device description file; each record built checks its own rules.
-    _record reads every block but bridges: spread_bridges, a function and not
-    a record, builds those from their count."""
+def load_device(path: str | Path, raw=None) -> Device:
+    """Parse a device description file (raw: its JSON, when already read from
+    path); each record built checks its own rules. _record reads every block
+    but bridges: spread_bridges, a function and not a record, builds those
+    from their count."""
     path = Path(path)
-    raw = _load_json(path)
+    raw = _load_json(path) if raw is None else raw
     ctx = str(path)
     _check_keys(
         raw,
@@ -330,15 +331,17 @@ class StructureConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One runnable setup: structures, bath, calibration and command defaults."""
+    """One runnable setup: structures, bath, calibration and command settings.
+    A settings block the file leaves out (or sets to null) is its record's
+    defaults: one instance per record, built once and shared by every load."""
 
     bath_k: float
     structures: tuple[StructureConfig, ...]
     crosstalk: Crosstalk | None
-    spectrum: SpectrumParams
-    sweep: SweepParams | None
-    thermal: ThermalParams | None
-    tune: TuneParams | None
+    spectrum: SpectrumParams = SpectrumParams()
+    sweep: SweepParams = SweepParams()
+    thermal: ThermalParams = ThermalParams()
+    tune: TuneParams = TuneParams()
 
     @property
     def main(self) -> StructureConfig:
@@ -373,80 +376,57 @@ def _structure_alpha(qd_states) -> float:
     return qd_states[0].alpha_nm_per_k2 if qd_states else spectral.DEFAULT_ALPHA_NM_PER_K2
 
 
-def _device_path(scenario: Path, value, ctx: str) -> Path:
-    if not isinstance(value, str):
-        raise ConfigError(f"{ctx}: device must be a file path")
-    return scenario.parent / value
+def load_scenario(path: str | Path, raw=None) -> Scenario:
+    """Parse a scenario file (raw: its JSON, when already read from path).
 
-
-def load_scenario(path: str | Path) -> Scenario:
-    """Parse a scenario file; device paths resolve relative to the scenario."""
+    A single `device`, with the file's `calibration`, is the one structure
+    "main"; one loop builds every structure, whose device path resolves
+    relative to the scenario. A settings block is read into its record, or
+    left at the record's defaults when absent or null.
+    """
     path = Path(path)
-    raw = _load_json(path)
+    raw = _load_json(path) if raw is None else raw
     ctx = str(path)
-    _check_keys(
-        raw,
-        {
-            "device",
-            "structures",
-            "bath_k",
-            "calibration",
-            "crosstalk_k2_per_mw",
-            "spectrum",
-            "sweep",
-            "thermal",
-            "tune",
-        },
-        set(),
-        ctx,
-    )
+    blocks = ("spectrum", "sweep", "thermal", "tune")
+    _check_keys(raw, {"device", "structures", "bath_k", "calibration", "crosstalk_k2_per_mw", *blocks}, set(), ctx)
     if ("device" in raw) == ("structures" in raw):
         raise ConfigError(f"{ctx}: give exactly one of 'device' or 'structures'")
     bath_k = _number(raw, "bath_k", ctx, default=spectral.DEFAULT_T_REF_K)
 
-    structures: list[StructureConfig] = []
     if "device" in raw:
-        device = load_device(_device_path(path, raw["device"], ctx))
-        alpha = _structure_alpha(device.qd_states)
-        pm = _parse_calibration(raw.get("calibration"), bath_k, "main", alpha, f"{ctx}: calibration")
-        structures.append(StructureConfig("main", device, pm))
+        listed = [(ctx, {"id": "main", "device": raw["device"], "calibration": raw.get("calibration")})]
+    elif raw.get("calibration") is not None:
+        raise ConfigError(f"{ctx}: a top-level calibration needs 'device'; each structure has its own")
+    elif not isinstance(raw["structures"], list) or not raw["structures"]:
+        raise ConfigError(f"{ctx}: structures must be a non-empty list")
     else:
-        if not isinstance(raw["structures"], list) or not raw["structures"]:
-            raise ConfigError(f"{ctx}: structures must be a non-empty list")
-        for k, s in enumerate(raw["structures"]):
-            sctx = f"{ctx}: structures[{k}]"
-            _check_keys(s, {"id", "device", "calibration"}, {"id", "device"}, sctx)
-            _check_id(s.get("id"), sctx)
-            device = load_device(_device_path(path, s["device"], sctx))
-            alpha = _structure_alpha(device.qd_states)
-            pm = _parse_calibration(s.get("calibration"), bath_k, s["id"], alpha, f"{sctx}: calibration")
-            structures.append(StructureConfig(s["id"], device, pm))
-        ids = [s.structure_id for s in structures]
-        if len(set(ids)) != len(ids):
-            raise ConfigError(f"{ctx}: duplicate structure ids")
+        listed = [(f"{ctx}: structures[{k}]", s) for k, s in enumerate(raw["structures"])]
+    structures: list[StructureConfig] = []
+    for sctx, s in listed:
+        _check_keys(s, {"id", "device", "calibration"}, {"id", "device"}, sctx)
+        _check_id(s.get("id"), sctx)
+        if not isinstance(s["device"], str):
+            raise ConfigError(f"{sctx}: device must be a file path")
+        device = load_device(path.parent / s["device"])
+        alpha = _structure_alpha(device.qd_states)
+        pm = _parse_calibration(s.get("calibration"), bath_k, s["id"], alpha, f"{sctx}: calibration")
+        structures.append(StructureConfig(s["id"], device, pm))
+    ids = [s.structure_id for s in structures]
+    if len(set(ids)) != len(ids):
+        raise ConfigError(f"{ctx}: duplicate structure ids")
 
     crosstalk = None
     if raw.get("crosstalk_k2_per_mw") is not None:
         try:
             m = np.asarray(raw["crosstalk_k2_per_mw"], dtype=float)
-            crosstalk = Crosstalk(
-                tuple(s.structure_id for s in structures), m
-            ).validate([s.power_map for s in structures])
+            crosstalk = Crosstalk(tuple(ids), m).validate([s.power_map for s in structures])
         except (TypeError, ValueError) as e:
             raise ConfigError(f"{ctx}: crosstalk: {e}") from e
 
-    blocks = {
-        name: None if raw.get(name) is None else _record(cls, raw[name], f"{ctx}: {name}")
-        for name, cls in (("sweep", SweepParams), ("thermal", ThermalParams), ("tune", TuneParams))
-    }
-    scenario = Scenario(
-        bath_k=bath_k,
-        structures=tuple(structures),
-        crosstalk=crosstalk,
-        spectrum=_record(SpectrumParams, raw.get("spectrum") or {}, f"{ctx}: spectrum"),
-        **blocks,
-    )
-    if scenario.tune is not None and scenario.tune.qd_ids:
+    types = _field_types(Scenario)
+    settings = {k: _record(types[k], raw[k], f"{ctx}: {k}") for k in blocks if raw.get(k) is not None}
+    scenario = Scenario(bath_k, tuple(structures), crosstalk, **settings)
+    if scenario.tune.qd_ids:
         _build(tuned_dots, ctx, scenario, scenario.tune)
     return scenario
 
@@ -477,9 +457,9 @@ def load_device_or_scenario(path: str | Path) -> tuple[Device, float, ThermalPar
     path = Path(path)
     raw = _load_json(path)
     if isinstance(raw, dict) and "membrane" in raw:
-        return load_device(path), spectral.DEFAULT_T_REF_K, ThermalParams()
-    scenario = load_scenario(path)
-    return scenario.main.device, scenario.bath_k, scenario.thermal or ThermalParams()
+        return load_device(path, raw), spectral.DEFAULT_T_REF_K, ThermalParams()
+    scenario = load_scenario(path, raw)
+    return scenario.main.device, scenario.bath_k, scenario.thermal
 
 
 @dataclass(frozen=True)
@@ -498,7 +478,7 @@ class Anchors:
 
 def load_anchors(path: str | Path) -> Anchors:
     """Parse an anchors file: top-level anchors for one "main" structure, or a
-    `structures` object of per-structure blocks (sorted by id)."""
+    `structures` object of per-structure blocks (sorted by id), never both."""
     path = Path(path)
     raw = _load_json(path)
     ctx = str(path)
@@ -508,12 +488,15 @@ def load_anchors(path: str | Path) -> Anchors:
         set(),
         ctx,
     )
-    if "structures" in raw:
-        if not isinstance(raw["structures"], dict) or not raw["structures"]:
-            raise ConfigError(f"{ctx}: structures must be a non-empty object")
-        raw_blocks = raw["structures"]
+    top = {k: raw[k] for k in ("temperature_anchors", "power_anchors") if k in raw}
+    if "structures" not in raw:
+        raw_blocks = {"main": top}
+    elif top:
+        raise ConfigError(f"{ctx}: top-level anchors cannot sit beside 'structures'; each structure has its own")
+    elif not isinstance(raw["structures"], dict) or not raw["structures"]:
+        raise ConfigError(f"{ctx}: structures must be a non-empty object")
     else:
-        raw_blocks = {"main": {k: raw[k] for k in ("temperature_anchors", "power_anchors") if k in raw}}
+        raw_blocks = raw["structures"]
 
     blocks: dict[str, tuple[str, np.ndarray]] = {}
     for sid, block in sorted(raw_blocks.items()):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qdtuner import cli, spectral
+from qdtuner import config as cfg
 
 
 def run_cli(*args):
@@ -21,6 +22,19 @@ def read_rows(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def test_thermal_parses_each_config_file_once(configs_dir, tmp_path, monkeypatch):
+    reads = []
+    load_json = cfg._load_json
+
+    def counted(path):
+        reads.append(path.name)
+        return load_json(path)
+
+    monkeypatch.setattr(cfg, "_load_json", counted)
+    assert run_cli("thermal", configs_dir / "fig1b.json", "--dx-um", 0.1, "--out", tmp_path / "out") == 0
+    assert reads == ["fig1b.json", "device_w320.json"]
 
 
 def test_thermal_zero_power_uniform_field(configs_dir, tmp_path):
@@ -498,6 +512,38 @@ def test_tune_without_cavity_is_config_error(configs_dir, tmp_path):
         encoding="utf-8",
     )
     assert run_cli("tune", tmp_path / "s.json", "--out", tmp_path / "out") == 2
+
+
+def test_top_level_calibration_beside_structures_is_refused(configs_dir, tmp_path, capsys):
+    raw = json.loads((configs_dir / "qd_pair.json").read_text(encoding="utf-8"))
+    for s in raw["structures"]:
+        s["device"] = str(configs_dir / s["device"])
+    scenario = tmp_path / "s.json"
+    raw["calibration"] = None  # a null one stays allowed
+    scenario.write_text(json.dumps(raw), encoding="utf-8")
+    assert run_cli("tune", scenario, "--out", tmp_path / "null") == 0
+    raw["calibration"] = {"beta_k2_per_mw": 1e-9}
+    scenario.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("tune", scenario, "--out", tmp_path / "out") == 2
+    message = "a top-level calibration needs 'device'; each structure has its own"
+    assert capsys.readouterr().err == f"config error: {scenario}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("power_anchors", "not even numbers"), ("temperature_anchors", [[40.0, 1.8], [50.0, 2.9]])],
+)
+def test_top_level_anchors_beside_structures_are_refused(tmp_path, capsys, key, value):
+    anchors = tmp_path / "a.json"
+    raw = {"structures": {"A": {"power_anchors": [[0.0, 0.0], [3.0, 1.4]]}}, key: value}
+    anchors.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("calibrate", "--anchors-file", anchors, "--out", tmp_path / "out") == 2
+    message = "top-level anchors cannot sit beside 'structures'; each structure has its own"
+    assert capsys.readouterr().err == f"config error: {anchors}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_calibrate_temperature_anchors(configs_dir, tmp_path):

@@ -208,6 +208,16 @@ def test_scenario_bad_window_and_steps(tmp_path):
         load_scenario(
             _write(tmp_path / "s.json", {"device": "d.json", "sweep": {"steps": 1}})
         )
+    # every settings block by one rule: null is the record's defaults, any
+    # other value that is not an object is refused
+    records = {"spectrum": cfg.SpectrumParams, "sweep": cfg.SweepParams, "thermal": cfg.ThermalParams,
+               "tune": cfg.TuneParams}
+    for name, record in records.items():
+        sc = load_scenario(_write(tmp_path / "s.json", {"device": "d.json", name: None}))
+        assert getattr(sc, name) == record()
+        for value in (False, [], 0, ""):
+            with pytest.raises(ConfigError, match=f"{name}: expected an object"):
+                load_scenario(_write(tmp_path / "s.json", {"device": "d.json", name: value}))
 
 
 def test_field_csv_round_trip(tmp_path):

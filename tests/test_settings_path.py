@@ -122,7 +122,7 @@ def _run_mutated(work, argv, device, path, value):
     """Run argv on a copy of its config file with value at path: a leaf of
     the named device file, used in place of the scenario's own, or else a
     leaf of the config file itself."""
-    name = next(a for a in argv if a in RUNS)
+    name = next(a for a in argv if a.endswith(".json"))
     raw = _load(name)
     if device is None:
         _set(raw, path, value)
@@ -214,6 +214,26 @@ FIG4_SWEEP = RUNS["fig4.json"][0]
 )
 def test_wrong_kinds_and_oversized_inputs_are_config_errors(tmp_path, argv, device, path, value):
     assert _run_mutated(tmp_path, argv, device, path, value) == 2
+
+
+# the shipped scenarios, each with its command; together they hold every
+# top-level key load_scenario allows
+SCENARIO_RUNS = (FIG1B, FIG2A, ("sweep", "fig3.json"), FIG4_SWEEP, QD_PAIR)
+SCENARIO_KEYS = set().union(*(_load(argv[1]) for argv in SCENARIO_RUNS))
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        pytest.param(argv, key, value, id=f"{argv[1]}-{key}-{json.dumps(value)}")
+        for argv in SCENARIO_RUNS
+        for key in sorted(SCENARIO_KEYS - set(_load(argv[1])))
+        for value in ("x", [], False)
+    ],
+)
+def test_no_scenario_key_is_silently_ignored(tmp_path, argv, key, value):
+    # a key the file lacks, set to a value of no use to it, is refused
+    assert _run_mutated(tmp_path, argv, None, (key,), value) == 2
 
 
 def test_size_caps_sit_at_their_bounds():
