@@ -120,7 +120,7 @@ def _merge(record, args):
 def cmd_thermal(args) -> int:
     device, bath_k, params = cfg.load_device_or_scenario(args.config)
     params = _merge(params, args)
-    bath_k = args.bath_k if args.bath_k is not None else bath_k
+    bath_k = cfg.bath_temperature(args.bath_k) if args.bath_k is not None else bath_k
     power_mw = params.power_abs_mw
 
     layout = device.layout

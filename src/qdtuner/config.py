@@ -20,7 +20,7 @@ import numpy as np
 
 from . import control, spectral
 from .control import Crosstalk, PowerMap
-from .device import DeviceLayout, HeatingPad, MaterialModel, Membrane, spread_bridges
+from .device import Bridges, DeviceLayout, HeatingPad, MaterialModel, Membrane
 from .spectral import CavityState, QDState
 from .thermal import TemperatureField
 
@@ -48,6 +48,15 @@ def finite(value, name: str):
     """
     if not (np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)):
         raise ConfigError(f"{name} must be finite, got {value}")
+    return value
+
+
+def bath_temperature(value, name: str = "bath_k") -> float:
+    """Return value if it can be a bath temperature, else raise: the one rule
+    of a scenario's bath_k and of the --bath-k flag. The power map works in
+    T^2, so the square must be a positive finite float too."""
+    if not (finite(value, name) > 0 and 0.0 < value * value < math.inf):
+        raise ConfigError(f"{name} must be positive, its square a positive finite float, got {value}")
     return value
 
 
@@ -87,15 +96,19 @@ _JSON = json.JSONDecoder(parse_int=_json_int)
 
 
 def _load_json(path: Path) -> dict:
+    """The JSON object a config file holds; any other JSON value is refused."""
     try:
         with open(path, encoding="utf-8") as f:
-            return _JSON.decode(f.read())
+            raw = _JSON.decode(f.read())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: malformed JSON ({e})") from e
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text ({e})") from e
     except OSError as e:
         raise ConfigError(f"{path}: cannot read ({e.strerror})") from e
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object")
+    return raw
 
 
 def _build(cls, ctx: str, *args, **values):
@@ -163,11 +176,10 @@ class Device:
         raise ConfigError(f"unknown QD id {qd_id!r}")
 
 
-def load_device(path: str | Path, raw=None) -> Device:
+def load_device(path: str | Path, raw: dict | None = None) -> Device:
     """Parse a device description file (raw: its JSON, when already read from
-    path); each record built checks its own rules. _record reads every block
-    but bridges: spread_bridges, a function and not a record, builds those
-    from their count."""
+    path). _record reads every block into its record, which checks its own
+    rules, and the layout checks the rules that join them."""
     path = Path(path)
     raw = _load_json(path) if raw is None else raw
     ctx = str(path)
@@ -178,14 +190,7 @@ def load_device(path: str | Path, raw=None) -> Device:
         ctx,
     )
     membrane = _record(Membrane, raw["membrane"], f"{ctx}: membrane", {"length_um", "width_um", "thickness_nm"})
-
-    b = raw["bridges"]
-    bctx = f"{ctx}: bridges"
-    _check_keys(b, {"count", "width_nm", "length_um"}, {"count", "width_nm", "length_um"}, bctx)
-    _integer(b["count"], f"{bctx}: count", 1)
-    width, length = _number(b, "width_nm", bctx), _number(b, "length_um", bctx)
-    bridges = _build(spread_bridges, bctx, b["count"], width, length, membrane)
-
+    bridges = _record(Bridges, raw["bridges"], f"{ctx}: bridges", {"count", "width_nm", "length_um"})
     pad = _record(HeatingPad, raw["pad"], f"{ctx}: pad", {"x_um", "y_um", "w_um", "h_um", "profile"})
 
     mt = raw["material"]
@@ -310,7 +315,7 @@ class TuneParams:
     target: str = TUNE_TARGETS[0]
     qd_ids: tuple[str, ...] = ()
     tol_nm: float = 1e-6
-    min_q: float | None = None     # optional cavity-quality feasibility floor
+    min_q: float | None = None     # optional cavity-quality feasibility floor, qd-to-cavity only
 
     def __post_init__(self) -> None:
         if self.target not in TUNE_TARGETS:
@@ -320,6 +325,8 @@ class TuneParams:
         _positive(self.tol_nm, "tol_nm")
         if self.min_q is not None:
             _positive(self.min_q, "min_q")
+            if self.target != "qd-to-cavity":
+                raise ConfigError("min_q applies to qd-to-cavity tuning only")
 
 
 @dataclass(frozen=True)
@@ -376,7 +383,7 @@ def _structure_alpha(qd_states) -> float:
     return qd_states[0].alpha_nm_per_k2 if qd_states else spectral.DEFAULT_ALPHA_NM_PER_K2
 
 
-def load_scenario(path: str | Path, raw=None) -> Scenario:
+def load_scenario(path: str | Path, raw: dict | None = None) -> Scenario:
     """Parse a scenario file (raw: its JSON, when already read from path).
 
     A single `device`, with the file's `calibration`, is the one structure
@@ -391,7 +398,7 @@ def load_scenario(path: str | Path, raw=None) -> Scenario:
     _check_keys(raw, {"device", "structures", "bath_k", "calibration", "crosstalk_k2_per_mw", *blocks}, set(), ctx)
     if ("device" in raw) == ("structures" in raw):
         raise ConfigError(f"{ctx}: give exactly one of 'device' or 'structures'")
-    bath_k = _number(raw, "bath_k", ctx, default=spectral.DEFAULT_T_REF_K)
+    bath_k = bath_temperature(_number(raw, "bath_k", ctx, default=spectral.DEFAULT_T_REF_K), f"{ctx}: bath_k")
 
     if "device" in raw:
         listed = [(ctx, {"id": "main", "device": raw["device"], "calibration": raw.get("calibration")})]
@@ -456,7 +463,7 @@ def load_device_or_scenario(path: str | Path) -> tuple[Device, float, ThermalPar
     temperature and the thermal settings, defaulted for a bare device."""
     path = Path(path)
     raw = _load_json(path)
-    if isinstance(raw, dict) and "membrane" in raw:
+    if "membrane" in raw:
         return load_device(path, raw), spectral.DEFAULT_T_REF_K, ThermalParams()
     scenario = load_scenario(path, raw)
     return scenario.main.device, scenario.bath_k, scenario.thermal

@@ -20,18 +20,16 @@ MEMBRANE = 1
 BRIDGE = 2
 PAD = 3
 
-SIDES = ("bottom", "top")
-
 DEFAULT_BRIDGE_WIDTH_NM = 320.0
 DEFAULT_BRIDGE_LENGTH_UM = 2.0
 DEFAULT_BRIDGE_COUNT = 6
 
 # Largest grid rasterize builds: the device's bounding box (membrane plus
-# the longest bridge below and above it) over dx^2. A 0.025 um pitch on the
+# the bridges below and above it) over dx^2. A 0.025 um pitch on the
 # shipped devices is 153,600 cells.
 MAX_GRID_CELLS = 1_000_000
 
-# Most bridges spread_bridges lays out; the shipped devices have six.
+# Most bridges a device may have; the shipped devices have six.
 MAX_BRIDGES = 1_000
 
 
@@ -61,21 +59,23 @@ class Membrane:
 
 
 @dataclass(frozen=True)
-class Bridge:
-    """Narrow beam anchoring the membrane to the chip.
+class Bridges:
+    """The identical narrow beams anchoring the membrane to the chip.
 
-    The cross section is bridge width times membrane thickness; the far end
-    is held at the bath temperature.
+    Each has a cross section of width times membrane thickness, and its far
+    end is held at the bath temperature; rasterize spreads them over the two
+    long membrane edges.
     """
 
+    count: int = DEFAULT_BRIDGE_COUNT
     width_nm: float = DEFAULT_BRIDGE_WIDTH_NM
     length_um: float = DEFAULT_BRIDGE_LENGTH_UM
-    side: str = "bottom"       # long membrane edge the bridge hangs from
-    position_um: float = 6.0   # anchor center along that edge, from x = 0
 
     def __post_init__(self) -> None:
-        if self.side not in SIDES:
-            raise LayoutError(f"unknown bridge side {self.side!r}")
+        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 1:
+            raise LayoutError("count must be an integer >= 1")
+        if self.count > MAX_BRIDGES:
+            raise LayoutError(f"bridge count {self.count} is over the cap of {MAX_BRIDGES:,}")
         if not (self.width_nm > 0 and self.length_um > 0):
             raise LayoutError("bridge must have positive width and length")
 
@@ -125,11 +125,14 @@ class DeviceLayout:
     (bridges keep the bare material law); it defaults to 1 so the body and
     the bridges share one conductivity, and exists for sensitivity studies.
     Each part checks its own rules; the layout checks those that join them,
-    so no invalid layout can be built.
+    so no invalid layout can be built. The bottom edge of length L carries
+    n = ceil(count / 2) bridges, the odd one included, so it sets how wide
+    they may be: no wider than their spacing L / (n + 1) for n >= 2, or
+    than the edge for n = 1, so that no two overlap.
     """
 
     membrane: Membrane
-    bridges: tuple[Bridge, ...]
+    bridges: Bridges
     pad: HeatingPad
     material: MaterialModel
     cavity_xy_um: tuple[float, float] | None = None
@@ -137,12 +140,14 @@ class DeviceLayout:
     body_kappa_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        m = self.membrane
-        if not self.bridges:
-            raise LayoutError("no heat path: layout needs at least one bridge")
-        for b in self.bridges:
-            if not 0.0 <= b.position_um <= m.length_um:
-                raise LayoutError("bridge anchor off the membrane perimeter")
+        m, b = self.membrane, self.bridges
+        n = (b.count + 1) // 2
+        limit_nm = 1e3 * m.length_um / (n + 1 if n > 1 else 1)
+        if not b.width_nm <= limit_nm:
+            raise LayoutError(
+                f"{b.count} bridges of {b.width_nm} nm overlap: the {n} on the {m.length_um} um "
+                f"bottom edge fit only up to {limit_nm:g} nm wide"
+            )
         p = self.pad
         if not (
             0.0 <= p.x_um
@@ -160,28 +165,6 @@ class DeviceLayout:
                 raise LayoutError(f"{what} out of bounds: ({x}, {y}) um not on the membrane")
 
 
-def spread_bridges(
-    count: int,
-    width_nm: float,
-    length_um: float,
-    membrane: Membrane,
-) -> tuple[Bridge, ...]:
-    """Distribute bridges evenly over the two long membrane edges;
-    LayoutError for more than MAX_BRIDGES."""
-    if count > MAX_BRIDGES:
-        raise LayoutError(f"bridge count {count} is over the cap of {MAX_BRIDGES:,}")
-    n_bottom = (count + 1) // 2
-    n_top = count - n_bottom
-    bridges: list[Bridge] = []
-    for side, n in (("bottom", n_bottom), ("top", n_top)):
-        for k in range(n):
-            pos = membrane.length_um * (k + 1) / (n + 1)
-            bridges.append(
-                Bridge(width_nm=width_nm, length_um=length_um, side=side, position_um=pos)
-            )
-    return tuple(bridges)
-
-
 def default_layout(
     bridge_width_nm: float = DEFAULT_BRIDGE_WIDTH_NM,
     bridge_length_um: float = DEFAULT_BRIDGE_LENGTH_UM,
@@ -190,10 +173,9 @@ def default_layout(
 ) -> DeviceLayout:
     """Standard device: 12 x 4 um x 150 nm membrane, six bridges, pad at one
     end and the cavity region at the other."""
-    membrane = Membrane()
     return DeviceLayout(
-        membrane=membrane,
-        bridges=spread_bridges(bridge_count, bridge_width_nm, bridge_length_um, membrane),
+        membrane=Membrane(),
+        bridges=Bridges(bridge_count, bridge_width_nm, bridge_length_um),
         pad=HeatingPad(),
         material=material if material is not None else MaterialModel(),
         cavity_xy_um=(10.0, 2.0),
@@ -242,14 +224,16 @@ def rasterize(
 ) -> ThermalGrid:
     """Rasterize a layout onto a square-cell grid.
 
-    Membrane and pad cells are classified by cell-center membership. Bridges
-    hang below and above the membrane as blocks of round(width/dx) x
-    round(length/dx) cells so a narrow bridge keeps the same cell width at
-    any grid phase; the far-end row of each bridge is flagged Dirichlet at
-    the bath temperature. sheet_um is the slab thickness, times
-    body_kappa_scale on membrane and pad cells. Pad
-    cells share the absorbed power according to the pad profile, normalized
-    so the cell sources add up to absorbed_power_w. A pitch that would give
+    Membrane and pad cells are classified by cell-center membership. The
+    bridges are spread evenly over the two long edges: n = ceil(count / 2)
+    hang below the membrane and the rest above it, the k-th of an edge's n
+    centered at length * (k + 1) / (n + 1). Each is a block of
+    round(width/dx) x round(length/dx) cells so a narrow bridge keeps the
+    same cell width at any grid phase; the far-end row of each bridge is
+    flagged Dirichlet at the bath temperature. sheet_um is the slab
+    thickness, times body_kappa_scale on membrane and pad cells. Pad cells
+    share the absorbed power according to the pad profile, normalized so
+    the cell sources add up to absorbed_power_w. A pitch that would give
     more than MAX_GRID_CELLS cells is refused before any array is built.
     """
     if not 0.0 < t_bath_k < math.inf:
@@ -258,15 +242,14 @@ def rasterize(
         raise GridError("dx must be positive")
     if absorbed_power_w < 0:
         raise GridError("absorbed power must be non-negative")
-    m = layout.membrane
-    pad = layout.pad
-    min_feature = min(min(b.width_um for b in layout.bridges), pad.w_um, pad.h_um)
+    m, b, pad = layout.membrane, layout.bridges, layout.pad
+    min_feature = min(b.width_um, pad.w_um, pad.h_um)
     if dx_um > min_feature:
         raise GridError(
             f"dx too coarse: {dx_um} um pitch exceeds the smallest feature ({min_feature} um)"
         )
-    reach = {s: max((b.length_um for b in layout.bridges if b.side == s), default=0.0) for s in SIDES}
-    span_y = reach["bottom"] + m.width_um + reach["top"]
+    n_bottom = (b.count + 1) // 2  # a lone bridge leaves the top edge bare
+    span_y = b.length_um + m.width_um + (b.length_um if b.count > n_bottom else 0.0)
     cells = (m.length_um / dx_um) * (span_y / dx_um)
     if not cells <= MAX_GRID_CELLS:
         raise GridError(
@@ -274,11 +257,11 @@ def rasterize(
             f"over the cap of {MAX_GRID_CELLS:,}"
         )
 
-    # round() is monotone, so the longest bridge on a side sets its rows
-    extent = {s: max(1, int(round(r / dx_um))) if r > 0.0 else 0 for s, r in reach.items()}
+    n_w = max(1, int(round(b.width_um / dx_um)))
+    n_len = max(1, int(round(b.length_um / dx_um)))
     nx = max(1, int(round(m.length_um / dx_um)))
-    ny = extent["bottom"] + max(1, int(round(m.width_um / dx_um))) + extent["top"]
-    y0 = -extent["bottom"] * dx_um
+    ny = n_len + max(1, int(round(m.width_um / dx_um))) + (n_len if b.count > n_bottom else 0)
+    y0 = -n_len * dx_um
 
     kind = np.zeros((ny, nx), dtype=np.int8)
     sheet = np.zeros((ny, nx))
@@ -309,19 +292,19 @@ def rasterize(
     i_lo, i_hi = int(i_mem[0]), int(i_mem[-1])
     j_lo, j_hi = int(j_mem[0]), int(j_mem[-1])
 
-    for b in layout.bridges:
-        n_w = max(1, int(round(b.width_um / dx_um)))
-        n_len = max(1, int(round(b.length_um / dx_um)))
-        ic = int(np.clip(np.floor(b.position_um / dx_um), i_lo, i_hi))
-        c0 = int(np.clip(ic - (n_w - 1) // 2, i_lo, i_hi - n_w + 1))
-        cols = slice(c0, c0 + n_w)
-        if b.side == "bottom":
-            rows, far = slice(j_lo - n_len, j_lo), j_lo - n_len
-        else:
-            rows, far = slice(j_hi + 1, j_hi + 1 + n_len), j_hi + n_len
-        kind[rows, cols] = BRIDGE
-        sheet[rows, cols] = m.thickness_um
-        dirichlet[far, cols] = True
+    sides = (
+        (n_bottom, slice(j_lo - n_len, j_lo), j_lo - n_len),
+        (b.count - n_bottom, slice(j_hi + 1, j_hi + 1 + n_len), j_hi + n_len),
+    )
+    for n, rows, far in sides:
+        for k in range(n):
+            pos = m.length_um * (k + 1) / (n + 1)
+            ic = int(np.clip(np.floor(pos / dx_um), i_lo, i_hi))
+            c0 = int(np.clip(ic - (n_w - 1) // 2, i_lo, i_hi - n_w + 1))
+            cols = slice(c0, c0 + n_w)
+            kind[rows, cols] = BRIDGE
+            sheet[rows, cols] = m.thickness_um
+            dirichlet[far, cols] = True
 
     if absorbed_power_w > 0.0:
         pj, pi = np.nonzero(pad_mask)

@@ -62,18 +62,17 @@ def kappa_integral(material: MaterialModel, t_lo_k: float, t_hi_k: float) -> flo
 
 
 def bridge_conductance_factor_cm(layout: DeviceLayout) -> float:
-    """Geometric conductance of all bridges in parallel, sum(A_i / L_i), in cm."""
-    t_um = layout.membrane.thickness_um
-    total_um = sum(b.width_um * t_um / b.length_um for b in layout.bridges)
-    return total_um / UM_PER_CM
+    """Geometric conductance of all bridges in parallel, count * A / L, in cm."""
+    b = layout.bridges
+    return b.count * (b.width_um * layout.membrane.thickness_um / b.length_um) / UM_PER_CM
 
 
 def lumped_temperature(layout: DeviceLayout, p_abs_w: float, t_bath_k: float) -> float:
     """Isothermal-island temperature at a given absorbed power.
 
-    p_abs = sum(A/L) * integral(kappa, bath..island) = sum(A/L) * kappa_ref *
-    (U(island) - U(bath)) in the Kirchhoff variable U, so the island is
-    U^-1(U(bath) + p_abs / (kappa_ref * sum(A/L))). The island is
+    p_abs = nA/L * integral(kappa, bath..island) = nA/L * kappa_ref *
+    (U(island) - U(bath)) in the Kirchhoff variable U for n bridges, so the
+    island is U^-1(U(bath) + p_abs / (kappa_ref * nA/L)). The island is
     bridge-limited: the body of the device adds no thermal resistance in
     this approximation.
     """

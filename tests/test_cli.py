@@ -37,6 +37,21 @@ def test_thermal_parses_each_config_file_once(configs_dir, tmp_path, monkeypatch
     assert reads == ["fig1b.json", "device_w320.json"]
 
 
+def test_thermal_parses_a_null_config_once(tmp_path, monkeypatch):
+    # a file whose JSON is not an object is refused where it is read
+    reads = []
+    load_json = cfg._load_json
+
+    def counted(path):
+        reads.append(path.name)
+        return load_json(path)
+
+    monkeypatch.setattr(cfg, "_load_json", counted)
+    (tmp_path / "null.json").write_text("null", encoding="utf-8")
+    assert run_cli("thermal", tmp_path / "null.json", "--out", tmp_path / "out") == 2
+    assert reads == ["null.json"]
+
+
 def test_thermal_zero_power_uniform_field(configs_dir, tmp_path):
     out = tmp_path / "out"
     code = run_cli(
@@ -106,8 +121,7 @@ def test_thermal_underiterated_solver_fails_with_exit_3(configs_dir, tmp_path):
     [
         ("--power-abs-mw", "1e300"),
         ("--power-abs-mw", "1e200"),
-        ("--bath-k", "1e300"),
-        ("--bath-k", "1e308"),
+        ("--bath-k", "1e150"),
     ],
 )
 def test_thermal_overflowing_solve_fails_without_warnings(configs_dir, tmp_path, flag, value):
@@ -141,6 +155,10 @@ def _thermal_flag(flag, value):
         _thermal_flag("--bath-k", "nan"),
         _thermal_flag("--bath-k", "inf"),
         _thermal_flag("--bath-k", "-5"),
+        # the bath's square overflows, or underflows to 0
+        _thermal_flag("--bath-k", "1e300"),
+        _thermal_flag("--bath-k", "1e308"),
+        _thermal_flag("--bath-k", "1e-300"),
         _thermal_flag("--dx-um", "nan"),
         _thermal_flag("--dx-um", "5e-324"),
         _thermal_flag("--max-iter", "0"),
@@ -170,6 +188,11 @@ def _thermal_flag(flag, value):
         # a flag and a config value share one rule
         pytest.param(["tune", "{configs}/fig4.json", "--min-q", "-5"], id="tune--min-q--5"),
         pytest.param(["tune", "{tmp}/min_q.json"], id="tune-json-min_q--5"),
+        # the quality floor is a cavity's, so qd-to-qd tuning takes none
+        pytest.param(["tune", "{configs}/qd_pair.json", "--min-q", "1e9"], id="tune-qd-to-qd--min-q"),
+        pytest.param(["tune", "{tmp}/pair_min_q.json"], id="tune-json-qd-to-qd-min_q"),
+        # bridges wider than their 3 um spacing on the 12 um edge overlap
+        pytest.param(["thermal", "{tmp}/wide_bridges.json", "--dx-um", "0.1"], id="thermal-json-bridges-3001nm"),
         pytest.param(
             ["calibrate", "--anchors-file", "{configs}/anchors_power.json", "--t-ref", "-5"],
             id="calibrate--t-ref--5",
@@ -202,6 +225,11 @@ def test_thermal_invalid_number_is_config_error(configs_dir, tmp_path, capsys, a
     write("huge_bath.json", {**scenario, "bath_k": 10**400})
     write("huge_anchor.json", {"power_anchors": [[10**400, 1.4], [3.0, 1.5]]})
     write("min_q.json", {**scenario, "tune": {**scenario["tune"], "min_q": -5}})
+    pair = json.loads((configs_dir / "qd_pair.json").read_text(encoding="utf-8"))
+    for s in pair["structures"]:
+        s["device"] = str(configs_dir / s["device"])
+    write("pair_min_q.json", {**pair, "tune": {**pair["tune"], "min_q": 1e9}})
+    write("wide_bridges.json", _device_w320(configs_dir, width_nm=3001.0))
     write("t_ref.json", {"t_ref_k": -5, "power_anchors": [[0.0, 0.0], [3.0, 1.4]]})
     write("f0.json", {**scenario, "spectrum": {**scenario["spectrum"], "f0": 0.5}})
     fig1b = json.loads((configs_dir / "fig1b.json").read_text(encoding="utf-8"))
@@ -226,6 +254,32 @@ def test_thermal_invalid_number_is_config_error(configs_dir, tmp_path, capsys, a
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _device_w320(configs_dir, **bridges):
+    device = json.loads((configs_dir / "device_w320.json").read_text(encoding="utf-8"))
+    return {**device, "bridges": {**device["bridges"], **bridges}}
+
+
+def test_bridges_as_wide_as_their_spacing_are_solved(configs_dir, tmp_path):
+    # the bound of the overlap rule: three bridges every 3 um, each 3 um wide
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_device_w320(configs_dir, width_nm=3000.0)), encoding="utf-8")
+    assert run_cli("thermal", path, "--dx-um", 0.1, "--power-abs-mw", 0.02, "--out", tmp_path / "out") == 0
+
+
+def test_bath_rule_is_one_for_file_and_flag(configs_dir, tmp_path, capsys):
+    # fig1b has no calibration block: the rule names bath_k, from either source
+    fig1b = json.loads((configs_dir / "fig1b.json").read_text(encoding="utf-8"))
+    path = tmp_path / "bath.json"
+    rule = "bath_k must be positive, its square a positive finite float, got 1e+300"
+    raw = {**fig1b, "device": str(configs_dir / fig1b["device"]), "bath_k": 1e300}
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert run_cli("thermal", path, "--dx-um", 0.1, "--out", tmp_path / "a") == 2
+    assert capsys.readouterr().err == f"config error: {path}: {rule}\n"
+    argv = ["thermal", configs_dir / "fig1b.json", "--dx-um", 0.1, "--bath-k", 1e300, "--out", tmp_path / "b"]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"config error: {rule}\n"
 
 
 def test_out_naming_a_file_is_config_error(configs_dir, tmp_path, capsys):

@@ -30,7 +30,7 @@ DEVICE_OK = {
 def test_load_shipped_devices(configs_dir):
     dev = load_device(configs_dir / "device_w320.json")
     assert dev.layout.membrane.length_um == 12.0
-    assert len(dev.layout.bridges) == 6
+    assert dev.layout.bridges.count == 6
     assert dev.cavity is None and dev.qd_states == ()
 
     dev = load_device(configs_dir / "device_w320_two_qds.json")

@@ -12,7 +12,7 @@ from conftest import CONFIGS
 from qdtuner import device
 from qdtuner.config import load_device
 from qdtuner.device import (
-    Bridge,
+    Bridges,
     DeviceLayout,
     GridError,
     HeatingPad,
@@ -22,7 +22,6 @@ from qdtuner.device import (
     ThermalGrid,
     default_layout,
     rasterize,
-    spread_bridges,
 )
 from qdtuner.thermal import _faces
 
@@ -33,15 +32,11 @@ def test_default_membrane_dimensions():
 
 
 def test_default_bridge_count_and_geometry():
-    lay = default_layout()
-    assert len(lay.bridges) == 6
-    assert all(b.width_nm == 320.0 and b.length_um == 2.0 for b in lay.bridges)
-    assert {b.side for b in lay.bridges} == {"bottom", "top"}
+    assert default_layout().bridges == Bridges(count=6, width_nm=320.0, length_um=2.0)
 
 
 def test_bridge_width_override():
-    lay = default_layout(bridge_width_nm=800.0)
-    assert all(b.width_nm == 800.0 for b in lay.bridges)
+    assert default_layout(bridge_width_nm=800.0).bridges.width_nm == 800.0
 
 
 def test_default_layout_is_valid():
@@ -55,23 +50,41 @@ def test_pad_outside_membrane_rejected():
 
 
 def test_no_bridges_rejected():
-    with pytest.raises(LayoutError, match="no heat path"):
-        replace(default_layout(), bridges=())
-    with pytest.raises(LayoutError, match="no heat path"):
-        replace(default_layout(), bridges=spread_bridges(0, 320.0, 2.0, default_layout().membrane))
+    for count in (0, -1):
+        with pytest.raises(LayoutError, match="count must be an integer >= 1"):
+            Bridges(count=count)
 
 
 def test_bridges_hang_from_the_long_edges_only():
-    assert device.SIDES == ("bottom", "top")
-    for side in ("left", "right"):
-        with pytest.raises(LayoutError, match="unknown bridge side"):
-            Bridge(side=side)
+    # ceil(count / 2) blocks of bridge cells below the membrane, the rest
+    # above it, and none beside it
+    for count in range(1, 9):
+        g = rasterize(default_layout(bridge_count=count), 0.1)
+        y = g.cell_y_um()
+        bridge = g.kind == device.BRIDGE
+        assert not bridge[(y > 0.0) & (y < 4.0)].any()
+        blocks = []
+        for rows in (bridge[y < 0.0], bridge[y > 4.0]):
+            assert (rows == rows[:1]).all()  # every row of an edge's bridges alike
+            starts = np.diff(rows[:1].astype(int), prepend=0, axis=1) == 1
+            blocks.append(int(starts.sum()))
+        assert blocks == [(count + 1) // 2, count // 2]
 
 
 def test_zero_width_bridge_rejected():
-    lay = default_layout()
     with pytest.raises(LayoutError, match="positive width"):
-        replace(lay, bridges=(replace(lay.bridges[0], width_nm=0.0),))
+        replace(default_layout().bridges, width_nm=0.0)
+
+
+def test_overlapping_bridges_rejected():
+    # the shipped 12 um edge holds three bridges below the membrane, one every
+    # 3 um, so they may be at most 3 um wide; a lone bridge may span the edge
+    assert default_layout(bridge_width_nm=3000.0).bridges.width_nm == 3000.0
+    with pytest.raises(LayoutError, match="6 bridges of 3001.0 nm overlap"):
+        default_layout(bridge_width_nm=3001.0)
+    assert default_layout(bridge_width_nm=12000.0, bridge_count=1).bridges.count == 1
+    with pytest.raises(LayoutError, match="bottom edge fit only up to 12000 nm"):
+        default_layout(bridge_width_nm=12001.0, bridge_count=2)
 
 
 def test_positions_must_sit_on_membrane():
@@ -110,14 +123,34 @@ RASTER_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name, dx", list(RASTER_DIGESTS), ids=lambda v: str(v))
-def test_rasterize_matches_golden_digests(name, dx):
-    g = rasterize(load_device(CONFIGS / name).layout, dx, absorbed_power_w=1e-5, t_bath_k=4.2)
+def _digest(g):
     h = hashlib.sha256()
     for a in (g.kind, g.dirichlet, g.sheet_um, g.source_w):
         h.update(np.ascontiguousarray(a).tobytes())
     h.update(repr((g.shape, g.x0_um, g.y0_um, g.dx_um, g.t_bath_k)).encode())
-    assert h.hexdigest() == RASTER_DIGESTS[name, dx]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, dx", list(RASTER_DIGESTS), ids=lambda v: str(v))
+def test_rasterize_matches_golden_digests(name, dx):
+    g = rasterize(load_device(CONFIGS / name).layout, dx, absorbed_power_w=1e-5, t_bath_k=4.2)
+    assert _digest(g) == RASTER_DIGESTS[name, dx]
+
+
+# The same digests for the default layout with an odd bridge count: a lone
+# bridge leaves the top edge bare, and seven put the odd one at the bottom.
+COUNT_DIGESTS = {
+    (1, 0.1): "1f12475f01848b91a5e2b2f7fbec191c7a66da606187484eb3a27b497defc887",
+    (1, 0.05): "35010f320f44f3fb26dceda4ad4b9287866c111b38d7163707028b959c5218da",
+    (7, 0.1): "903d79c5376d32bda34938ce3e684626ea0c61ca7228fad914a78c15cd9b54f9",
+    (7, 0.05): "b3d03886f7454109c80a6f6c3f35c4a929cafb9259cceadcf7dd1ad6520244f1",
+}
+
+
+@pytest.mark.parametrize("count, dx", list(COUNT_DIGESTS), ids=lambda v: str(v))
+def test_rasterize_bridge_counts_match_golden_digests(count, dx):
+    g = rasterize(default_layout(bridge_count=count), dx, absorbed_power_w=1e-5, t_bath_k=4.2)
+    assert _digest(g) == COUNT_DIGESTS[count, dx]
 
 
 def test_rasterize_rejects_coarse_dx():
@@ -196,19 +229,21 @@ def test_disconnected_grid_detected():
 @st.composite
 def _layouts(draw):
     """A valid layout as load_device builds one: 1-8 bridges spread over the
-    long edges, up to three times as wide as the membrane is long, and any
-    pad, uniform or gaussian, inside the membrane."""
+    long edges, as wide as the layout allows (the spacing of the bottom
+    edge's n bridges, L / (n + 1), or L for n = 1), and any pad, uniform or
+    gaussian, inside the membrane."""
     f = st.floats(min_value=0.0, max_value=1.0)
     membrane = Membrane(
         length_um=draw(st.floats(min_value=0.5, max_value=12.0)),
         width_um=draw(st.floats(min_value=0.5, max_value=4.0)),
     )
     length, width = membrane.length_um, membrane.width_um
-    bridges = spread_bridges(
-        draw(st.integers(min_value=1, max_value=8)),
-        draw(st.floats(min_value=50.0, max_value=3000.0 * length)),
+    count = draw(st.integers(min_value=1, max_value=8))
+    n = (count + 1) // 2
+    bridges = Bridges(
+        count,
+        draw(st.floats(min_value=50.0, max_value=1e3 * length / (n + 1 if n > 1 else 1))),
         draw(st.floats(min_value=0.05, max_value=3.0)),
-        membrane,
     )
     w, h = (0.05 + 0.95 * draw(f)) * length, (0.05 + 0.95 * draw(f)) * width
     x, y = draw(f) * (length - w), draw(f) * (width - h)
@@ -232,8 +267,8 @@ def test_bridges_attach_to_the_membrane(layout, pitch):
     # refuse it. The pitch runs from the one that caps the grid near 20,000
     # cells up to the smallest feature.
     m = layout.membrane
-    feature = min(min(b.width_um for b in layout.bridges), layout.pad.w_um, layout.pad.h_um)
-    span = 2.0 * max(b.length_um for b in layout.bridges)
+    feature = min(layout.bridges.width_um, layout.pad.w_um, layout.pad.h_um)
+    span = 2.0 * layout.bridges.length_um
     finest = math.sqrt(m.length_um * (m.width_um + span) / 20_000)
     assume(finest <= feature)
     _faces(rasterize(layout, finest + pitch * (feature - finest), absorbed_power_w=1e-5))

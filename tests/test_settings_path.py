@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import CONFIGS
 from qdtuner import cli, config, control, spectral
-from qdtuner.device import MAX_BRIDGES, LayoutError, Membrane, spread_bridges
+from qdtuner.device import MAX_BRIDGES, Bridges, LayoutError
 
 VALUES = [math.nan, math.inf, -math.inf, 0, -0.0, -1, 1e300, 1e-300, 10**9, 10**400, "1", True, [], None]
 
@@ -237,9 +237,9 @@ def test_no_scenario_key_is_silently_ignored(tmp_path, argv, key, value):
 
 
 def test_size_caps_sit_at_their_bounds():
-    assert len(spread_bridges(MAX_BRIDGES, 320.0, 2.0, Membrane())) == MAX_BRIDGES
+    assert Bridges(MAX_BRIDGES, 320.0, 2.0).count == MAX_BRIDGES
     with pytest.raises(LayoutError, match="over the cap"):
-        spread_bridges(MAX_BRIDGES + 1, 320.0, 2.0, Membrane())
+        Bridges(MAX_BRIDGES + 1, 320.0, 2.0)
     spectrum = config.SpectrumParams(samples=1000)
     config.check_sweep_size(spectrum, config.SweepParams(steps=config.MAX_SWEEP_SAMPLES // 1000))
     with pytest.raises(config.ConfigError, match="over the cap"):
