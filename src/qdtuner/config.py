@@ -352,6 +352,13 @@ class Scenario:
 
     @property
     def main(self) -> StructureConfig:
+        """The one structure that thermal, sweep and qd-to-cavity tuning
+        read; a scenario of several is refused, not read in part."""
+        if len(self.structures) > 1:
+            raise ConfigError(
+                f"this command reads one structure, the scenario has {len(self.structures)} "
+                "(only qd-to-qd tuning takes several)"
+            )
         return self.structures[0]
 
 
@@ -445,7 +452,7 @@ def tuned_dots(scenario: Scenario, tune: TuneParams) -> list[QDState]:
     moves one dot per structure, by default each one's first, and takes no
     ids or one per structure."""
     cavity = tune.target == "qd-to-cavity"
-    structures = scenario.structures[:1] if cavity else scenario.structures
+    structures = (scenario.main,) if cavity else scenario.structures
     if tune.qd_ids and len(tune.qd_ids) != len(structures):
         per = "" if cavity else f" per structure ({len(structures)})"
         raise ConfigError(f"{tune.target} tuning takes one QD id{per}, got {len(tune.qd_ids)}")

@@ -13,9 +13,13 @@ few steps by Anderson acceleration so that the iteration converges in a few
 steps where the plain chord step would crawl. The operator is a symmetric,
 diagonally dominant M-matrix, so the LU is factored without pivot search, in
 SuperLU's symmetric mode and with small supernodes, which factor this
-5-point operator fastest. The lumped model collapses the structure to an
-isothermal island drained by the bridges; it is linear in U, so its island
-temperature is closed-form.
+5-point operator fastest. A grid that is its own up-down mirror, as a
+device with an even bridge count and a centred pad rasterizes to, carries
+no heat across the mirror line: the solve takes its lower half, with that
+line as a zero-flux edge, and mirrors the field back, which halves the
+factored operator and leaves field.csv unchanged. The lumped model
+collapses the structure to an isothermal island drained by the bridges; it
+is linear in U, so its island temperature is closed-form.
 
 The solver refuses a grid it cannot conduct through with GridError (exit 3
 from the CLI), e.g. one where a cell has no path of conducting faces to a
@@ -32,7 +36,7 @@ solve.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -120,7 +124,7 @@ class TemperatureField:
 @dataclass(frozen=True)
 class SolveReport:
     iterations: int        # chord steps, one triangular solve with the Kirchhoff LU each
-    residual: float        # relative energy imbalance, recomputed from the field
+    residual: float        # relative energy imbalance, from the solved field or its mirror half
     converged: bool
     tol: float
     max_rel_change: float  # largest relative temperature update of the last chord step
@@ -333,6 +337,16 @@ def solve_steady_state(
     or prefactor conductances whose products underflow).
     rasterize builds such a grid from a valid layout only in the last case.
 
+    A grid with an even row count whose kind, sheet_um, source_w and
+    dirichlet arrays each equal their up-down mirror is solved on its lower
+    half, by the same steps, with the mirror line as the half's zero-flux
+    top edge and half the absorbed power, against which its sources are
+    still checked. The field is the half's stacked on its mirror image and
+    the report is the half's: the half carries the same discrete equations,
+    so the field agrees with a full solve to round-off (field.csv is
+    unchanged) and the residual is the same relative imbalance. Any other
+    grid is solved whole.
+
     Chord steps on the discretization with harmonically averaged face
     conductances g(T) run from the bath field. With U = integral of
     (T / t_ref)^p dT the power-law problem is linear in U, and at the bath
@@ -362,8 +376,15 @@ def solve_steady_state(
         raise ValueError("tol must lie in (0, 1)")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    ny = grid.shape[0]
+    arrays = {k: getattr(grid, k) for k in ("kind", "sheet_um", "source_w", "dirichlet")}
+    mirrored = ny > 0 and ny % 2 == 0 and all(np.array_equal(a, a[::-1]) for a in arrays.values())
+    solved = grid
+    if mirrored:  # no heat crosses the mirror line, so it is the solved half's zero-flux top edge
+        lower = {k: a[: ny // 2] for k, a in arrays.items()}
+        solved = replace(grid, **lower, absorbed_power_w=grid.absorbed_power_w / 2)
     material = grid.material
-    faces = _faces(grid)
+    faces = _faces(solved)
     free = faces.free
     t = np.full(faces.cells.size, grid.t_bath_k, dtype=float)
     flow = _conduct(faces, material, t)
@@ -405,9 +426,9 @@ def solve_steady_state(
                 res = _imbalance(faces, flow)
                 converged = rel < tol and res <= tol
 
-    t_k = np.full(grid.shape, np.nan)
+    t_k = np.full(solved.shape, np.nan)
     t_k.reshape(-1)[faces.cells] = t
-    field = TemperatureField(grid=grid, t_k=t_k)
+    field = TemperatureField(grid=grid, t_k=np.concatenate([t_k, t_k[::-1]]) if mirrored else t_k)
     report = SolveReport(
         iterations=iterations,
         residual=res,

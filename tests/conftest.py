@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qdtuner import device
-from qdtuner.device import MaterialModel, ThermalGrid
+from qdtuner.device import UM_PER_CM, MaterialModel, ThermalGrid
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -57,3 +58,61 @@ def bar_end_temperature_analytic(grid: ThermalGrid, power_w: float, t_bath_k: fl
     p = mat.exponent
     pref = mat.kappa_ref_w_per_k_cm / ((p + 1.0) * mat.t_ref_k**p)
     return (t_bath_k ** (p + 1.0) + target / pref) ** (1.0 / (p + 1.0))
+
+
+def manufactured_sheet(
+    n: int,
+    material: MaterialModel | None = None,
+    t_bath_k: float = 10.0,
+    t_peak_k: float = 40.0,
+    width_um: float = 1.0,
+    sheet_um: float = 0.15,
+) -> tuple[ThermalGrid, np.ndarray]:
+    """A 2-D manufactured solution (Roache 2002): the grid and the exact
+    temperature at its cell centres.
+
+    n columns of pitch h = width_um / n, and n + 1 rows, the first held at
+    the bath, so the sheet spans y in [0, H] with H = (n + 1/2) h. In the
+    Kirchhoff variable V = integral of kappa dT from the bath, the exact
+    field is V = A sin(pi y / 2H) (1 + 0.3 cos(pi x / W)), zero at the bath
+    row and flux-free on the other three edges, with A set so that the
+    hottest point, (0, H), is at t_peak_k. Each cell's source is the exact
+    integral of -div(kappa t grad T) over it, the net heat its four faces
+    carry out, in closed form; some cells are sinks.
+    """
+    material = material if material is not None else MaterialModel()
+    h = width_um / n
+    height = (n + 0.5) * h
+    a, b = math.pi / (2.0 * height), math.pi / width_um
+    p, tr, k_ref = material.exponent, material.t_ref_k, material.kappa_ref_w_per_k_cm
+
+    def kirchhoff(t):  # integral of kappa dT from 0, in W/cm (p > -1)
+        return k_ref * tr * (t / tr) ** (p + 1.0) / (p + 1.0)
+
+    amp = (kirchhoff(t_peak_k) - kirchhoff(t_bath_k)) / 1.3
+    x_lo, y_lo = np.arange(n) * h, (np.arange(n + 1) - 0.5) * h
+    x_hi, y_hi = x_lo + h, y_lo + h
+    d_cos = np.cos(a * y_hi) - np.cos(a * y_lo)  # per row
+    d_sin = np.sin(b * x_hi) - np.sin(b * x_lo)  # per column
+    # the closed line integral of dV/dn around each cell, in W/cm
+    flux_out = amp * np.outer(d_cos, a * h + 0.3 * d_sin * (a / b + b / a))
+    source = -flux_out * sheet_um / UM_PER_CM
+    source[0] = 0.0
+    dirichlet = np.zeros((n + 1, n), dtype=bool)
+    dirichlet[0] = True
+    x_c, y_c = x_lo + 0.5 * h, y_lo + 0.5 * h
+    v = amp * np.outer(np.sin(a * y_c), 1.0 + 0.3 * np.cos(b * x_c))
+    t_exact = tr * ((t_bath_k / tr) ** (p + 1.0) + (p + 1.0) * v / (k_ref * tr)) ** (1.0 / (p + 1.0))
+    grid = ThermalGrid(
+        dx_um=h,
+        x0_um=0.0,
+        y0_um=-0.5 * h,
+        kind=np.full((n + 1, n), device.MEMBRANE, dtype=np.int8),
+        sheet_um=np.full((n + 1, n), sheet_um),
+        source_w=source,
+        dirichlet=dirichlet,
+        t_bath_k=t_bath_k,
+        material=material,
+        absorbed_power_w=float(source.sum()),
+    )
+    return grid, t_exact

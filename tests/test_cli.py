@@ -537,6 +537,39 @@ def test_tune_pair_decoupled(configs_dir, tmp_path):
     assert sol["powers_mw"]["B"] == 0.0
 
 
+def _cavity_pair(configs_dir, tmp_path):
+    """qd_pair.json with structure A on device_w320_two_qds.json, which has
+    a cavity, tuned qd-to-cavity."""
+    raw = json.loads((configs_dir / "qd_pair.json").read_text(encoding="utf-8"))
+    raw["structures"][0]["device"] = "device_w320_two_qds.json"
+    for s in raw["structures"]:
+        s["device"] = str(configs_dir / s["device"])
+    raw["tune"] = {"target": "qd-to-cavity"}
+    path = tmp_path / "cavity_pair.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["thermal", "{configs}/qd_pair.json", "--dx-um", "0.1"], id="thermal"),
+        pytest.param(["sweep", "{configs}/qd_pair.json"], id="sweep"),
+        pytest.param(["tune", "{tmp}/cavity_pair.json"], id="tune-qd-to-cavity"),
+    ],
+)
+def test_a_one_structure_command_refuses_several(configs_dir, tmp_path, capsys, argv):
+    # thermal, sweep and qd-to-cavity tuning read one structure; given two,
+    # they once read the first and ignored the other (qd-to-qd tuning takes
+    # several: test_tune_pair_decoupled)
+    _cavity_pair(configs_dir, tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(*[a.format(configs=configs_dir, tmp=tmp_path) for a in argv], "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "the scenario has 2" in err
+    assert not out.exists()
+
+
 def test_tune_singular_crosstalk_is_infeasible(configs_dir, tmp_path, capsys):
     # Crosstalk.validate accepts this matrix; its determinant is zero
     x = 400.0 * np.array([[1.0, 0.75, 0.0], [0.75, 1.0, 0.875], [0.0, 0.5, 1.0]])

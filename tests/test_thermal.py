@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bar_end_temperature_analytic, bar_grid
+from conftest import bar_end_temperature_analytic, bar_grid, manufactured_sheet
 from qdtuner import device, thermal
 from qdtuner.config import ThermalParams, load_device
 from qdtuner.device import GridError, MaterialModel, default_layout, rasterize
@@ -394,13 +394,14 @@ def test_a_non_finite_step_stops_the_solve_before_the_mixing(monkeypatch):
 
 
 def _counted(monkeypatch, name):
-    """Record each call of scipy.sparse.linalg.<name> in the returned list;
-    thermal imports the solvers where it calls them, so it calls the patch."""
+    """Record the shape of the operator of each call of
+    scipy.sparse.linalg.<name> in the returned list; thermal imports the
+    solvers where it calls them, so it calls the patch."""
     calls = []
     original = getattr(scipy.sparse.linalg, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args[0].shape)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, name, counted)
@@ -480,3 +481,168 @@ def test_solve_invariants_over_random_powers(exponent, p_low, factor):
     low, high = fields
     active = ~np.isnan(low)
     assert np.all(high[active] >= low[active] - 1e-9)
+
+
+_ARRAYS = ("kind", "sheet_um", "source_w", "dirichlet")
+
+
+def _padded(grid, bottom=0, top=0, left=0, right=0):
+    """The grid inside a frame of void rows and columns, which change no equation."""
+    return replace(
+        grid,
+        x0_um=grid.x0_um - left * grid.dx_um,
+        y0_um=grid.y0_um - bottom * grid.dx_um,
+        **{k: np.pad(getattr(grid, k), ((bottom, top), (left, right))) for k in _ARRAYS},
+    )
+
+
+def _pad_moved_up(grid):
+    """The grid with its pad, and the sources on it, one row higher: no
+    longer its own up-down mirror."""
+    pad = grid.kind == device.PAD
+    kind = np.where(pad, device.MEMBRANE, grid.kind).astype(grid.kind.dtype)
+    kind[np.roll(pad, 1, axis=0)] = device.PAD
+    moved = replace(grid, kind=kind, source_w=np.roll(grid.source_w, 1, axis=0))
+    assert not np.array_equal(moved.kind, moved.kind[::-1])
+    return moved
+
+
+def _free_cells(grid):
+    return int((grid.active() & ~grid.dirichlet).sum())
+
+
+@pytest.mark.parametrize("power_mw", [0.002, 2.0])
+@pytest.mark.parametrize("dx", [0.1, 0.05])
+@pytest.mark.parametrize("name", ["device_w320.json", "device_w800.json"])
+def test_mirror_half_solve_matches_the_full_solve(configs_dir, name, dx, power_mw):
+    # one void row on top makes the row count odd, which forces the full
+    # solve, and changes no equation
+    grid = rasterize(load_device(configs_dir / name).layout, dx, absorbed_power_w=power_mw * 1e-3)
+    assert grid.shape[0] % 2 == 0 and np.array_equal(grid.kind, grid.kind[::-1])
+    field, report = solve_steady_state(grid)
+    full, full_report = solve_steady_state(_padded(grid, top=1))
+    active = grid.active()
+    rel = np.abs(field.t_k[active] - full.t_k[:-1][active]) / full.t_k[:-1][active]
+    assert np.max(rel) <= 1e-12
+    assert np.isnan(field.t_k[~active]).all()
+    assert report.converged and full_report.converged
+    assert report.iterations == full_report.iterations
+
+
+def _one_top_cell(a, value):
+    out = a.copy()
+    out[-1, np.flatnonzero(a[-1])[0]] = value
+    return out
+
+
+# a symmetric grid, made asymmetric in one of the four arrays the solve reads
+_ASYMMETRIC = {
+    "kind-five-bridges": lambda g: rasterize(default_layout(bridge_count=5), 0.1, g.absorbed_power_w),
+    "kind-pad-one-cell-up": _pad_moved_up,
+    "kind-top-bath-cell-void": lambda g: replace(g, kind=_one_top_cell(g.kind, device.VOID)),
+    "source_w-one-row-up": lambda g: replace(g, source_w=np.roll(g.source_w, 1, axis=0)),
+    "sheet_um-thicker-top-cell": lambda g: replace(g, sheet_um=_one_top_cell(g.sheet_um, 0.3)),
+    "dirichlet-top-bath-cell-freed": lambda g: replace(g, dirichlet=_one_top_cell(g.dirichlet, False)),
+}
+
+
+@pytest.mark.parametrize("asymmetric", list(_ASYMMETRIC))
+def test_an_asymmetric_grid_factors_the_full_operator(monkeypatch, asymmetric):
+    grid = _ASYMMETRIC[asymmetric](rasterize(default_layout(), 0.1, absorbed_power_w=2e-5))
+    factors = _counted(monkeypatch, "splu")
+    _, report = solve_steady_state(grid)
+    assert report.converged
+    assert factors == [(_free_cells(grid),) * 2]
+
+
+def test_a_symmetric_grid_factors_its_lower_half(monkeypatch):
+    grid = rasterize(default_layout(), 0.1, absorbed_power_w=2e-5)
+    factors = _counted(monkeypatch, "splu")
+    field, report = solve_steady_state(grid)
+    assert report.converged
+    assert factors == [(_free_cells(grid) // 2,) * 2]
+    assert np.array_equal(field.t_k, field.t_k[::-1], equal_nan=True)
+    assert math.isclose(energy_residual(field), report.residual, rel_tol=1e-6, abs_tol=1e-15)
+
+
+def test_a_symmetric_grid_still_checks_its_absorbed_power():
+    grid = rasterize(default_layout(), 0.1, absorbed_power_w=2e-5)
+    for power_w in (4e-5, 1e-5):
+        with pytest.raises(GridError, match="do not add up"):
+            solve_steady_state(replace(grid, absorbed_power_w=power_w))
+
+
+# the metamorphic relations of the solve, on the default device at dx 0.1
+_RELATION_CASES = pytest.mark.parametrize("power_mw", [0.002, 0.02, 2.0])
+_RELATION_EXPONENTS = pytest.mark.parametrize("exponent", [-0.5, 1.0, 2.0, 8.0])
+
+
+def _relation_grid(exponent, power_mw):
+    lay = default_layout(material=MaterialModel(exponent=exponent))
+    return rasterize(lay, 0.1, absorbed_power_w=power_mw * 1e-3)
+
+
+def _same_solution(case, field, report, other_t_k, other_report):
+    """Two solves of one discrete problem, which differ in round-off only,
+    agree within 1e-12 after as many steps. At exponent 8 and 2 mW the
+    solve takes 40-100 chord steps, and there round-off steers the Anderson
+    fit: the flips of the pad-moved-up grid take 45 and 98 steps against 48,
+    the full grid 39 against its mirror half's 40, and the fields part by up
+    to 8.5e-7, so the two agree only as closely as the stop rule lands on
+    the discrete field."""
+    active = field.grid.active()
+    rel = np.max(np.abs(other_t_k[active] - field.t_k[active]) / field.t_k[active])
+    if case == (8.0, 2.0):
+        assert report.converged and other_report.converged and rel <= 1e-5
+    else:
+        assert rel <= 1e-12 and other_report.iterations == report.iterations
+
+
+@_RELATION_EXPONENTS
+@_RELATION_CASES
+def test_exact_scalings_and_void_padding_give_the_same_field(exponent, power_mw):
+    # scaling by a power of two is exact in binary, and void cells carry no
+    # equation, so each of these solves is the base solve bit for bit
+    grid = _relation_grid(exponent, power_mw)
+    field, report = solve_steady_state(grid)
+    material = replace(grid.material, kappa_ref_w_per_k_cm=4.0 * grid.material.kappa_ref_w_per_k_cm)
+    powered = {"source_w": 4.0 * grid.source_w, "absorbed_power_w": 4.0 * grid.absorbed_power_w}
+    field4, report4 = solve_steady_state(replace(grid, material=material, **powered))
+    assert np.array_equal(field4.t_k, field.t_k, equal_nan=True)
+    assert report4.iterations == report.iterations
+    powered = {"source_w": 2.0 * grid.source_w, "absorbed_power_w": 2.0 * grid.absorbed_power_w}
+    field2, report2 = solve_steady_state(replace(grid, sheet_um=2.0 * grid.sheet_um, **powered))
+    assert np.array_equal(field2.t_k, field.t_k, equal_nan=True)
+    assert report2.iterations == report.iterations
+    # equal rows below and above keep the grid its own mirror, so it takes
+    # the same (half) path; unequal ones make the row count odd, and the
+    # full solve agrees within round-off
+    same_path, _ = solve_steady_state(_padded(grid, bottom=3, top=3, left=1, right=4))
+    assert np.array_equal(same_path.t_k[3:-3, 1:-4], field.t_k, equal_nan=True)
+    other_path, other_report = solve_steady_state(_padded(grid, bottom=3, top=2, left=1, right=4))
+    _same_solution((exponent, power_mw), field, report, other_path.t_k[3:-2, 1:-4], other_report)
+
+
+@_RELATION_EXPONENTS
+@_RELATION_CASES
+def test_a_flipped_asymmetric_grid_gives_the_flipped_field(exponent, power_mw):
+    grid = _pad_moved_up(_relation_grid(exponent, power_mw))
+    field, report = solve_steady_state(grid)
+    for flip in (np.flipud, np.fliplr):
+        flipped_grid = replace(grid, **{k: flip(getattr(grid, k)) for k in _ARRAYS})
+        flipped, flipped_report = solve_steady_state(flipped_grid)
+        _same_solution((exponent, power_mw), field, report, flip(flipped.t_k), flipped_report)
+
+
+@pytest.mark.parametrize("max_iter", [1, 500])
+def test_manufactured_sheet_converges_at_second_order(max_iter):
+    # the first step solves the Kirchhoff scheme, the converged solve the
+    # harmonic-g(T) scheme; both approach the exact field at order 2
+    errors = []
+    for n in (32, 64, 128):
+        grid, t_exact = manufactured_sheet(n)
+        field, report = solve_steady_state(grid, tol=1e-11, max_iter=max_iter)
+        assert report.converged == (max_iter > 1)
+        errors.append(np.max(np.abs(field.t_k - t_exact)))
+    orders = [math.log2(errors[k] / errors[k + 1]) for k in range(2)]
+    assert min(orders) >= 1.8
