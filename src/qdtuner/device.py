@@ -233,15 +233,16 @@ def rasterize(
     flagged Dirichlet at the bath temperature. sheet_um is the slab
     thickness, times body_kappa_scale on membrane and pad cells. Pad cells
     share the absorbed power according to the pad profile, normalized so
-    the cell sources add up to absorbed_power_w. A pitch that would give
-    more than MAX_GRID_CELLS cells is refused before any array is built.
+    the cell sources add up to absorbed_power_w, which must lie in [0, inf).
+    A pitch that would give more than MAX_GRID_CELLS cells is refused before
+    any array is built.
     """
     if not 0.0 < t_bath_k < math.inf:
         raise GridError("bath temperature must be positive and finite")
     if dx_um <= 0:
         raise GridError("dx must be positive")
-    if absorbed_power_w < 0:
-        raise GridError("absorbed power must be non-negative")
+    if not 0.0 <= absorbed_power_w < math.inf:  # NaN too
+        raise GridError("absorbed power must be non-negative and finite")
     m, b, pad = layout.membrane, layout.bridges, layout.pad
     min_feature = min(b.width_um, pad.w_um, pad.h_um)
     if dx_um > min_feature:

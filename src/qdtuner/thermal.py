@@ -3,23 +3,30 @@
 The 2-D solver treats the membrane as a conducting sheet, div(kappa(T) t grad T)
 + q = 0, discretized by a 5-point finite-volume operator with harmonically
 averaged face conductances g(T), and solves it by chord steps from the bath
-field. Because kappa is a power law, the Kirchhoff transform U = integral of
-kappa dT makes the problem linear; at the bath field the Newton system in U
-is that linear Kirchhoff operator, so the first step, one sparse solve in U
-plus a closed-form inverse per cell, lands next to the answer. The solve
-factors that operator once, and its LU takes every later step too: the chord
-step in U, one triangular solve against the residual, mixed with the last
-few steps by Anderson acceleration so that the iteration converges in a few
-steps where the plain chord step would crawl. The operator is a symmetric,
-diagonally dominant M-matrix, so the LU is factored without pivot search, in
-SuperLU's symmetric mode and with small supernodes, which factor this
-5-point operator fastest. A grid that is its own up-down mirror, as a
-device with an even bridge count and a centred pad rasterizes to, carries
-no heat across the mirror line: the solve takes its lower half, with that
-line as a zero-flux edge, and mirrors the field back, which halves the
-factored operator and leaves field.csv unchanged. The lumped model
-collapses the structure to an isothermal island drained by the bridges; it
-is linear in U, so its island temperature is closed-form.
+field. It carries the rise theta = T - T_bath, not T, so that a rise far
+below the bath keeps its digits. Because kappa is a power law, the Kirchhoff
+transform U = integral of kappa dT makes the problem linear; at the bath
+field the Newton system in U is that linear Kirchhoff operator, so the first
+step, one linear solve in U plus a closed-form inverse per cell, lands next
+to the answer. The solve sets up one solver of that operator, and it takes
+every later step too: the chord step in U, one solve against the residual,
+mixed with the last few steps by Anderson acceleration so that the iteration
+converges in a few steps where the plain chord step would crawl.
+
+Which solver depends on the grid. A grid that is one uniform sheet hung on
+identical strips fixed at their far ends, as rasterize builds every device,
+is solved without factoring the whole operator: one small LU of a strip, a
+2-D DCT of the sheet and a small capacitance matrix on the cells where the
+strips meet it (_SheetOnStrips). Any other grid, a bar or a hand-edited
+grid, is factored by SuperLU: the operator is a symmetric, diagonally
+dominant M-matrix, so the LU is factored without pivot search, in symmetric
+mode and with small supernodes, which factor this 5-point operator fastest.
+A grid that is its own up-down mirror, as a device with an even bridge count
+and a centred pad rasterizes to, carries no heat across the mirror line: the
+solve takes its lower half, with that line as a zero-flux edge, and mirrors
+the field back, which halves the operator and leaves field.csv unchanged.
+The lumped model collapses the structure to an isothermal island drained by
+the bridges; it is linear in U, so its island temperature is closed-form.
 
 The solver refuses a grid it cannot conduct through with GridError (exit 3
 from the CLI), e.g. one where a cell has no path of conducting faces to a
@@ -30,7 +37,8 @@ scipy's sparse stack is imported inside the functions that build and solve
 the operator, not by this module: importing qdtuner.thermal costs only
 numpy, so the commands that never solve a sparse system (sweep, tune,
 calibrate) start without scipy, and tuner thermal loads it on its first
-solve.
+solve. The DCT is two dense matrices, so no FFT module is loaded: importing
+scipy.fft after the sparse stack takes another 60-100 ms (2 cores).
 """
 
 from __future__ import annotations
@@ -80,10 +88,10 @@ def lumped_temperature(layout: DeviceLayout, p_abs_w: float, t_bath_k: float) ->
     bridge-limited: the body of the device adds no thermal resistance in
     this approximation.
     """
-    if t_bath_k <= 0.0:
-        raise ValueError("bath temperature must be positive")
-    if p_abs_w < 0.0:
-        raise ValueError("absorbed power must be non-negative")
+    if not t_bath_k > 0.0:  # NaN too
+        raise ValueError(f"bath temperature must be positive, got {t_bath_k}")
+    if not p_abs_w >= 0.0:
+        raise ValueError(f"absorbed power must be non-negative, got {p_abs_w}")
     if p_abs_w == 0.0:
         return t_bath_k
     m = layout.material
@@ -101,8 +109,10 @@ def absorbed_power_for_temperature(
     layout: DeviceLayout, t_target_k: float, t_bath_k: float
 ) -> float:
     """Absorbed power that holds the island at t_target_k (closed form)."""
-    if t_target_k < t_bath_k:
-        raise ValueError("target temperature below the bath")
+    if not t_bath_k > 0.0:  # NaN too
+        raise ValueError(f"bath temperature must be positive, got {t_bath_k}")
+    if not t_target_k >= t_bath_k:
+        raise ValueError(f"target temperature must not lie below the bath, got {t_target_k}")
     if t_target_k == t_bath_k:
         return 0.0
     return bridge_conductance_factor_cm(layout) * kappa_integral(
@@ -123,7 +133,7 @@ class TemperatureField:
 
 @dataclass(frozen=True)
 class SolveReport:
-    iterations: int        # chord steps, one triangular solve with the Kirchhoff LU each
+    iterations: int        # chord steps, one solve with the Kirchhoff operator each
     residual: float        # relative energy imbalance, from the solved field or its mirror half
     converged: bool
     tol: float
@@ -162,8 +172,9 @@ class _Faces:
 
 
 def _faces(grid: ThermalGrid) -> _Faces:
-    """The grid's faces; GridError for no active cells, sources that do not
-    add up to the absorbed power, or a cell with no kept-face path to a fixed cell."""
+    """The grid's faces; GridError for no active cells, an absorbed power that
+    is negative or not finite, sources that do not add up to it, or a cell
+    with no kept-face path to a fixed cell."""
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
@@ -171,8 +182,10 @@ def _faces(grid: ThermalGrid) -> _Faces:
     cells = np.flatnonzero(grid.active())
     if not cells.size:
         raise GridError("grid has no active cells")
-    total_w = float(grid.source_w.sum())
     power_w = grid.absorbed_power_w
+    if not 0.0 <= power_w < math.inf:  # NaN too
+        raise GridError("absorbed power must be non-negative and finite")
+    total_w = float(grid.source_w.sum())
     if power_w > 0.0 and not abs(total_w - power_w) <= 1e-12 * power_w:  # NaN too
         raise GridError("cell sources do not add up to the absorbed power")
     compact = np.full(ny * nx, -1, dtype=np.int64)
@@ -216,13 +229,14 @@ def _harmonic(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     return 2.0 * sa * sb / (sa + sb)
 
 
-def _conduct(faces: _Faces, material: MaterialModel, t: np.ndarray):
-    """Heat flow g * (T_a - T_b) per face, with g the harmonic mean of the
-    cells' sheet conductances kappa(T) * sheet_um (W/K); None when a flow
-    overflows, as it does wherever g does."""
+def _conduct(faces: _Faces, material: MaterialModel, t_bath_k: float, theta: np.ndarray):
+    """Heat flow g * (theta_a - theta_b) per face, from the rise theta = T -
+    T_bath, with g the harmonic mean of the cells' sheet conductances
+    kappa(T) * sheet_um (W/K); None when a flow overflows, as it does
+    wherever g does."""
     with np.errstate(over="ignore", invalid="ignore"):
-        s = kappa(material, t) * faces.geom
-        flow = _harmonic(s[faces.a], s[faces.b]) * (t[faces.a] - t[faces.b])
+        s = kappa(material, t_bath_k + theta) * faces.geom
+        flow = _harmonic(s[faces.a], s[faces.b]) * (theta[faces.a] - theta[faces.b])
     return flow if np.isfinite(flow).all() else None
 
 
@@ -244,7 +258,9 @@ def energy_residual(field: TemperatureField) -> float:
     """Recompute the relative energy imbalance directly from the field: NaN
     where a flow overflows, GridError for a grid the solver refuses."""
     faces = _faces(field.grid)
-    flow = _conduct(faces, field.grid.material, field.t_k.reshape(-1)[faces.cells])
+    t_bath_k = field.grid.t_bath_k
+    theta = field.t_k.reshape(-1)[faces.cells] - t_bath_k
+    flow = _conduct(faces, field.grid.material, t_bath_k, theta)
     return math.nan if flow is None else _imbalance(faces, flow)
 
 
@@ -276,8 +292,206 @@ def _kirchhoff_inverse(material: MaterialModel, u: np.ndarray) -> np.ndarray:
         return np.where(base > 0.0, tr * base ** (1.0 / (p + 1.0)), np.inf)
 
 
+def _rise(material: MaterialModel, t_bath_k: float, du: np.ndarray) -> np.ndarray:
+    """Temperature rise theta = T - T_bath from the rise du = U(T) - U(T_bath).
+
+    T_bath * expm1(log1p(du / U_b) / (p + 1)) with U_b = U(T_bath), or
+    T_bath * expm1(du / t_ref) for p = -1: a rise far below T_bath keeps all
+    its digits, where T = U^-1(U_b + du) would keep only those of T_bath +
+    theta. inf where no temperature has that rise: for p != -1, a du with
+    1 + du / U_b <= 0, as in _kirchhoff_inverse.
+    """
+    p = material.exponent
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if p == -1.0:
+            return t_bath_k * np.expm1(du / material.t_ref_k)
+        ratio = du / _kirchhoff(material, np.float64(t_bath_k))
+        return np.where(ratio > -1.0, t_bath_k * np.expm1(np.log1p(ratio) / (p + 1.0)), np.inf)
+
+
 def _valid(t: np.ndarray) -> np.ndarray:
     return np.isfinite(t) & (t > 0.0)
+
+
+def _kirchhoff_solver(grid: ThermalGrid, faces: _Faces):
+    """The solver whose solve(rhs) takes the chord steps on the grid's free
+    cells: _SheetOnStrips where the grid is a uniform sheet on identical
+    strips, as rasterize builds it, and the LU of _kirchhoff_lu on any other."""
+    return _SheetOnStrips.of(grid, faces) or _kirchhoff_lu(faces, grid.material)
+
+
+# longest side of the sheet, and most interface cells, that _SheetOnStrips
+# takes: its dense DCT and capacitance matrices hold at most 1024^2 entries
+_DENSE_MAX = 1024
+
+
+def _dct(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal DCT-II matrix of size n, row k the k-th cosine over the
+    cell centres, and the eigenvalues 4 sin^2(pi k / 2n) of the 1-D
+    zero-flux Laplacian tridiag(-1, 2, -1) (corners 1) that it diagonalizes."""
+    k = np.arange(n)
+    # cos(pi k (2i + 1) / 2n) from a table over one period, read by the
+    # exact integer k (2i + 1) mod 4n
+    table = np.cos(np.pi * np.arange(4 * n) / (2 * n))
+    phi = table[np.outer(k, 2 * k + 1) % (4 * n)] * math.sqrt(2.0 / n)
+    phi[0] = math.sqrt(1.0 / n)
+    return phi, 4.0 * np.sin(np.pi * k / (2 * n)) ** 2
+
+
+class _SheetOnStrips:
+    """Kirchhoff operator of a uniform H x N sheet hung on identical strips,
+    solved without a factor of the whole (the capacitance-matrix method of
+    Buzbee, Dorr, George and Golub, 1971).
+
+    Cropped to its active cells' bounding box, the grid is an H x N
+    rectangle of free cells of one sheet_um, with strips of n_w x n_len
+    cells, all of one sheet_um, below its bottom row and/or above its top
+    row, each fixed on its far row and nowhere else. One small LU of a
+    strip's operator K_B serves every strip; eliminating the strips leaves
+    on the rectangle L + P C P^T: L the zero-flux Laplacian of face
+    conductance g, and C = g_i I - g_i^2 (K_B^-1)[near, near] on each strip's
+    m interface cells P, the strips' Dirichlet-to-Neumann block, with g_i the
+    conductance of the face between strip and sheet. The 2-D DCT
+    diagonalizes L with eigenvalues g (mu_y + mu_x), its constant mode's 0
+    replaced by g, and the Woodbury identity adds P C P^T and the -g that
+    replacement owes the constant mode v: V = [P, v], M = diag(C, -g), and
+    the (m + 1)-square capacitance matrix I + M V^T L~^-1 V, whose V^T L~^-1
+    V is a sum over the cosines in closed form. A solve is one multi-column
+    strip solve, one forward and one inverse 2-D DCT (dense matrices, as
+    fast as an FFT at these sizes), the (m + 1)-square solve and the strips'
+    back-substitution.
+    """
+
+    @classmethod
+    def of(cls, grid: ThermalGrid, faces: _Faces):
+        """The solver for the grid, or None where the grid is not of that shape."""
+        active = grid.active()
+        rows, cols = np.flatnonzero(active.any(axis=1)), np.flatnonzero(active.any(axis=0))
+        box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+        act, sheet = active[box], grid.sheet_um[box]
+        ny, nx = act.shape
+        full = np.flatnonzero(act.all(axis=1))
+        if not full.size:
+            return None
+        r0, r1 = int(full[0]), int(full[-1]) + 1  # the sheet's rows, if it has no gap
+        n_len = max(r0, ny - r1)
+        bottom = act[0] if r0 else np.zeros(nx, dtype=bool)
+        top = act[-1] if r1 < ny else np.zeros(nx, dtype=bool)
+        strips = np.zeros_like(act)
+        strips[:r0], strips[r1:] = bottom, top
+        far = np.zeros_like(act)
+        far[0] |= bottom
+        far[-1] |= top
+        # each edge's strips: the runs of its far row, of widths[k] columns
+        starts, widths = [], []
+        for edge in (bottom, top):
+            step = np.diff(edge.astype(np.int8), prepend=0, append=0)
+            starts.append(np.flatnonzero(step == 1))
+            widths.extend(np.flatnonzero(step == -1) - starts[-1])
+        if not (
+            n_len >= 2
+            and r0 in (0, n_len)
+            and ny - r1 in (0, n_len)
+            and len(set(widths)) == 1
+            and max(r1 - r0, nx, len(widths) * widths[0]) <= _DENSE_MAX
+            and act[r0:r1].all()
+            and np.array_equal(act[:r0], strips[:r0])
+            and np.array_equal(act[r1:], strips[r1:])
+            and np.array_equal(grid.dirichlet[box] & act, far)
+            and np.all(sheet[r0:r1] == sheet[r0, 0])
+            and np.all(sheet[strips] == sheet[strips][0])
+        ):
+            return None
+        # the face conductances as _kirchhoff_lu computes them, in the sheet
+        # and between a strip and the sheet
+        c = grid.material.kappa_ref_w_per_k_cm * (np.array([sheet[r0, 0], sheet[strips][0]]) / UM_PER_CM)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = _harmonic(c, c[0])
+        if not np.all((g > 0.0) & (g < math.inf)):
+            return None
+        return cls(grid, faces, box, (r0, r1), starts, int(widths[0]), g)
+
+    def __init__(self, grid: ThermalGrid, faces: _Faces, box, sheet_rows, starts, n_w: int, g):
+        (r0, r1), (bottom, top) = sheet_rows, starts
+        ny, h = box[0].stop - box[0].start, r1 - r0
+        n_len = max(r0, ny - r1)
+        self.shape = (faces.n_free, faces.n_free)
+        slot = np.full(grid.shape, -1, dtype=np.int64)
+        slot.reshape(-1)[faces.cells[faces.free]] = np.arange(faces.n_free)
+        slot = slot[box]
+        self.rect_idx = slot[r0:r1]
+        # each strip's free cells, a column per strip, from its far end to the
+        # sheet row by row: the order of the one-strip grid below
+        strips = [slot[1:r0, c : c + n_w] for c in bottom] + [slot[r1 : ny - 1, c : c + n_w][::-1] for c in top]
+        self.strip_idx = np.column_stack([s.ravel() for s in strips])
+        rows = np.repeat(np.r_[np.zeros(len(bottom), int), np.full(len(top), h - 1)], n_w)
+        cols = (np.r_[bottom, top][:, None] + np.arange(n_w)).ravel()
+        self.interface = (rows, cols)
+
+        # K_B: the operator of the first strip, with the sheet row beside it
+        # held fixed; every strip has this operator
+        def one_strip(a):
+            a = a[box][: r0 + 1] if r0 else a[box][r1 - 1 :][::-1]
+            return a[:, cols[0] : cols[0] + n_w]
+
+        sheet_row = np.zeros((n_len + 1, n_w), dtype=bool)
+        sheet_row[-1] = True
+        strip_grid = replace(
+            grid,
+            kind=one_strip(grid.kind),
+            sheet_um=one_strip(grid.sheet_um),
+            source_w=np.zeros(sheet_row.shape),
+            dirichlet=one_strip(grid.dirichlet) | sheet_row,
+            absorbed_power_w=0.0,
+        )
+        self.strip_lu = _kirchhoff_lu(_faces(strip_grid), grid.material)
+        g, self.g_i = g
+        unit = np.zeros((self.strip_idx.shape[0], n_w))
+        unit[-n_w:] = np.eye(n_w)
+        self.near_inv = self.strip_lu.solve(unit)  # the columns of K_B^-1 on the near row
+        dtn = self.g_i * np.eye(n_w) - self.g_i**2 * self.near_inv[-n_w:]
+
+        self.phi_y, mu_y = _dct(h)
+        self.phi_x, mu_x = _dct(self.rect_idx.shape[1])
+        self.lam = g * (mu_y[:, None] + mu_x)
+        self.lam[0, 0] = g
+        rows_u, self.iu = np.unique(rows, return_inverse=True)
+        self.by = self.phi_y[:, rows_u]
+        self.ax = self.phi_x[:, cols]
+        self.onehot = (self.iu == np.arange(rows_u.size)[:, None]).astype(float)
+        # V^T L~^-1 V on two interface cells: the sum over kx of their
+        # cosines times w(kx), the sum over ky of their rows' cosines over lambda
+        m = cols.size
+        w = (self.by.T[:, None, :] * self.by.T[None, :, :]) @ (1.0 / self.lam)
+        gram = np.empty((m + 1, m + 1))
+        for u in range(rows_u.size):
+            for v in range(rows_u.size):
+                pu, pv = self.iu == u, self.iu == v
+                gram[np.ix_(pu, pv)] = self.ax[:, pu].T @ (w[u, v][:, None] * self.ax[:, pv])
+        gram[:m, m] = gram[m, :m] = self.by[0, self.iu] * self.ax[0] / self.lam[0, 0]
+        gram[m, m] = 1.0 / self.lam[0, 0]
+        weights = np.zeros((m + 1, m + 1))
+        weights[:m, :m] = np.kron(np.eye(len(strips)), dtn)
+        weights[m, m] = -g
+        self.capacitance = np.linalg.solve(np.eye(m + 1) + weights @ gram, weights)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        n_w = self.near_inv.shape[1]
+        y_strips = self.strip_lu.solve(rhs[self.strip_idx])
+        r = rhs[self.rect_idx]
+        np.add.at(r, self.interface, self.g_i * y_strips[-n_w:].T.ravel())
+        r_hat = self.phi_y @ r @ self.phi_x.T
+        y_hat = r_hat / self.lam
+        y_interface = ((self.by.T @ y_hat)[self.iu] * self.ax.T).sum(axis=1)
+        z = self.capacitance @ np.append(y_interface, y_hat[0, 0])
+        correction = self.by @ ((self.onehot * z[:-1]) @ self.ax.T)
+        correction[0, 0] += z[-1]
+        u = self.phi_y.T @ ((r_hat - correction) / self.lam) @ self.phi_x
+        out = np.empty_like(rhs)
+        out[self.rect_idx] = u
+        u_near = u[self.interface].reshape(-1, n_w).T
+        out[self.strip_idx] = y_strips + self.g_i * (self.near_inv @ u_near)
+        return out
 
 
 def _kirchhoff_lu(faces: _Faces, material: MaterialModel):
@@ -301,8 +515,11 @@ def _kirchhoff_lu(faces: _Faces, material: MaterialModel):
     # are stable: the factor takes them without a pivot search
     # (diag_pivot_thresh=0), and symmetric mode keeps the one ordering for
     # rows and columns. On this 5-point operator small supernodes factor
-    # fastest. Median factor times in ms, w320 / w800,
-    # by relax/panel_size, against the pivoting factor at SuperLU's defaults
+    # fastest. The table below timed the whole operator of the full w320 /
+    # w800 device grids, which _SheetOnStrips now solves without this
+    # factor; it stands for the grids that still factor (bars, edited grids
+    # and one bridge's strip). Median factor times in ms, w320 / w800, by
+    # relax/panel_size, against the pivoting factor at SuperLU's defaults
     # (2 cores, scipy 1.17.1):
     #   dx     defaults     1/1         2/2         4/4
     #   0.1    18.8 / 13.4  10.5 / 6.6  10.6 / 6.8  11.9 / 9.1
@@ -331,8 +548,9 @@ def solve_steady_state(
 ) -> tuple[TemperatureField, SolveReport]:
     """Solve the nonlinear conduction problem on the grid.
 
-    A grid it cannot conduct through raises GridError: no active cells,
-    cell sources that do not add up to the absorbed power, or a cell with no
+    A grid it cannot conduct through raises GridError: no active cells, an
+    absorbed power that is negative or not finite, cell sources that do not
+    add up to it, or a cell with no
     conducting path to a fixed cell (a void gap, a cell of zero sheet_um,
     or prefactor conductances whose products underflow).
     rasterize builds such a grid from a valid layout only in the last case.
@@ -351,11 +569,15 @@ def solve_steady_state(
     conductances g(T) run from the bath field. With U = integral of
     (T / t_ref)^p dT the power-law problem is linear in U, and at the bath
     field the Newton system in U is that linear Kirchhoff operator K, so the
-    first step is one solve by its LU and a closed-form inverse per cell:
-    a near-exact field. The LU is the solve's one factorization, made only
-    when the bath field has not converged. Every later step is the chord
-    step dU = -K^-1 R, one triangular solve with the same LU against the
-    current residual R, and Anderson acceleration in Walker and Ni's form
+    first step is one solve with K and a closed-form inverse per cell: a
+    near-exact field. The steps carry the rises of U and T over the bath,
+    so that a tiny rise keeps its digits, and the field is T_bath + theta.
+    The solver of K, set up once and only when the bath field has not
+    converged, is _kirchhoff_solver's: the sheet-on-strips solve on a grid
+    of that shape, which every rasterized device is, and the LU of K on any
+    other. Every later step is the chord step dU = -K^-1 R, one solve with
+    the same solver against the current residual R, and Anderson
+    acceleration in Walker and Ni's form
     mixes it with the last _ANDERSON_DEPTH steps by one least-squares fit to
     their differences; no Jacobian is assembled. Where the mixed field has
     no temperature or a flow overflows, the plain chord step is taken and
@@ -363,7 +585,7 @@ def solve_steady_state(
     last field, and max_rel_change is the failed full step's, which says how
     far that field still is from the discrete solution.
 
-    iterations counts the chord steps, one triangular solve each, so
+    iterations counts the chord steps, one solve with K each, so
     max_iter=1 stops after the first.
     Convergence requires both the largest relative temperature change of
     the last step and the recomputed energy imbalance to fall below tol,
@@ -383,21 +605,21 @@ def solve_steady_state(
     if mirrored:  # no heat crosses the mirror line, so it is the solved half's zero-flux top edge
         lower = {k: a[: ny // 2] for k, a in arrays.items()}
         solved = replace(grid, **lower, absorbed_power_w=grid.absorbed_power_w / 2)
-    material = grid.material
+    material, t_b = grid.material, grid.t_bath_k
     faces = _faces(solved)
     free = faces.free
-    t = np.full(faces.cells.size, grid.t_bath_k, dtype=float)
-    flow = _conduct(faces, material, t)
+    theta = np.zeros(faces.cells.size)  # the rise over the bath
+    flow = _conduct(faces, material, t_b, theta)
     res = math.nan if flow is None else _imbalance(faces, flow)
     rel, iterations, converged = 0.0, 0, res <= tol
     if flow is not None and not converged:
-        lu = _kirchhoff_lu(faces, material)
-        u = _kirchhoff(material, t[free])
+        solver = _kirchhoff_solver(solved, faces)
+        u = np.zeros(faces.n_free)  # the rise of U, 0 at the bath
         du_hist, df_hist, last = [], [], None
         with np.errstate(over="ignore", invalid="ignore"):
             while not converged and iterations < max_iter:
                 iterations += 1
-                f = lu.solve(-_residual(faces, flow))
+                f = solver.solve(-_residual(faces, flow))
                 if last is not None:
                     du_hist.append(u - last[0])
                     df_hist.append(f - last[1])
@@ -410,24 +632,25 @@ def solve_steady_state(
                         gamma = np.linalg.lstsq(dfs, f, rcond=None)[0]
                         tries.insert(0, tries[0] - (np.column_stack(du_hist) + dfs) @ gamma)
                 for u_new in tries:
-                    t_new = t.copy()
-                    t_new[free] = _kirchhoff_inverse(material, u_new)
-                    new = _conduct(faces, material, t_new) if np.all(_valid(t_new)) else None
+                    theta_new = theta.copy()
+                    theta_new[free] = _rise(material, t_b, u_new)
+                    valid = np.all(_valid(t_b + theta_new))
+                    new = _conduct(faces, material, t_b, theta_new) if valid else None
                     if new is not None:
                         break
-                rel = float(np.max(np.abs(t_new[free] - t[free]) / t[free]))
+                rel = float(np.max(np.abs(theta_new[free] - theta[free]) / (t_b + theta[free])))
                 if new is None:
                     converged = rel < tol and res <= tol
                     break
                 if u_new is tries[-1]:  # the plain step: the mixing starts afresh
                     du_hist.clear()
                     df_hist.clear()
-                u, t, flow = u_new, t_new, new
+                u, theta, flow = u_new, theta_new, new
                 res = _imbalance(faces, flow)
                 converged = rel < tol and res <= tol
 
     t_k = np.full(solved.shape, np.nan)
-    t_k.reshape(-1)[faces.cells] = t
+    t_k.reshape(-1)[faces.cells] = t_b + theta
     field = TemperatureField(grid=grid, t_k=np.concatenate([t_k, t_k[::-1]]) if mirrored else t_k)
     report = SolveReport(
         iterations=iterations,

@@ -160,6 +160,12 @@ def test_rasterize_rejects_coarse_dx():
         rasterize(default_layout(), 0.0)
 
 
+@pytest.mark.parametrize("power_w", [math.nan, math.inf, -1e-9])
+def test_rasterize_rejects_a_power_outside_zero_to_inf(power_w):
+    with pytest.raises(GridError, match="absorbed power must be non-negative and finite"):
+        rasterize(default_layout(), 0.1, absorbed_power_w=power_w)
+
+
 @pytest.mark.parametrize("profile", ["uniform", "gaussian"])
 def test_source_sum_matches_absorbed_power(profile):
     lay = replace(default_layout(), pad=HeatingPad(profile=profile, sigma_um=0.8))
