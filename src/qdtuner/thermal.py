@@ -15,8 +15,8 @@ converges in a few steps where the plain chord step would crawl.
 
 Which solver depends on the grid. A grid that is one uniform sheet hung on
 identical strips fixed at their far ends, as rasterize builds every device,
-is solved without factoring the whole operator: one small LU of a strip, a
-2-D DCT of the sheet and a small capacitance matrix on the cells where the
+is solved without factoring the operator: a closed form of the strips, a 2-D
+DCT of the sheet and a small capacitance matrix on the cells where the
 strips meet it (_SheetOnStrips). Any other grid, a bar or a hand-edited
 grid, is factored by SuperLU: the operator is a symmetric, diagonally
 dominant M-matrix, so the LU is factored without pivot search, in symmetric
@@ -31,14 +31,16 @@ the bridges; it is linear in U, so its island temperature is closed-form.
 The solver refuses a grid it cannot conduct through with GridError (exit 3
 from the CLI), e.g. one where a cell has no path of conducting faces to a
 cell held at the bath temperature. A grid rasterized from a valid layout is
-refused only when its conductances are so small that they underflow.
+refused only when its conductances are so small that they underflow. Its
+shape proves the path exists when no face underflows; only another grid is
+checked on the graph of its faces.
 
-scipy's sparse stack is imported inside the functions that build and solve
-the operator, not by this module: importing qdtuner.thermal costs only
-numpy, so the commands that never solve a sparse system (sweep, tune,
-calibrate) start without scipy, and tuner thermal loads it on its first
-solve. The DCT is two dense matrices, so no FFT module is loaded: importing
-scipy.fft after the sparse stack takes another 60-100 ms (2 cores).
+scipy is imported only inside the functions that factor and check a grid of
+another shape: importing qdtuner.thermal costs only numpy, and a rasterized
+device is solved with numpy alone, so no tuner command loads scipy (a cold
+tuner thermal of a shipped device takes about 0.2 s, where importing scipy's
+sparse stack alone took 0.45 s). The DCTs are dense matrices, so no FFT
+module is needed either.
 """
 
 from __future__ import annotations
@@ -144,6 +146,70 @@ class SolveReport:
 
 
 @dataclass(frozen=True)
+class _Strips:
+    """Where a grid is one uniform sheet hung on identical strips: the
+    bounding box of its active cells, the sheet's rows r0:r1 in that box, the
+    first column of each strip along the bottom and along the top edge, and
+    the strips' width n_w and length n_len in cells, far row included."""
+
+    box: tuple[slice, slice]
+    r0: int
+    r1: int
+    bottom: np.ndarray
+    top: np.ndarray
+    n_w: int
+    n_len: int
+    sheet_um: tuple[float, float]  # of the sheet's cells and of the strips'
+
+
+def _strips(grid: ThermalGrid) -> _Strips | None:
+    """The grid's strips where, cropped to its active cells, it is an H x N
+    rectangle of free cells of one sheet_um with strips of n_w x n_len cells,
+    all of one sheet_um, below its bottom row and/or above its top row, each
+    fixed on its far row and nowhere else, as rasterize builds every device;
+    None for any other grid, and for one too large for _SheetOnStrips. The
+    grid has at least one active cell."""
+    active = grid.active()
+    rows, cols = np.flatnonzero(active.any(axis=1)), np.flatnonzero(active.any(axis=0))
+    box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    act, sheet = active[box], grid.sheet_um[box]
+    ny, nx = act.shape
+    full = np.flatnonzero(act.all(axis=1))
+    if not full.size:
+        return None
+    r0, r1 = int(full[0]), int(full[-1]) + 1  # the sheet's rows, if it has no gap
+    n_len = max(r0, ny - r1)
+    bottom = act[0] if r0 else np.zeros(nx, dtype=bool)
+    top = act[-1] if r1 < ny else np.zeros(nx, dtype=bool)
+    strips = np.zeros_like(act)
+    strips[:r0], strips[r1:] = bottom, top
+    far = np.zeros_like(act)
+    far[0] |= bottom
+    far[-1] |= top
+    # each edge's strips: the runs of its far row, of widths[k] columns
+    starts, widths = [], []
+    for edge in (bottom, top):
+        step = np.diff(edge.astype(np.int8), prepend=0, append=0)
+        starts.append(np.flatnonzero(step == 1))
+        widths.extend(np.flatnonzero(step == -1) - starts[-1])
+    if not (
+        n_len >= 2
+        and r0 in (0, n_len)
+        and ny - r1 in (0, n_len)
+        and len(set(widths)) == 1
+        and max(r1 - r0, nx, len(widths) * widths[0], n_len - 1) <= _DENSE_MAX
+        and act[r0:r1].all()
+        and np.array_equal(act[:r0], strips[:r0])
+        and np.array_equal(act[r1:], strips[r1:])
+        and np.array_equal(grid.dirichlet[box] & act, far)
+        and np.all(sheet[r0:r1] == sheet[r0, 0])
+        and np.all(sheet[strips] == sheet[strips][0])
+    ):
+        return None
+    return _Strips(box, r0, r1, *starts, int(widths[0]), n_len, (sheet[r0, 0], sheet[strips][0]))
+
+
+@dataclass(frozen=True)
 class _Faces:
     """Face topology of a grid, built once per solve.
 
@@ -165,6 +231,7 @@ class _Faces:
     outflow: np.ndarray   # +1 / -1 where heat on the face enters a fixed cell from b / a
     source_w: np.ndarray  # per free cell
     total_w: float        # over the whole grid, fixed cells included
+    strips: _Strips | None  # the grid's sheet-on-strips shape, if it has it
 
     @property
     def n_free(self) -> int:
@@ -175,9 +242,6 @@ def _faces(grid: ThermalGrid) -> _Faces:
     """The grid's faces; GridError for no active cells, an absorbed power that
     is negative or not finite, sources that do not add up to it, or a cell
     with no kept-face path to a fixed cell."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
     ny, nx = grid.shape
     cells = np.flatnonzero(grid.active())
     if not cells.size:
@@ -201,12 +265,23 @@ def _faces(grid: ThermalGrid) -> _Faces:
     # underflows, and such a face conducts nothing
     c = grid.material.kappa_ref_w_per_k_cm * geom
     with np.errstate(over="ignore"):
-        keep = (c[a] * c[b] > 0.0) & (free[a] | free[b])
+        conducts = c[a] * c[b] > 0.0
+    touches_free = free[a] | free[b]
+    keep = conducts & touches_free
+    strips = _strips(grid)
+    # On a sheet on strips where every face with a free end conducts, each
+    # strip cell has a path along its strip to the fixed far row, and each
+    # sheet cell one through the sheet to a strip, so only another grid needs
+    # the graph of its kept faces.
+    if strips is None or not np.array_equal(keep, touches_free):
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
+        links = sp.csr_matrix((np.ones(int(keep.sum())), (a[keep], b[keep])), shape=(cells.size, cells.size))
+        n_parts, part = connected_components(links, directed=False)
+        if np.unique(part[~free]).size < n_parts:  # a part holds no fixed cell
+            raise GridError("disconnected grid: some cells cannot reach a fixed-temperature cell")
     a, b = a[keep], b[keep]
-    links = sp.csr_matrix((np.ones(a.size), (a, b)), shape=(cells.size, cells.size))
-    n_parts, part = connected_components(links, directed=False)
-    if np.unique(part[~free]).size < n_parts:  # a part holds no fixed cell
-        raise GridError("disconnected grid: some cells cannot reach a fixed-temperature cell")
 
     n_free = int(free.sum())
     slot = np.full(cells.size, n_free, dtype=np.int64)
@@ -222,6 +297,7 @@ def _faces(grid: ThermalGrid) -> _Faces:
         outflow=free[a].astype(float) - free[b].astype(float),
         source_w=grid.source_w.ravel()[cells][free],
         total_w=total_w,
+        strips=strips,
     )
 
 
@@ -320,8 +396,10 @@ def _kirchhoff_solver(grid: ThermalGrid, faces: _Faces):
     return _SheetOnStrips.of(grid, faces) or _kirchhoff_lu(faces, grid.material)
 
 
-# longest side of the sheet, and most interface cells, that _SheetOnStrips
-# takes: its dense DCT and capacitance matrices hold at most 1024^2 entries
+# longest side of the sheet, most interface cells and most free rows of a
+# strip that _SheetOnStrips takes: each of its dense matrices (the DCTs, the
+# capacitance matrix and the eigenvectors along a strip) holds at most
+# 1024^2 entries
 _DENSE_MAX = 1024
 
 
@@ -343,113 +421,74 @@ class _SheetOnStrips:
     solved without a factor of the whole (the capacitance-matrix method of
     Buzbee, Dorr, George and Golub, 1971).
 
-    Cropped to its active cells' bounding box, the grid is an H x N
-    rectangle of free cells of one sheet_um, with strips of n_w x n_len
-    cells, all of one sheet_um, below its bottom row and/or above its top
-    row, each fixed on its far row and nowhere else. One small LU of a
-    strip's operator K_B serves every strip; eliminating the strips leaves
-    on the rectangle L + P C P^T: L the zero-flux Laplacian of face
-    conductance g, and C = g_i I - g_i^2 (K_B^-1)[near, near] on each strip's
-    m interface cells P, the strips' Dirichlet-to-Neumann block, with g_i the
-    conductance of the face between strip and sheet. The 2-D DCT
-    diagonalizes L with eigenvalues g (mu_y + mu_x), its constant mode's 0
-    replaced by g, and the Woodbury identity adds P C P^T and the -g that
-    replacement owes the constant mode v: V = [P, v], M = diag(C, -g), and
-    the (m + 1)-square capacitance matrix I + M V^T L~^-1 V, whose V^T L~^-1
-    V is a sum over the cosines in closed form. A solve is one multi-column
-    strip solve, one forward and one inverse 2-D DCT (dense matrices, as
-    fast as an FFT at these sizes), the (m + 1)-square solve and the strips'
-    back-substitution.
+    The grid has the shape that _strips finds. With the sheet row beside it
+    held fixed, every strip has one operator K_B = I_w (x) T + g_s L_w (x) I
+    on its n_w x (n_len - 1) free cells: T is g_s tridiag(-1, 2, -1) along
+    the strip with its last diagonal entry g_s + g_i, L_w the zero-flux
+    Laplacian across its n_w columns, g_s the conductance of a face inside
+    the strip and g_i that of a face between strip and sheet. The DCT across
+    the strip diagonalizes L_w and leaves n_w tridiagonal matrices T + g_s
+    mu_k I, which share the eigenvectors of T: so one eigendecomposition of T
+    and the DCT give K_B^-1 in closed form. Eliminating the strips
+    leaves on the rectangle L + P C P^T: L the zero-flux Laplacian of face
+    conductance g, and C = g_i I - g_i^2 (K_B^-1)[near, near] on each
+    strip's m interface cells P, the strips' Dirichlet-to-Neumann block. The
+    2-D DCT diagonalizes L with eigenvalues g (mu_y + mu_x), its constant
+    mode's 0 replaced by g, and the Woodbury identity adds P C P^T and the -g
+    that replacement owes the constant mode v: V = [P, v], M = diag(C, -g),
+    and the (m + 1)-square capacitance matrix I + M V^T L~^-1 V, whose V^T
+    L~^-1 V is a sum over the cosines in closed form. A solve is one solve
+    of all strips at once, one forward and one inverse 2-D DCT (dense
+    matrices, as fast as an FFT at these sizes), the (m + 1)-square solve
+    and the strips' back-substitution: numpy matrix products only.
     """
 
     @classmethod
     def of(cls, grid: ThermalGrid, faces: _Faces):
         """The solver for the grid, or None where the grid is not of that shape."""
-        active = grid.active()
-        rows, cols = np.flatnonzero(active.any(axis=1)), np.flatnonzero(active.any(axis=0))
-        box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
-        act, sheet = active[box], grid.sheet_um[box]
-        ny, nx = act.shape
-        full = np.flatnonzero(act.all(axis=1))
-        if not full.size:
+        if faces.strips is None:
             return None
-        r0, r1 = int(full[0]), int(full[-1]) + 1  # the sheet's rows, if it has no gap
-        n_len = max(r0, ny - r1)
-        bottom = act[0] if r0 else np.zeros(nx, dtype=bool)
-        top = act[-1] if r1 < ny else np.zeros(nx, dtype=bool)
-        strips = np.zeros_like(act)
-        strips[:r0], strips[r1:] = bottom, top
-        far = np.zeros_like(act)
-        far[0] |= bottom
-        far[-1] |= top
-        # each edge's strips: the runs of its far row, of widths[k] columns
-        starts, widths = [], []
-        for edge in (bottom, top):
-            step = np.diff(edge.astype(np.int8), prepend=0, append=0)
-            starts.append(np.flatnonzero(step == 1))
-            widths.extend(np.flatnonzero(step == -1) - starts[-1])
-        if not (
-            n_len >= 2
-            and r0 in (0, n_len)
-            and ny - r1 in (0, n_len)
-            and len(set(widths)) == 1
-            and max(r1 - r0, nx, len(widths) * widths[0]) <= _DENSE_MAX
-            and act[r0:r1].all()
-            and np.array_equal(act[:r0], strips[:r0])
-            and np.array_equal(act[r1:], strips[r1:])
-            and np.array_equal(grid.dirichlet[box] & act, far)
-            and np.all(sheet[r0:r1] == sheet[r0, 0])
-            and np.all(sheet[strips] == sheet[strips][0])
-        ):
-            return None
-        # the face conductances as _kirchhoff_lu computes them, in the sheet
-        # and between a strip and the sheet
-        c = grid.material.kappa_ref_w_per_k_cm * (np.array([sheet[r0, 0], sheet[strips][0]]) / UM_PER_CM)
+        # the face conductances as _kirchhoff_lu computes them: in the sheet,
+        # between a strip and the sheet, and in a strip
+        sheet, strip = grid.material.kappa_ref_w_per_k_cm * (np.array(faces.strips.sheet_um) / UM_PER_CM)
         with np.errstate(over="ignore", invalid="ignore"):
-            g = _harmonic(c, c[0])
+            g = _harmonic(np.array([sheet, strip, strip]), np.array([sheet, sheet, strip]))
         if not np.all((g > 0.0) & (g < math.inf)):
             return None
-        return cls(grid, faces, box, (r0, r1), starts, int(widths[0]), g)
+        return cls(grid, faces, *g)
 
-    def __init__(self, grid: ThermalGrid, faces: _Faces, box, sheet_rows, starts, n_w: int, g):
-        (r0, r1), (bottom, top) = sheet_rows, starts
-        ny, h = box[0].stop - box[0].start, r1 - r0
-        n_len = max(r0, ny - r1)
+    def __init__(self, grid: ThermalGrid, faces: _Faces, g: float, g_i: float, g_s: float):
+        s = faces.strips
+        r0, r1, n_w, n = s.r0, s.r1, s.n_w, s.n_len - 1
+        ny, h = s.box[0].stop - s.box[0].start, r1 - r0
         self.shape = (faces.n_free, faces.n_free)
+        self.g_i = g_i
         slot = np.full(grid.shape, -1, dtype=np.int64)
         slot.reshape(-1)[faces.cells[faces.free]] = np.arange(faces.n_free)
-        slot = slot[box]
+        slot = slot[s.box]
         self.rect_idx = slot[r0:r1]
-        # each strip's free cells, a column per strip, from its far end to the
-        # sheet row by row: the order of the one-strip grid below
-        strips = [slot[1:r0, c : c + n_w] for c in bottom] + [slot[r1 : ny - 1, c : c + n_w][::-1] for c in top]
-        self.strip_idx = np.column_stack([s.ravel() for s in strips])
-        rows = np.repeat(np.r_[np.zeros(len(bottom), int), np.full(len(top), h - 1)], n_w)
-        cols = (np.r_[bottom, top][:, None] + np.arange(n_w)).ravel()
+        # each strip's free cells, a column per strip: its n_w columns in
+        # turn, each from the far end to the sheet, so that cell i of column j
+        # is row j * n + i
+        strips = [slot[1:r0, c : c + n_w] for c in s.bottom] + [slot[r1 : ny - 1, c : c + n_w][::-1] for c in s.top]
+        self.strip_idx = np.column_stack([a.T.ravel() for a in strips])
+        rows = np.repeat(np.r_[np.zeros(len(s.bottom), int), np.full(len(s.top), h - 1)], n_w)
+        cols = (np.r_[s.bottom, s.top][:, None] + np.arange(n_w)).ravel()
         self.interface = (rows, cols)
 
-        # K_B: the operator of the first strip, with the sheet row beside it
-        # held fixed; every strip has this operator
-        def one_strip(a):
-            a = a[box][: r0 + 1] if r0 else a[box][r1 - 1 :][::-1]
-            return a[:, cols[0] : cols[0] + n_w]
-
-        sheet_row = np.zeros((n_len + 1, n_w), dtype=bool)
-        sheet_row[-1] = True
-        strip_grid = replace(
-            grid,
-            kind=one_strip(grid.kind),
-            sheet_um=one_strip(grid.sheet_um),
-            source_w=np.zeros(sheet_row.shape),
-            dirichlet=one_strip(grid.dirichlet) | sheet_row,
-            absorbed_power_w=0.0,
-        )
-        self.strip_lu = _kirchhoff_lu(_faces(strip_grid), grid.material)
-        g, self.g_i = g
-        unit = np.zeros((self.strip_idx.shape[0], n_w))
-        unit[-n_w:] = np.eye(n_w)
-        self.near_inv = self.strip_lu.solve(unit)  # the columns of K_B^-1 on the near row
-        dtn = self.g_i * np.eye(n_w) - self.g_i**2 * self.near_inv[-n_w:]
+        # T + g_s mu_k I = V diag(lambda + g_s mu_k) V^T with T = V diag(lambda)
+        # V^T, so K_B^-1 = (phi_w^T (x) V) diag(1 / (lambda_l + g_s mu_k))
+        # (phi_w (x) V^T)
+        t = g_s * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+        t[-1, -1] = g_s + g_i
+        lam_t, self.v = np.linalg.eigh(t)
+        self.phi_w, mu_w = _dct(n_w)
+        self.inv_eig = 1.0 / (lam_t + g_s * mu_w[:, None])  # [k, l]
+        # the columns of K_B^-1 on the near row: sum over k of phi_w[k, j] times
+        # the near column of (T + g_s mu_k I)^-1 times phi_w[k]
+        near_t = (self.inv_eig * self.v[-1]) @ self.v.T
+        self.near_inv = (self.phi_w[:, :, None] * near_t[:, None, :]).reshape(n_w, -1).T @ self.phi_w
+        dtn = g_i * np.eye(n_w) - g_i**2 * self.near_inv[n - 1 :: n]
 
         self.phi_y, mu_y = _dct(h)
         self.phi_x, mu_x = _dct(self.rect_idx.shape[1])
@@ -475,11 +514,20 @@ class _SheetOnStrips:
         weights[m, m] = -g
         self.capacitance = np.linalg.solve(np.eye(m + 1) + weights @ gram, weights)
 
+    def strip_solve(self, x: np.ndarray) -> np.ndarray:
+        """K_B^-1 x for each strip's column of x: the transform across and
+        along the strips, the division by the eigenvalues and the inverse
+        transform."""
+        (n_w, n), n_rhs = self.inv_eig.shape, x.shape[1]
+        x_hat = self.v.T @ (self.phi_w @ x.reshape(n_w, -1)).reshape(n_w, n, n_rhs)
+        y = self.v @ (x_hat * self.inv_eig[:, :, None])
+        return (self.phi_w.T @ y.reshape(n_w, -1)).reshape(x.shape)
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        n_w = self.near_inv.shape[1]
-        y_strips = self.strip_lu.solve(rhs[self.strip_idx])
+        n_w, n = self.inv_eig.shape
+        y_strips = self.strip_solve(rhs[self.strip_idx])
         r = rhs[self.rect_idx]
-        np.add.at(r, self.interface, self.g_i * y_strips[-n_w:].T.ravel())
+        np.add.at(r, self.interface, self.g_i * y_strips[n - 1 :: n].T.ravel())
         r_hat = self.phi_y @ r @ self.phi_x.T
         y_hat = r_hat / self.lam
         y_interface = ((self.by.T @ y_hat)[self.iu] * self.ax.T).sum(axis=1)
@@ -517,10 +565,10 @@ def _kirchhoff_lu(faces: _Faces, material: MaterialModel):
     # rows and columns. On this 5-point operator small supernodes factor
     # fastest. The table below timed the whole operator of the full w320 /
     # w800 device grids, which _SheetOnStrips now solves without this
-    # factor; it stands for the grids that still factor (bars, edited grids
-    # and one bridge's strip). Median factor times in ms, w320 / w800, by
-    # relax/panel_size, against the pivoting factor at SuperLU's defaults
-    # (2 cores, scipy 1.17.1):
+    # factor; it stands for the grids that still factor (bars and edited
+    # grids). Median factor times in ms, w320 / w800, by relax/panel_size,
+    # against the pivoting factor at SuperLU's defaults (2 cores, scipy
+    # 1.17.1):
     #   dx     defaults     1/1         2/2         4/4
     #   0.1    18.8 / 13.4  10.5 / 6.6  10.6 / 6.8  11.9 / 9.1
     #   0.05   85.3 / 88.1  45.8 / 48.3 51.3 / 60.1 58.0 / 58.5
@@ -539,6 +587,17 @@ def _kirchhoff_lu(faces: _Faces, material: MaterialModel):
 
 # Anderson's depth m: each chord step is mixed with the last m steps.
 _ANDERSON_DEPTH = 5
+
+# A step has stalled when it moves no rise by more than _STALLED times the
+# largest rise, 4 ulps of it. The chord step solves for the rise of U, whose
+# round-off is about eps times its largest value, and _rise maps that to
+# the rise of T by a division, log1p, a division, expm1 and a product, each
+# within an ulp: a step that moves the field less than that moves it only
+# by its own round-off, and the next step, taken from the same residual,
+# moves it no further. A chord step from a field whose relative imbalance is
+# above tol moves it by about that imbalance, far above 4 ulps for any tol
+# that the round-off of the imbalance lets a solve meet.
+_STALLED = 4.0 * np.finfo(float).eps
 
 
 def solve_steady_state(
@@ -590,9 +649,11 @@ def solve_steady_state(
     Convergence requires both the largest relative temperature change of
     the last step and the recomputed energy imbalance to fall below tol,
     which must lie in (0, 1): the unheated bath field's imbalance is 1.
-    Exhausting max_iter, a step with no temperature or an overflowing flow
-    even unmixed, or a bath field whose conductances overflow (residual NaN)
-    returns converged=False instead of raising.
+    Exhausting max_iter, a step that has stalled (it moves no rise by more
+    than _STALLED times the largest rise) before the solve converged, a
+    step with no temperature or an overflowing flow even unmixed, or a bath
+    field whose conductances overflow (residual NaN) returns
+    converged=False instead of raising.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
@@ -645,9 +706,12 @@ def solve_steady_state(
                 if u_new is tries[-1]:  # the plain step: the mixing starts afresh
                     du_hist.clear()
                     df_hist.clear()
+                stalled = np.max(np.abs(theta_new - theta)) <= _STALLED * np.max(np.abs(theta_new))
                 u, theta, flow = u_new, theta_new, new
                 res = _imbalance(faces, flow)
                 converged = rel < tol and res <= tol
+                if stalled:
+                    break
 
     t_k = np.full(solved.shape, np.nan)
     t_k.reshape(-1)[faces.cells] = t_b + theta

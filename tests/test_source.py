@@ -1,4 +1,5 @@
-"""Source guards: every module-level private name of the package is used."""
+"""Source guards: every module-level private name of the package is used, and
+no module imports scipy when it is imported."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,29 @@ def test_every_private_module_name_is_referenced():
         name for name, home in private if not any(name in names for where, names in reads if where != home)
     )
     assert not unused, f"private names referenced nowhere else in src/qdtuner: {unused}"
+
+
+def _import_time_nodes(node):
+    """The nodes that run when the module is imported: all but the bodies of
+    its functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def test_no_module_imports_scipy_when_it_is_imported():
+    # importing scipy's sparse stack takes about 0.45 s, over half of a cold
+    # tuner run; only the functions that factor a grid of another shape than
+    # a rasterized device's import it, where they need it
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in _import_time_nodes(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert not found, f"module-level scipy imports in src/qdtuner: {found}"

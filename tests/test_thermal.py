@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -429,19 +430,28 @@ def test_a_non_finite_step_stops_the_solve_before_the_mixing(monkeypatch):
     assert np.nanmax(field.t_k) > 10.0  # the first step's field
 
 
-def _counted(monkeypatch, name):
-    """Record the shape of the operator of each call of
-    scipy.sparse.linalg.<name> in the returned list; thermal imports the
-    solvers where it calls them, so it calls the patch."""
+def _counted(monkeypatch, module, name):
+    """Record the shape of the matrix of each call of <module>.<name> in the
+    returned list; thermal imports scipy's functions where it calls them, so
+    it calls the patch."""
     calls = []
-    original = getattr(scipy.sparse.linalg, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _scipy_calls(monkeypatch):
+    """The shapes of the operators that splu factors and of the graphs whose
+    connected components are counted, as two lists."""
+    return (
+        _counted(monkeypatch, scipy.sparse.linalg, "splu"),
+        _counted(monkeypatch, scipy.sparse.csgraph, "connected_components"),
+    )
 
 
 _LU, _STRIPS = "SuperLU", "_SheetOnStrips"
@@ -486,18 +496,18 @@ def test_solve_iterations_on_shipped_devices(configs_dir, monkeypatch, name):
 @pytest.mark.parametrize("name", ["device_w320.json", "device_w800.json"])
 def test_solve_factors_once_and_takes_only_chord_steps(configs_dir, monkeypatch, name, dx):
     setups = _setups(monkeypatch)
-    factors = _counted(monkeypatch, "splu")
+    factors, graphs = _scipy_calls(monkeypatch)
     for solver in ("gmres", "spsolve"):
         monkeypatch.setattr(scipy.sparse.linalg, solver, _refused)
     layout = load_device(configs_dir / name).layout
     grid = rasterize(layout, dx, absorbed_power_w=2e-5)
-    _, report = solve_steady_state(grid)
+    field, report = solve_steady_state(grid)
     assert report.converged
     assert setups == [(_STRIPS, _free_cells(grid) // 2)]
-    # the one factor is of a single bridge: its free rows by its width
-    bridge = layout.bridges
-    strip = (round(bridge.length_um / dx) - 1) * round(bridge.width_um / dx)
-    assert factors == [(strip, strip)]
+    energy_residual(field)
+    # the strips are solved in closed form and the grid's shape proves it
+    # connected, so no scipy code runs
+    assert (factors, graphs) == ([], [])
 
 
 @pytest.mark.parametrize("power_mw", [0.002, 0.02, 2.0])
@@ -646,10 +656,116 @@ def test_every_rasterized_grid_takes_the_sheet_on_strips_solve(monkeypatch, coun
 
 def test_a_grid_of_another_shape_takes_the_lu(monkeypatch):
     setups = _setups(monkeypatch)
+    factors, graphs = _scipy_calls(monkeypatch)
     bar, (sheet, _) = bar_grid(64, 1e-6), manufactured_sheet(16)
     for grid in (bar, sheet):
         solve_steady_state(grid, max_iter=1)
     assert setups == [(_LU, 63), (_LU, 16 * 16)]
+    # and the graph of its faces checks that every cell reaches a fixed one
+    assert factors == [(63, 63), (16 * 16, 16 * 16)]
+    assert graphs == [(64, 64), (17 * 16, 17 * 16)]
+
+
+@pytest.mark.parametrize("power_w", [0.0, 2e-5])
+def test_a_sheet_on_strips_whose_strip_faces_underflow_is_refused(power_w):
+    # with the bridges' sheet_um at 1e-160 their prefactor conductance c_s is
+    # 3e-166: c_s^2 underflows to 0, so every face inside a strip conducts
+    # nothing, but c_s times the membrane's (1.4e-172) does not. The grid
+    # still has the sheet-on-strips shape, so only the dropped faces say
+    # that the graph must run; at zero power the bath field needs no solver
+    grid = rasterize(default_layout(), 0.1, absorbed_power_w=power_w)
+    grid = replace(grid, sheet_um=np.where(grid.kind == device.BRIDGE, 1e-160, grid.sheet_um))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError, match="disconnected"):
+            solve_steady_state(grid)
+        with pytest.raises(GridError, match="disconnected"):
+            energy_residual(TemperatureField(grid, np.full(grid.shape, 10.0)))
+
+
+def _sheet_on_one_strip(n_w, n_len, ratio):
+    """A 3-row sheet of sheet_um 0.15, n_w + 2 columns wide, on one strip of
+    n_w x n_len cells of sheet_um 0.15 * ratio, fixed on its far row."""
+    shape = (n_len + 3, n_w + 2)
+    kind = np.full(shape, device.MEMBRANE, dtype=np.int8)
+    kind[:n_len] = device.VOID
+    kind[:n_len, 1 : n_w + 1] = device.BRIDGE
+    sheet_um = np.select([kind == device.BRIDGE, kind == device.MEMBRANE], [0.15 * ratio, 0.15])
+    dirichlet = np.zeros(shape, dtype=bool)
+    dirichlet[0] = kind[0] == device.BRIDGE
+    return device.ThermalGrid(
+        dx_um=0.1,
+        x0_um=0.0,
+        y0_um=0.0,
+        kind=kind,
+        sheet_um=sheet_um,
+        source_w=np.zeros(shape),
+        dirichlet=dirichlet,
+        t_bath_k=10.0,
+        material=MAT,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_w=st.integers(min_value=1, max_value=8),
+    n_len=st.integers(min_value=2, max_value=12),
+    log_ratio=st.floats(min_value=-3.0, max_value=3.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_the_closed_form_strip_solve_agrees_with_the_strip_lu(n_w, n_len, log_ratio, seed):
+    grid = _sheet_on_one_strip(n_w, n_len, 10.0**log_ratio)
+    solver = thermal._SheetOnStrips.of(grid, thermal._faces(grid))
+    assert solver is not None
+    # the reference: the LU of the strip with the sheet row beside it held
+    # fixed, factored as a grid of its own
+    strip = np.s_[: n_len + 1, 1 : n_w + 1]
+    held = np.zeros((n_len + 1, n_w), dtype=bool)
+    held[-1] = True
+    strip_grid = replace(
+        grid,
+        kind=grid.kind[strip],
+        sheet_um=grid.sheet_um[strip],
+        source_w=np.zeros(held.shape),
+        dirichlet=grid.dirichlet[strip] | held,
+    )
+    lu = thermal._kirchhoff_lu(thermal._faces(strip_grid), MAT)
+    # the LU numbers cell i of column j i * n_w + j, the closed form j * n + i
+    n = n_len - 1
+    order = np.arange(n * n_w).reshape(n, n_w).T.ravel()
+    near = np.zeros((n * n_w, n_w))
+    near[-n_w:] = np.eye(n_w)
+    rhs = np.random.default_rng(seed).standard_normal((n * n_w, 3))
+    lu_rhs = np.empty_like(rhs)
+    lu_rhs[order] = rhs
+    for got, want in [
+        (solver.near_inv, lu.solve(near)[order]),
+        (solver.strip_solve(rhs), lu.solve(lu_rhs)[order]),
+    ]:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_a_step_that_moves_no_temperature_ends_the_solve(monkeypatch):
+    # a solver whose chord steps after the first are 0: the mixed step then
+    # moves no temperature, and the solve ends unconverged at once instead
+    # of repeating that step until max_iter
+    kirchhoff_solver = thermal._kirchhoff_solver
+
+    class Stalls:
+        def __init__(self, solver):
+            self.solver, self.solves = solver, 0
+
+        def solve(self, rhs):
+            self.solves += 1
+            return self.solver.solve(rhs) if self.solves == 1 else np.zeros_like(rhs)
+
+    monkeypatch.setattr(thermal, "_kirchhoff_solver", lambda *args: Stalls(kirchhoff_solver(*args)))
+    grid = rasterize(default_layout(), 0.1, absorbed_power_w=2e-5)
+    field, report = solve_steady_state(grid)
+    assert not report.converged
+    assert report.residual > report.tol
+    assert (report.iterations, report.max_rel_change) == (2, 0.0)
+    assert np.nanmax(field.t_k) > 10.0  # the first step's field
 
 
 @settings(max_examples=25, deadline=None)
