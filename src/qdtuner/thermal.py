@@ -8,10 +8,12 @@ below the bath keeps its digits. Because kappa is a power law, the Kirchhoff
 transform U = integral of kappa dT makes the problem linear; at the bath
 field the Newton system in U is that linear Kirchhoff operator, so the first
 step, one linear solve in U plus a closed-form inverse per cell, lands next
-to the answer. The solve sets up one solver of that operator, and it takes
-every later step too: the chord step in U, one solve against the residual,
-mixed with the last few steps by Anderson acceleration so that the iteration
-converges in a few steps where the plain chord step would crawl.
+to the answer (_faces computes each face's g0 in it once, and _rise is the
+one inverse, the lumped model's too). The solve sets up one solver of that
+operator, none where a g0 overflows, and it takes every later step too: the
+chord step in U, one solve against the residual, mixed with the last few
+steps by Anderson acceleration so that the iteration converges in a few
+steps where the plain chord step would crawl.
 
 Which solver depends on the grid. A grid that is one uniform sheet hung on
 identical strips fixed at their far ends, as rasterize builds every device,
@@ -30,10 +32,10 @@ the bridges; it is linear in U, so its island temperature is closed-form.
 
 The solver refuses a grid it cannot conduct through with GridError (exit 3
 from the CLI), e.g. one where a cell has no path of conducting faces to a
-cell held at the bath temperature. A grid rasterized from a valid layout is
-refused only when its conductances are so small that they underflow. Its
-shape proves the path exists when no face underflows; only another grid is
-checked on the graph of its faces.
+cell held at the bath temperature, or one with a source on such a cell. A
+grid rasterized from a valid layout is refused only when its conductances
+are so small that they underflow. Its shape proves the path exists when no
+face underflows; only another grid is checked on the graph of its faces.
 
 scipy is imported only inside the functions that factor and check a grid of
 another shape: importing qdtuner.thermal costs only numpy, and a rasterized
@@ -86,7 +88,7 @@ def lumped_temperature(layout: DeviceLayout, p_abs_w: float, t_bath_k: float) ->
 
     p_abs = nA/L * integral(kappa, bath..island) = nA/L * kappa_ref *
     (U(island) - U(bath)) in the Kirchhoff variable U for n bridges, so the
-    island is U^-1(U(bath) + p_abs / (kappa_ref * nA/L)). The island is
+    island lies _rise(p_abs / (kappa_ref * nA/L)) above the bath. The island is
     bridge-limited: the body of the device adds no thermal resistance in
     this approximation.
     """
@@ -101,7 +103,7 @@ def lumped_temperature(layout: DeviceLayout, p_abs_w: float, t_bath_k: float) ->
     u = _kirchhoff(m, np.float64(t_bath_k)) + du
     if m.exponent < -1.0 and not u < 0.0:  # for p < -1, U tends to 0 as T grows
         raise ThermalModelError("no island temperature: the bridges saturate below this power")
-    t = _kirchhoff_inverse(m, u)
+    t = t_bath_k + _rise(m, t_bath_k, du)
     if not _valid(t):
         raise ThermalModelError("no island temperature: it overflows a float")
     return float(t)
@@ -124,13 +126,18 @@ def absorbed_power_for_temperature(
 
 @dataclass(frozen=True)
 class TemperatureField:
-    """Solved temperature map; NaN on void cells."""
+    """Solved temperature map and its rise over the bath, which keeps digits
+    that t_k rounds away (t_k - t_bath when not given); NaN on void cells."""
 
     grid: ThermalGrid
     t_k: np.ndarray
+    rise_k: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if self.rise_k is None:
+            object.__setattr__(self, "rise_k", self.t_k - self.grid.t_bath_k)
         self.t_k.setflags(write=False)
+        self.rise_k.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,6 @@ class _Strips:
     top: np.ndarray
     n_w: int
     n_len: int
-    sheet_um: tuple[float, float]  # of the sheet's cells and of the strips'
 
 
 def _strips(grid: ThermalGrid) -> _Strips | None:
@@ -206,7 +212,7 @@ def _strips(grid: ThermalGrid) -> _Strips | None:
         and np.all(sheet[strips] == sheet[strips][0])
     ):
         return None
-    return _Strips(box, r0, r1, *starts, int(widths[0]), n_len, (sheet[r0, 0], sheet[strips][0]))
+    return _Strips(box, r0, r1, *starts, int(widths[0]), n_len)
 
 
 @dataclass(frozen=True)
@@ -216,9 +222,11 @@ class _Faces:
     Cells are numbered over the active set. Face k joins active cells a[k]
     and b[k]; slot_a and slot_b give each end's row among the free cells,
     or n_free for a fixed cell, so one bincount moves per-face terms into
-    the free rows. Faces between two fixed cells, and faces whose ends'
-    prefactor conductances multiply to 0 (an end of zero sheet conductance,
-    or a product that underflows), are left out.
+    the free rows. g0[k] is the face's conductance in the Kirchhoff
+    variable: the harmonic mean of its ends' prefactor conductances
+    kappa_ref * sheet_um, inf where it overflows. Faces between two fixed
+    cells, and faces whose g0 is not positive (an end of zero sheet
+    conductance, or a product that underflows), are left out.
     """
 
     cells: np.ndarray     # flat grid ids of the active cells
@@ -226,12 +234,13 @@ class _Faces:
     geom: np.ndarray      # sheet_um / UM_PER_CM: sheet conductance over kappa
     a: np.ndarray
     b: np.ndarray
+    g0: np.ndarray
     slot_a: np.ndarray
     slot_b: np.ndarray
     outflow: np.ndarray   # +1 / -1 where heat on the face enters a fixed cell from b / a
     source_w: np.ndarray  # per free cell
     total_w: float        # over the whole grid, fixed cells included
-    strips: _Strips | None  # the grid's sheet-on-strips shape, if it has it
+    strips: _Strips | None  # the grid's sheet-on-strips shape, if it has it and every face conducts
 
     @property
     def n_free(self) -> int:
@@ -240,8 +249,8 @@ class _Faces:
 
 def _faces(grid: ThermalGrid) -> _Faces:
     """The grid's faces; GridError for no active cells, an absorbed power that
-    is negative or not finite, sources that do not add up to it, or a cell
-    with no kept-face path to a fixed cell."""
+    is negative or not finite, sources that do not add up to it, a source on
+    a fixed cell, or a cell with no kept-face path to a fixed cell."""
     ny, nx = grid.shape
     cells = np.flatnonzero(grid.active())
     if not cells.size:
@@ -252,6 +261,9 @@ def _faces(grid: ThermalGrid) -> _Faces:
     total_w = float(grid.source_w.sum())
     if power_w > 0.0 and not abs(total_w - power_w) <= 1e-12 * power_w:  # NaN too
         raise GridError("cell sources do not add up to the absorbed power")
+    free, source_w = ~grid.dirichlet.ravel()[cells], grid.source_w.ravel()[cells]
+    if np.any(source_w[~free]):
+        raise GridError("a fixed-temperature cell holds a heat source")
     compact = np.full(ny * nx, -1, dtype=np.int64)
     compact[cells] = np.arange(cells.size)
     ids = compact.reshape(ny, nx)
@@ -260,20 +272,19 @@ def _faces(grid: ThermalGrid) -> _Faces:
     geom = grid.sheet_um.ravel()[cells] / UM_PER_CM
     face = (a >= 0) & (b >= 0)
     a, b = a[face], b[face]
-    free = ~grid.dirichlet.ravel()[cells]
     # the harmonic mean 2 c_a c_b / (c_a + c_b) is 0 where the product
     # underflows, and such a face conducts nothing
     c = grid.material.kappa_ref_w_per_k_cm * geom
-    with np.errstate(over="ignore"):
-        conducts = c[a] * c[b] > 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g0 = _harmonic(c[a], c[b])
     touches_free = free[a] | free[b]
-    keep = conducts & touches_free
-    strips = _strips(grid)
+    keep = (g0 > 0.0) & touches_free
     # On a sheet on strips where every face with a free end conducts, each
     # strip cell has a path along its strip to the fixed far row, and each
     # sheet cell one through the sheet to a strip, so only another grid needs
     # the graph of its kept faces.
-    if strips is None or not np.array_equal(keep, touches_free):
+    strips = _strips(grid) if np.array_equal(keep, touches_free) else None
+    if strips is None:
         import scipy.sparse as sp
         from scipy.sparse.csgraph import connected_components
 
@@ -281,7 +292,7 @@ def _faces(grid: ThermalGrid) -> _Faces:
         n_parts, part = connected_components(links, directed=False)
         if np.unique(part[~free]).size < n_parts:  # a part holds no fixed cell
             raise GridError("disconnected grid: some cells cannot reach a fixed-temperature cell")
-    a, b = a[keep], b[keep]
+    a, b, g0 = a[keep], b[keep], g0[keep]
 
     n_free = int(free.sum())
     slot = np.full(cells.size, n_free, dtype=np.int64)
@@ -292,17 +303,22 @@ def _faces(grid: ThermalGrid) -> _Faces:
         geom=geom,
         a=a,
         b=b,
+        g0=g0,
         slot_a=slot[a],
         slot_b=slot[b],
         outflow=free[a].astype(float) - free[b].astype(float),
-        source_w=grid.source_w.ravel()[cells][free],
+        source_w=source_w[free],
         total_w=total_w,
         strips=strips,
     )
 
 
 def _harmonic(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    return 2.0 * sa * sb / (sa + sb)
+    """2 sa sb / (sa + sb), summed into sa: on a large grid's faces each
+    new array costs about as much as an operation."""
+    out = 2.0 * sa
+    out *= sb
+    return np.divide(out, np.add(sa, sb, out=sa), out=out)
 
 
 def _conduct(faces: _Faces, material: MaterialModel, t_bath_k: float, theta: np.ndarray):
@@ -334,9 +350,8 @@ def energy_residual(field: TemperatureField) -> float:
     """Recompute the relative energy imbalance directly from the field: NaN
     where a flow overflows, GridError for a grid the solver refuses."""
     faces = _faces(field.grid)
-    t_bath_k = field.grid.t_bath_k
-    theta = field.t_k.reshape(-1)[faces.cells] - t_bath_k
-    flow = _conduct(faces, field.grid.material, t_bath_k, theta)
+    theta = field.rise_k.reshape(-1)[faces.cells]
+    flow = _conduct(faces, field.grid.material, field.grid.t_bath_k, theta)
     return math.nan if flow is None else _imbalance(faces, flow)
 
 
@@ -351,23 +366,6 @@ def _kirchhoff(material: MaterialModel, t: np.ndarray) -> np.ndarray:
         return tr * np.log(t) if p == -1.0 else tr * (t / tr) ** (p + 1.0) / (p + 1.0)
 
 
-def _kirchhoff_inverse(material: MaterialModel, u: np.ndarray) -> np.ndarray:
-    """T from U; inf where no temperature has that U.
-
-    For p != -1, (p + 1) * U / t_ref = (T / t_ref)^(p + 1) is positive at
-    every temperature, so a U where it is not has none: U <= 0 for p > -1,
-    and U >= 0 for p < -1, where U tends to 0 as T grows (saturation). The
-    power alone would map such a U to a finite T when 1 / (p + 1) is an
-    even integer (p = -1.5, -1.25).
-    """
-    p, tr = material.exponent, material.t_ref_k
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if p == -1.0:
-            return np.exp(u / tr)
-        base = (p + 1.0) * u / tr
-        return np.where(base > 0.0, tr * base ** (1.0 / (p + 1.0)), np.inf)
-
-
 def _rise(material: MaterialModel, t_bath_k: float, du: np.ndarray) -> np.ndarray:
     """Temperature rise theta = T - T_bath from the rise du = U(T) - U(T_bath).
 
@@ -375,7 +373,9 @@ def _rise(material: MaterialModel, t_bath_k: float, du: np.ndarray) -> np.ndarra
     T_bath * expm1(du / t_ref) for p = -1: a rise far below T_bath keeps all
     its digits, where T = U^-1(U_b + du) would keep only those of T_bath +
     theta. inf where no temperature has that rise: for p != -1, a du with
-    1 + du / U_b <= 0, as in _kirchhoff_inverse.
+    1 + du / U_b <= 0, since (p + 1) U / t_ref = (T / t_ref)^(p + 1) > 0 (for
+    p < -1, U tends to 0 as T grows), even where the power alone would give
+    a finite rise, as for p = -1.5 or -1.25, where 1 / (p + 1) is even.
     """
     p = material.exponent
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -393,7 +393,7 @@ def _kirchhoff_solver(grid: ThermalGrid, faces: _Faces):
     """The solver whose solve(rhs) takes the chord steps on the grid's free
     cells: _SheetOnStrips where the grid is a uniform sheet on identical
     strips, as rasterize builds it, and the LU of _kirchhoff_lu on any other."""
-    return _SheetOnStrips.of(grid, faces) or _kirchhoff_lu(faces, grid.material)
+    return _kirchhoff_lu(faces) if faces.strips is None else _SheetOnStrips(grid, faces)
 
 
 # longest side of the sheet, most interface cells and most free rows of a
@@ -443,26 +443,11 @@ class _SheetOnStrips:
     and the strips' back-substitution: numpy matrix products only.
     """
 
-    @classmethod
-    def of(cls, grid: ThermalGrid, faces: _Faces):
-        """The solver for the grid, or None where the grid is not of that shape."""
-        if faces.strips is None:
-            return None
-        # the face conductances as _kirchhoff_lu computes them: in the sheet,
-        # between a strip and the sheet, and in a strip
-        sheet, strip = grid.material.kappa_ref_w_per_k_cm * (np.array(faces.strips.sheet_um) / UM_PER_CM)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = _harmonic(np.array([sheet, strip, strip]), np.array([sheet, sheet, strip]))
-        if not np.all((g > 0.0) & (g < math.inf)):
-            return None
-        return cls(grid, faces, *g)
-
-    def __init__(self, grid: ThermalGrid, faces: _Faces, g: float, g_i: float, g_s: float):
+    def __init__(self, grid: ThermalGrid, faces: _Faces):
         s = faces.strips
         r0, r1, n_w, n = s.r0, s.r1, s.n_w, s.n_len - 1
         ny, h = s.box[0].stop - s.box[0].start, r1 - r0
         self.shape = (faces.n_free, faces.n_free)
-        self.g_i = g_i
         slot = np.full(grid.shape, -1, dtype=np.int64)
         slot.reshape(-1)[faces.cells[faces.free]] = np.arange(faces.n_free)
         slot = slot[s.box]
@@ -475,6 +460,13 @@ class _SheetOnStrips:
         rows = np.repeat(np.r_[np.zeros(len(s.bottom), int), np.full(len(s.top), h - 1)], n_w)
         cols = (np.r_[s.bottom, s.top][:, None] + np.arange(n_w)).ravel()
         self.interface = (rows, cols)
+        # g0 of a face in the sheet, between a strip and the sheet, and in a
+        # strip, from its first free cell to its fixed far row (slot n_free)
+        sa, sb, near = faces.slot_a, faces.slot_b, self.rect_idx[rows[0], cols[0]]
+        ends = [self.rect_idx[0, :2], (self.strip_idx[n - 1, 0], near), (self.strip_idx[0, 0], faces.n_free)]
+        at = [np.flatnonzero((sa == p) | (sb == p)) for p, _ in ends]  # the faces of p
+        g, g_i, g_s = (faces.g0[k[(sa[k] == q) | (sb[k] == q)]][0] for k, (_, q) in zip(at, ends))
+        self.g_i = g_i
 
         # T + g_s mu_k I = V diag(lambda + g_s mu_k) V^T with T = V diag(lambda)
         # V^T, so K_B^-1 = (phi_w^T (x) V) diag(1 / (lambda_l + g_s mu_k))
@@ -542,15 +534,13 @@ class _SheetOnStrips:
         return out
 
 
-def _kirchhoff_lu(faces: _Faces, material: MaterialModel):
-    """LU factors of the Kirchhoff operator: the linear operator in U of face
-    conductances from the temperature-independent prefactor kappa_ref * sheet_um."""
+def _kirchhoff_lu(faces: _Faces):
+    """LU factors of the Kirchhoff operator: the linear operator in U of the
+    face conductances g0."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
-    n = faces.n_free
-    c = material.kappa_ref_w_per_k_cm * faces.geom
-    g0 = _harmonic(c[faces.a], c[faces.b])
+    n, g0 = faces.n_free, faces.g0
     diag = (np.bincount(faces.slot_a, g0, n + 1) + np.bincount(faces.slot_b, g0, n + 1))[:n]
     both_free = (faces.slot_a < n) & (faces.slot_b < n)
     sa, sb, off = faces.slot_a[both_free], faces.slot_b[both_free], -g0[both_free]
@@ -609,7 +599,7 @@ def solve_steady_state(
 
     A grid it cannot conduct through raises GridError: no active cells, an
     absorbed power that is negative or not finite, cell sources that do not
-    add up to it, or a cell with no
+    add up to it, a source on a fixed cell, or a cell with no
     conducting path to a fixed cell (a void gap, a cell of zero sheet_um,
     or prefactor conductances whose products underflow).
     rasterize builds such a grid from a valid layout only in the last case.
@@ -651,9 +641,9 @@ def solve_steady_state(
     which must lie in (0, 1): the unheated bath field's imbalance is 1.
     Exhausting max_iter, a step that has stalled (it moves no rise by more
     than _STALLED times the largest rise) before the solve converged, a
-    step with no temperature or an overflowing flow even unmixed, or a bath
-    field whose conductances overflow (residual NaN) returns
-    converged=False instead of raising.
+    step with no temperature or an overflowing flow even unmixed, a bath
+    field whose conductances overflow (residual NaN), or a g0 that does (no
+    solver is set up, the bath field is returned) returns converged=False.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
@@ -673,7 +663,7 @@ def solve_steady_state(
     flow = _conduct(faces, material, t_b, theta)
     res = math.nan if flow is None else _imbalance(faces, flow)
     rel, iterations, converged = 0.0, 0, res <= tol
-    if flow is not None and not converged:
+    if flow is not None and not converged and np.all(faces.g0 < math.inf):
         solver = _kirchhoff_solver(solved, faces)
         u = np.zeros(faces.n_free)  # the rise of U, 0 at the bath
         du_hist, df_hist, last = [], [], None
@@ -713,9 +703,10 @@ def solve_steady_state(
                 if stalled:
                     break
 
-    t_k = np.full(solved.shape, np.nan)
-    t_k.reshape(-1)[faces.cells] = t_b + theta
-    field = TemperatureField(grid=grid, t_k=np.concatenate([t_k, t_k[::-1]]) if mirrored else t_k)
+    rise = np.full(solved.shape, np.nan)
+    rise.reshape(-1)[faces.cells] = theta
+    rise = np.concatenate([rise, rise[::-1]]) if mirrored else rise
+    field = TemperatureField(grid=grid, t_k=t_b + rise, rise_k=rise)
     report = SolveReport(
         iterations=iterations,
         residual=res,

@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -7,11 +8,11 @@ import numpy as np
 import pytest
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bar_end_temperature_analytic, bar_grid, manufactured_sheet
-from qdtuner import device, thermal
+from qdtuner import cli, device, thermal
 from qdtuner.config import ThermalParams, load_device
 from qdtuner.device import GridError, HeatingPad, MaterialModel, default_layout, rasterize
 from qdtuner.thermal import (
@@ -303,6 +304,8 @@ def test_solve_rejects_disconnected_grid():
     dead[0, -1] = 0.0
     nan_source = bar.source_w.copy()
     nan_source[0, -1] = math.nan
+    bath_source = bar.source_w.copy()
+    bath_source[0, 0] = 1e-6
     cases = [
         (replace(bar, kind=cut), "disconnected"),
         # active cells of zero sheet conductance: the operator would be singular
@@ -311,6 +314,9 @@ def test_solve_rejects_disconnected_grid():
         (replace(bar, kind=np.zeros_like(bar.kind)), "no active cells"),
         (replace(bar, absorbed_power_w=2e-6), "do not add up"),
         (replace(bar, source_w=nan_source), "do not add up"),
+        # its heat would count as heat that must flow into the bath: the
+        # solve took 9 steps and stopped unconverged at residual 0.5
+        (replace(bar, source_w=bath_source, absorbed_power_w=2e-6), "a fixed-temperature cell holds a heat source"),
     ]
     for grid, match in cases:
         with warnings.catch_warnings():
@@ -335,14 +341,17 @@ def test_a_grid_whose_absorbed_power_is_outside_zero_to_inf_is_refused(power_w):
 @pytest.mark.parametrize("power_mw", [1e-20, 1e-15, 1e-12, 1e-9])
 def test_a_tiny_power_converges_in_one_step(configs_dir, power_mw):
     # the solve carries the rise T - T_bath, so a rise of 1e-12 K (1e-15 mW)
-    # or 1e-17 K keeps its digits, where T = 10 + rise would keep few or none
+    # or 1e-17 K keeps its digits, where T = 10 + rise would keep few or none;
+    # the field keeps it too, so energy_residual agrees with the report (from
+    # t_k it read 1.0 at 1e-20 mW and 2.4e-3 at 1e-15 mW)
     grid = rasterize(
         load_device(configs_dir / "device_w320.json").layout, 0.1, absorbed_power_w=power_mw * 1e-3
     )
-    _, report = solve_steady_state(grid)
+    field, report = solve_steady_state(grid)
     assert report.converged
     assert report.iterations == 1
     assert report.residual <= 1e-12
+    assert energy_residual(field) == report.residual
 
 
 def test_solve_parameter_validation():
@@ -396,6 +405,47 @@ def test_solve_saturating_kappa_reports_no_convergence(monkeypatch):
     assert not report.converged
     assert setups == [(_STRIPS, _free_cells(grid) // 2)]
     assert np.all(field.t_k[grid.active()] > 0.0)
+
+
+def test_an_overflowing_kirchhoff_conductance_sets_up_no_solver(configs_dir, tmp_path, monkeypatch, capsys):
+    # kappa_ref * sheet_um squared overflows in the Kirchhoff operator, while
+    # the conductances at a 5 K bath, scaled by (5 / 10)^8, do not: the solve
+    # sets up no solver and ends on the bath field, where the LU of an
+    # operator with infinite faces raised "Factor is exactly singular"
+    device = json.loads((configs_dir / "device_w320.json").read_text(encoding="utf-8"))
+    device["material"] = {"kappa_ref": 1e160, "t_ref": 10.0, "exponent": 8.0}
+    path, out = tmp_path / "d.json", tmp_path / "out"
+    path.write_text(json.dumps(device), encoding="utf-8")
+    setups = _setups(monkeypatch)
+    argv = ["thermal", path, "--dx-um", 0.1, "--power-abs-mw", 0.02, "--bath-k", 5, "--out", out]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([str(a) for a in argv]) == 3
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert (report["converged"], report["iterations"], report["max_k"]) == (False, 0, 5.0)
+    assert capsys.readouterr().err == "solver error: no convergence in 0 iterations (residual 1)\n"
+    assert setups == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_kappa=st.floats(min_value=-300.0, max_value=300.0),
+    t_ref=st.floats(min_value=0.01, max_value=1e3),
+    exponent=st.sampled_from([-2.0, -1.0, 1.0, 2.0, 8.0, 50.0]),
+    t_bath=st.floats(min_value=0.01, max_value=300.0),
+    power_w=st.floats(min_value=0.0, max_value=1e-2),
+)
+@example(log_kappa=math.log10(1.66e172), t_ref=54.9, exponent=50.0, t_bath=0.0186, power_w=8.1e-13)
+def test_any_material_solves_or_is_refused(log_kappa, t_ref, exponent, t_bath, power_w):
+    material = MaterialModel(10.0**log_kappa, t_ref, exponent)
+    grid = rasterize(default_layout(material=material), 0.1, absorbed_power_w=power_w, t_bath_k=t_bath)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            _, report = solve_steady_state(grid)
+        except GridError:
+            return
+    assert not report.converged or report.residual <= report.tol
 
 
 def test_underflowing_conductances_end_unconverged_without_warnings():
@@ -715,8 +765,9 @@ def _sheet_on_one_strip(n_w, n_len, ratio):
 )
 def test_the_closed_form_strip_solve_agrees_with_the_strip_lu(n_w, n_len, log_ratio, seed):
     grid = _sheet_on_one_strip(n_w, n_len, 10.0**log_ratio)
-    solver = thermal._SheetOnStrips.of(grid, thermal._faces(grid))
-    assert solver is not None
+    faces = thermal._faces(grid)
+    assert faces.strips is not None
+    solver = thermal._SheetOnStrips(grid, faces)
     # the reference: the LU of the strip with the sheet row beside it held
     # fixed, factored as a grid of its own
     strip = np.s_[: n_len + 1, 1 : n_w + 1]
@@ -729,7 +780,7 @@ def test_the_closed_form_strip_solve_agrees_with_the_strip_lu(n_w, n_len, log_ra
         source_w=np.zeros(held.shape),
         dirichlet=grid.dirichlet[strip] | held,
     )
-    lu = thermal._kirchhoff_lu(thermal._faces(strip_grid), MAT)
+    lu = thermal._kirchhoff_lu(thermal._faces(strip_grid))
     # the LU numbers cell i of column j i * n_w + j, the closed form j * n + i
     n = n_len - 1
     order = np.arange(n * n_w).reshape(n, n_w).T.ravel()
@@ -791,7 +842,7 @@ def test_the_sheet_on_strips_solve_agrees_with_the_lu(count, width, body_scale, 
     grid = rasterize(layout, dx, absorbed_power_w=power_mw * 1e-3)
     field, report = solve_steady_state(grid)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(thermal, "_kirchhoff_solver", lambda g, faces: thermal._kirchhoff_lu(faces, g.material))
+        patch.setattr(thermal, "_kirchhoff_solver", lambda g, faces: thermal._kirchhoff_lu(faces))
         lu_field, lu_report = solve_steady_state(grid)
     active = grid.active()
     rel = np.max(np.abs(lu_field.t_k[active] - field.t_k[active]) / field.t_k[active])
