@@ -568,15 +568,40 @@ def write_json(obj: dict, path: str | Path) -> None:
 
 
 def write_field_csv(field: TemperatureField, path: str | Path) -> None:
-    """Temperature map as x_um,y_um,T_K rows (row-major, 6 significant digits)."""
+    """Temperature map as x_um,y_um,T_K rows (row-major, 6 significant digits).
+
+    A field that is its own up-down mirror (an even row count, and the
+    active mask and t_k bitwise equal to their row flips, as in every solved
+    rasterized device) formats only its lower half: each upper row is written
+    from its mirror row's text, with only the y field changed.
+    """
     grid = field.grid
-    xs = np.array([b"%.6g" % x for x in grid.cell_x_um().tolist()], dtype=object)
-    active = grid.active()
-    # one %-format over a template built per grid row, its active x strings
-    # each followed by b",<y>,%.6g\n"; b'%.6g' % t is format(t, '.6g').encode()
-    template = b"".join(
-        sep.join(xs[row].tolist()) + sep
-        for row, sep in zip(active, [b",%.6g,%%.6g\n" % y for y in grid.cell_y_um().tolist()])
-        if row.any()
+    t, active = field.t_k, grid.active()
+    ny, half = t.shape[0], t.shape[0] // 2
+    # bits, not values: %.6g writes -0.0 and 0.0 differently
+    mirrored = (
+        ny % 2 == 0
+        and np.array_equal(active[:half], active[::-1][:half])
+        and t[:half].tobytes() == t[::-1][:half].tobytes()
     )
-    write_bytes([b"x_um,y_um,T_K\n", template % tuple(field.t_k[active].tolist())], path)
+    n = half if mirrored else ny
+    xs = np.array([b"%.6g" % x for x in grid.cell_x_um().tolist()], dtype=object)
+    ys = [b"%.6g" % y for y in grid.cell_y_um().tolist()]
+    # One %-format over a template of rows [0, n), joined by the marker \1.
+    # A row's pattern, built once per distinct active mask, is its active
+    # x strings each followed by \0, which becomes b",<y>,%.6g\n";
+    # b'%.6g' % t is format(t, '.6g').encode().
+    patterns: dict[bytes, bytes] = {}
+    template = []
+    for row, y in zip(active[:n], ys):
+        key = row.tobytes()
+        pattern = patterns.get(key)
+        if pattern is None:  # not setdefault: that would join on every row
+            pattern = patterns[key] = b"".join([x + b"\0" for x in xs[row].tolist()])
+        template.append(pattern.replace(b"\0", b"," + y + b",%.6g\n"))
+    lower = (b"\1".join(template) % tuple(t[:n][active[:n]].tolist())).split(b"\1")
+    # the y field is the only one with a comma on each side
+    upper = [
+        lower[k].replace(b"," + ys[k] + b",", b"," + ys[ny - 1 - k] + b",") for k in range(ny - n - 1, -1, -1)
+    ]
+    write_bytes([b"x_um,y_um,T_K\n", *lower, *upper], path)

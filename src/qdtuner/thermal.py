@@ -250,7 +250,9 @@ class _Faces:
 def _faces(grid: ThermalGrid) -> _Faces:
     """The grid's faces; GridError for no active cells, an absorbed power that
     is negative or not finite, sources that do not add up to it, a source on
-    a fixed cell, or a cell with no kept-face path to a fixed cell."""
+    a fixed cell, an active cell whose sheet_um is negative or NaN (0 is
+    allowed: such a cell conducts nothing), or a cell with no kept-face path
+    to a fixed cell."""
     ny, nx = grid.shape
     cells = np.flatnonzero(grid.active())
     if not cells.size:
@@ -264,12 +266,15 @@ def _faces(grid: ThermalGrid) -> _Faces:
     free, source_w = ~grid.dirichlet.ravel()[cells], grid.source_w.ravel()[cells]
     if np.any(source_w[~free]):
         raise GridError("a fixed-temperature cell holds a heat source")
+    sheet_um = grid.sheet_um.ravel()[cells]
+    if not np.all(sheet_um >= 0.0):  # NaN too
+        raise GridError("an active cell has a negative or NaN sheet_um")
     compact = np.full(ny * nx, -1, dtype=np.int64)
     compact[cells] = np.arange(cells.size)
     ids = compact.reshape(ny, nx)
     a = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
     b = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
-    geom = grid.sheet_um.ravel()[cells] / UM_PER_CM
+    geom = sheet_um / UM_PER_CM
     face = (a >= 0) & (b >= 0)
     a, b = a[face], b[face]
     # the harmonic mean 2 c_a c_b / (c_a + c_b) is 0 where the product

@@ -47,6 +47,20 @@ def bar_grid(
     )
 
 
+def field_csv_per_value(grid: ThermalGrid, t_k: np.ndarray) -> bytes:
+    """The field.csv bytes of t_k on grid, each value formatted on its own:
+    the writer's oracle."""
+    xs, ys = grid.cell_x_um(), grid.cell_y_um()
+    ny, nx = grid.shape
+    text = "x_um,y_um,T_K\n" + "".join(
+        f"{format(xs[i], '.6g')},{format(ys[j], '.6g')},{format(t_k[j, i], '.6g')}\n"
+        for j in range(ny)
+        for i in range(nx)
+        if grid.kind[j, i] != device.VOID
+    )
+    return text.encode("utf-8")
+
+
 def bar_end_temperature_analytic(grid: ThermalGrid, power_w: float, t_bath_k: float = 10.0) -> float:
     """Closed-form end temperature of the bar: P * L / A = integral of kappa dT,
     over the center-to-center span of the discrete bar."""

@@ -10,8 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
-from qdtuner import cli, spectral
+from conftest import field_csv_per_value
+from qdtuner import cli, spectral, thermal
 from qdtuner import config as cfg
+from qdtuner.device import rasterize
 
 
 def run_cli(*args):
@@ -324,6 +326,22 @@ def test_thermal_large_exponent_converges(configs_dir, tmp_path):
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["converged"] is True
     assert report["bath_k"] < report["lumped_island_k"] < report["max_k"]
+
+
+@pytest.mark.parametrize("dx_um", [0.1, 0.05])
+@pytest.mark.parametrize("name", ["device_w320.json", "device_w800.json"])
+def test_thermal_field_csv_is_the_per_value_formatting_of_the_solve(configs_dir, tmp_path, name, dx_um):
+    # a shipped device's field is its own up-down mirror, so its field.csv
+    # takes the writer's mirrored path; an independent formatter checks it
+    device, bath_k, params = cfg.load_device_or_scenario(configs_dir / name)
+    for power_mw in (0.005, 0.02):
+        out = tmp_path / str(power_mw)
+        argv = ("thermal", configs_dir / name, "--dx-um", dx_um, "--power-abs-mw", power_mw, "--out", out)
+        assert run_cli(*argv) == 0
+        grid = rasterize(device.layout, dx_um, absorbed_power_w=power_mw * 1e-3, t_bath_k=bath_k)
+        field, _ = thermal.solve_steady_state(grid, tol=params.tol, max_iter=params.max_iter)
+        assert field.t_k.tobytes() == field.t_k[::-1].tobytes()
+        assert (out / "field.csv").read_bytes() == field_csv_per_value(grid, field.t_k)
 
 
 @pytest.mark.parametrize(
@@ -691,8 +709,8 @@ def test_sweep_outputs_are_deterministic(configs_dir, tmp_path):
 
 
 # SHA-256 of every artifact the shipped scenarios produce under sweep, tune and
-# calibrate. thermal is left out: the last digit of its sparse LU solve can
-# differ by platform.
+# calibrate. thermal is left out: the last bits of its dense numpy/BLAS
+# products can differ by platform.
 GOLDEN_DIGESTS = {
     ("sweep", "fig2a.json"): {
         "peaks.csv": "157cd89e2516953a87e7b8a1e9a4af7c3f338c5ddbf3ea6a5a71602ae6a340b0",

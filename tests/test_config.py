@@ -1,11 +1,15 @@
 import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import bar_grid
+from conftest import bar_grid, field_csv_per_value
 from qdtuner import config as cfg
 from qdtuner import device
 from qdtuner.config import ConfigError, load_device, load_scenario
@@ -233,14 +237,14 @@ def test_field_csv_round_trip(tmp_path):
     assert float(t) == 10.0  # first cell is the anchored end
 
 
-def _assert_field_csv_matches_per_value_formatting(tmp_path, kind, seed):
+def _field_grid(kind, y0_um=1e-7):
     shape = kind.shape
     dirichlet = np.zeros(shape, dtype=bool)
     dirichlet[0, 0] = True
-    grid = device.ThermalGrid(
+    return device.ThermalGrid(
         dx_um=0.0333,
         x0_um=-1.25,
-        y0_um=1e-7,
+        y0_um=y0_um,
         kind=kind,
         sheet_um=np.full(shape, 0.15),
         source_w=np.zeros(shape),
@@ -248,31 +252,111 @@ def _assert_field_csv_matches_per_value_formatting(tmp_path, kind, seed):
         t_bath_k=10.0,
         material=device.MaterialModel(),
     )
-    t = 10.0 + np.random.default_rng(seed).random(shape) * 1e3
+
+
+def _random_field(kind, seed):
+    t = 10.0 + np.random.default_rng(seed).random(kind.shape) * 1e3
     t[kind == device.VOID] = np.nan
+    return t
+
+
+def _assert_field_csv_matches_per_value_formatting(tmp_path, kind, t, y0_um=1e-7):
+    grid = _field_grid(kind, y0_um)
     path = tmp_path / "field.csv"
     cfg.write_field_csv(TemperatureField(grid=grid, t_k=t), path)
-
-    xs, ys = grid.cell_x_um(), grid.cell_y_um()
-    expected = "x_um,y_um,T_K\n" + "".join(
-        f"{format(xs[i], '.6g')},{format(ys[j], '.6g')},{format(t[j, i], '.6g')}\n"
-        for j in range(shape[0])
-        for i in range(shape[1])
-        if kind[j, i] != device.VOID
-    )
-    assert path.read_bytes() == expected.encode("utf-8")
+    assert path.read_bytes() == field_csv_per_value(grid, t)
 
 
 def test_field_csv_matches_per_value_formatting(tmp_path):
     kind = np.full((3, 4), device.MEMBRANE, dtype=np.int8)
     kind[0, 1] = kind[2, 3] = device.VOID
-    _assert_field_csv_matches_per_value_formatting(tmp_path, kind, seed=7)
+    _assert_field_csv_matches_per_value_formatting(tmp_path, kind, _random_field(kind, seed=7))
     # the template is built per grid row: a row with no active cell writes
     # nothing, and void cells inside a row drop out of it
     kind = np.full((5, 6), device.MEMBRANE, dtype=np.int8)
     kind[2, :] = device.VOID
     kind[0, 2:4] = kind[3, 0] = kind[4, 5] = device.VOID
-    _assert_field_csv_matches_per_value_formatting(tmp_path, kind, seed=8)
+    _assert_field_csv_matches_per_value_formatting(tmp_path, kind, _random_field(kind, seed=8))
+
+
+def _mirrored(half):
+    return np.concatenate([half, half[::-1]])
+
+
+def test_mirrored_field_csv_matches_per_value_formatting(tmp_path):
+    # an up-down mirror writes its upper rows from its lower rows' text: a
+    # void row pair, void cells inside mirrored rows, repeated row masks
+    half = np.full((4, 5), device.MEMBRANE, dtype=np.int8)
+    half[1, :] = device.VOID
+    half[0, 2] = half[2, 0] = half[2, 4] = device.VOID
+    kind = _mirrored(half)
+    t = _mirrored(_random_field(half, seed=9))
+    _assert_field_csv_matches_per_value_formatting(tmp_path, kind, t)
+    # rows centred on y = 0: mirrored rows' y strings differ only by sign
+    y0 = -4 * 0.0333
+    ys = [format(y, ".6g") for y in _field_grid(kind, y0).cell_y_um()]
+    assert all(ys[k] == "-" + ys[-1 - k] for k in range(4))
+    _assert_field_csv_matches_per_value_formatting(tmp_path, kind, t, y0_um=y0)
+    # x strings and temperatures that hold the y strings (x0 = y0, and each
+    # row at its y value): only the y field, the one with a comma on each
+    # side, changes between mirrored rows
+    ys = _field_grid(kind, -1.25).cell_y_um()
+    _assert_field_csv_matches_per_value_formatting(tmp_path, kind, _mirrored(np.outer(ys[:4], np.ones(5))), -1.25)
+    # a mirror but for one temperature, by one ulp, or one mask cell
+    near = t.copy()
+    near[6, 1] = np.nextafter(near[6, 1], math.inf)
+    _assert_field_csv_matches_per_value_formatting(tmp_path, kind, near, y0_um=y0)
+    cut = kind.copy()
+    cut[7, 3] = device.VOID
+    _assert_field_csv_matches_per_value_formatting(tmp_path, cut, t, y0_um=y0)
+    # equal values, unequal bits: %.6g writes 0 and -0
+    signed = t.copy()
+    signed[0, 0], signed[-1, 0] = 0.0, -0.0
+    assert np.array_equal(signed, signed[::-1], equal_nan=True)
+    _assert_field_csv_matches_per_value_formatting(tmp_path, kind, signed, y0_um=y0)
+    # non-finite temperatures on active cells, mirrored and not
+    odd = t.copy()
+    odd[0, 0] = odd[-1, 0] = math.inf
+    odd[0, 1] = odd[-1, 1] = -math.inf
+    odd[3, 3] = odd[4, 3] = math.nan
+    _assert_field_csv_matches_per_value_formatting(tmp_path, kind, odd, y0_um=y0)
+    odd = odd.copy()  # the field froze the last one
+    odd[4, 3] = 10.0
+    _assert_field_csv_matches_per_value_formatting(tmp_path, kind, odd, y0_um=y0)
+    # an odd row count has no mirror, whatever its values
+    kind = np.concatenate([half, half[-1:], half[::-1]])
+    t = np.concatenate([t[:4], t[3:4], t[4:]])
+    _assert_field_csv_matches_per_value_formatting(tmp_path, kind, t, y0_um=-4.5 * 0.0333)
+
+
+_temperatures = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 10.0])
+
+
+@st.composite
+def _fields(draw):
+    """A grid's kind and temperatures, of random shape and mask, drawn
+    mirrored (an even row count, each lower row repeated in its mirror) or
+    not."""
+    mirror = draw(st.booleans())
+    rows, nx = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    cells = st.lists(st.tuples(st.booleans(), _temperatures), min_size=rows * nx, max_size=rows * nx)
+    drawn = draw(cells)
+    kind = np.array([device.MEMBRANE if a else device.VOID for a, _ in drawn], dtype=np.int8).reshape(rows, nx)
+    t = np.array([v for _, v in drawn], dtype=float).reshape(rows, nx)
+    if mirror:
+        kind, t = _mirrored(kind), _mirrored(t)
+        if draw(st.booleans()):  # a mirror but for one cell
+            j, i = draw(st.integers(0, kind.shape[0] - 1)), draw(st.integers(0, nx - 1))
+            t[j, i] = draw(_temperatures)
+    return kind, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=_fields(), y0_um=st.sampled_from([1e-7, -0.0333, -2 * 0.0333, -1.25, 12.5]))
+def test_field_csv_matches_per_value_formatting_on_any_field(field, y0_um):
+    kind, t = field
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_field_csv_matches_per_value_formatting(Path(tmp), kind, t, y0_um)
 
 
 def test_write_json_rounds_and_sorts(tmp_path):

@@ -317,6 +317,10 @@ def test_solve_rejects_disconnected_grid():
         # its heat would count as heat that must flow into the bath: the
         # solve took 9 steps and stopped unconverged at residual 0.5
         (replace(bar, source_w=bath_source, absorbed_power_w=2e-6), "a fixed-temperature cell holds a heat source"),
+        # an invalid conductance is named as such, not as a disconnected grid
+        (replace(bar, sheet_um=np.full(bar.shape, -0.15)), "negative or NaN sheet_um"),
+        (replace(bar, sheet_um=np.full(bar.shape, math.nan)), "negative or NaN sheet_um"),
+        (replace(bar, sheet_um=np.where(np.arange(8) == 4, math.nan, bar.sheet_um)), "negative or NaN sheet_um"),
     ]
     for grid, match in cases:
         with warnings.catch_warnings():
