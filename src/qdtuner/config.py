@@ -9,8 +9,10 @@ files.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -547,19 +549,80 @@ def _round_floats(obj):
     return obj
 
 
-def write_bytes(chunks: Iterable[bytes], path: str | Path) -> None:
-    """Write an artifact as the given bytes, each chunk as soon as it comes.
+def write_bytes(chunks: Iterable[bytes], path: str | Path, *, tail: Iterable[bytes] | None = None) -> None:
+    """Write an artifact as the given bytes, each chunk as soon as it comes,
+    then the chunks of `tail` if one is given.
 
     Every artifact goes through here, so none passes a text layer: the bytes
     are those the caller formatted, LF endings included. A file that cannot
     be opened or written (e.g. a directory sits at its path) is a ConfigError
     naming it.
+
+    Where `os.fork` exists and a second CPU is usable, a forked child formats
+    the tail while this process writes the chunks (`_write_tail_forked`).
+    The file is opened before the fork, and the bytes are the same either way.
     """
     try:
         with open(path, "wb") as f:
-            f.writelines(chunks)
+            if tail is None or not hasattr(os, "fork") or _usable_cpus() < 2:
+                f.writelines(itertools.chain(chunks, tail or ()))
+            else:
+                _write_tail_forked(f, chunks, tail)
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from e
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_tail_forked(f, head: Iterable[bytes], tail: Iterable[bytes]) -> None:
+    """Write head and then tail to the empty file f, the tail from a child.
+
+    One child is forked. It joins the tail into one buffer while this
+    process streams the head, reads from a pipe the byte offset where the
+    head ended, writes its buffer there with `os.pwrite` on the inherited
+    descriptor and leaves by `os._exit`. The child is always reaped, on
+    every path; if it could not be forked or did not exit 0, this process
+    writes the tail itself at that offset, so the bytes never depend on it.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(read_end)
+        os.close(write_end)
+        f.writelines(itertools.chain(head, tail))
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(write_end)
+            data = b"".join(tail)
+            # 8 bytes, written at once: a pipe delivers them in one read
+            offset = os.read(read_end, 8)
+            if len(offset) == 8 and os.pwrite(f.fileno(), data, int.from_bytes(offset, "little")) == len(data):
+                code = 0
+        finally:
+            os._exit(code)  # never back into the caller's code, whatever was raised
+    os.close(read_end)
+    try:
+        f.writelines(head)
+        f.flush()
+        offset = f.tell()
+        try:
+            os.write(write_end, offset.to_bytes(8, "little"))
+        except BrokenPipeError:
+            pass  # the child is gone; its exit status says so below
+    finally:
+        os.close(write_end)  # a child still waiting for the offset reads EOF and exits 1
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        f.seek(offset)
+        f.truncate()
+        f.writelines(tail)
 
 
 def write_json(obj: dict, path: str | Path) -> None:

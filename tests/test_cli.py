@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -18,6 +19,13 @@ from qdtuner.device import rasterize
 
 def run_cli(*args):
     return cli.main([str(a) for a in args])
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def read_rows(path):
@@ -312,6 +320,8 @@ def test_unwritable_artifact_is_config_error(configs_dir, tmp_path, capsys, argv
     assert err.startswith("config error:")
     assert str(out / artifact) in err
     assert (out / artifact).is_dir()
+    with pytest.raises(ChildProcessError):  # the file is opened before any fork
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_thermal_large_exponent_converges(configs_dir, tmp_path):
@@ -761,6 +771,62 @@ def test_shipped_artifacts_match_golden_digests(configs_dir, tmp_path):
         if got != digests:
             mismatched.append(" ".join(argv))
     assert not mismatched, f"artifacts changed: {mismatched}"
+
+
+def _spectra_digest(out):
+    return hashlib.sha256((out / "spectra.csv").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("failure", ["child-fails", "fork-fails"])
+def test_sweep_writes_the_tail_itself_when_the_child_cannot(configs_dir, tmp_path, monkeypatch, failure):
+    monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fork, waitpid = os.fork, os.waitpid
+    forks, statuses = [], []
+
+    def failing_pwrite(*args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    def counted_fork():
+        forks.append(1)
+        if failure == "fork-fails":
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    def recorded_waitpid(pid, options):
+        statuses.append(waitpid(pid, options)[1])
+        return pid, statuses[-1]
+
+    if failure == "child-fails":  # patched before the fork, so the child inherits it
+        monkeypatch.setattr(os, "pwrite", failing_pwrite)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+    out = tmp_path / "out"
+    assert run_cli("sweep", configs_dir / "fig2a.json", "--out", out) == 0
+    assert len(forks) == 1
+    if failure == "child-fails":
+        assert len(statuses) == 1 and os.waitstatus_to_exitcode(statuses[0]) == 1
+    else:
+        assert statuses == []
+    assert _spectra_digest(out) == GOLDEN_DIGESTS[("sweep", "fig2a.json")]["spectra.csv"]
+
+
+@pytest.mark.parametrize("case", ["one-cpu-by-affinity", "one-cpu-by-count", "small-sweep"])
+def test_sweep_forks_only_for_a_large_sweep_on_two_cpus(configs_dir, tmp_path, monkeypatch, case):
+    argv = ["sweep", configs_dir / "fig2a.json"]
+    if case == "one-cpu-by-affinity":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif case == "one-cpu-by-count":
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    else:  # 5 x 1200 rows, well below SPLIT_MIN_ROWS
+        argv += ["--steps", 5]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("tuner sweep forked"))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", out) == 0
+    if case != "small-sweep":
+        assert _spectra_digest(out) == GOLDEN_DIGESTS[("sweep", "fig2a.json")]["spectra.csv"]
 
 
 # Runs one command in a fresh interpreter and prints its exit code and whether

@@ -6,6 +6,7 @@ and array scan must reproduce it exactly on generated scenarios.
 """
 
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -123,7 +124,50 @@ def sweep_scenarios(draw):
     return dict(GEOMETRY, cavity=cavity, qds=qds), scenario
 
 
+def _example(p_min, p_max, steps, dots=0):
+    """A (device, scenario) pair like the generated ones, with the given ramp."""
+    qds = [{"id": f"QD{k}", "x_um": 9.5 + 0.2 * k, "y_um": 2.0, "lambda0_nm": 930.0} for k in range(dots)]
+    scenario = {
+        "bath_k": 10.0,
+        "calibration": {"anchor_shift_nm": 1.4, "anchor_power_mw": 3.0, "p_max_mw": 4.0},
+        "spectrum": {"window_nm": [929.5, 932.0], "samples": 7},
+        "sweep": {"power_min_mw": p_min, "power_max_mw": p_max, "steps": steps},
+    }
+    return dict(GEOMETRY, cavity=None, qds=qds), scenario
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _sweep(argv, split):
+    """Run `tuner sweep`; with split, the second half of spectra.csv always
+    goes to a forked child, which must then be forked exactly once."""
+    if not split:
+        return cli.main(argv)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "SPLIT_MIN_ROWS", 0)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        mp.setattr(os, "fork", counted_fork)
+        code = cli.main(argv)
+    assert len(forks) == 1
+    return code
+
+
 @settings(max_examples=40, deadline=None)
+@example(_example(4.5, 5.0, 3))  # every power past the 4 mW limit: no spectrum, empty halves
+@example(_example(3.0, 5.0, 2))  # one spectrum: the tail is empty
+@example(_example(0.0, 2.0, 3, dots=1))  # three spectra: the head holds two
 @given(sweep_scenarios())
 def test_sweep_csvs_match_reference_writer(generated):
     device, scenario = generated
@@ -133,12 +177,15 @@ def test_sweep_csvs_match_reference_writer(generated):
         path = tmp / "scenario.json"
         path.write_text(json.dumps(dict(scenario, device="device.json")), encoding="utf-8")
         for refit in (False, True):
-            out = tmp / f"out_{refit}"
-            argv = ["sweep", str(path), "--out", str(out)] + (["--refit"] if refit else [])
-            assert cli.main(argv) == 0
             spectra, peaks = reference_sweep(path, refit)
-            assert (out / "spectra.csv").read_bytes() == spectra.encode("utf-8")
-            assert (out / "peaks.csv").read_bytes() == peaks.encode("utf-8")
+            # the split is taken only from SPLIT_MIN_ROWS rows, far more than
+            # any generated sweep has: forced, it runs on every one of them
+            for split in (False, True):
+                out = tmp / f"out_{refit}_{split}"
+                argv = ["sweep", str(path), "--out", str(out)] + (["--refit"] if refit else [])
+                assert _sweep(argv, split) == 0
+                assert (out / "spectra.csv").read_bytes() == spectra.encode("utf-8")
+                assert (out / "peaks.csv").read_bytes() == peaks.encode("utf-8")
 
 
 def _spectrum(y):
