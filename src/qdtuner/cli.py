@@ -166,7 +166,7 @@ def cmd_thermal(args) -> int:
 
     out = _out_dir(args)
     cfg.write_field_csv(field, out / "field.csv")
-    cfg.write_json({**report.to_dict(), **extras}, out / "report.json")
+    cfg.write_json({**dataclasses.asdict(report), **extras}, out / "report.json")
     if not report.converged:
         print(
             f"solver error: no convergence in {report.iterations} iterations "

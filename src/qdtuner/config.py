@@ -626,6 +626,8 @@ def _write_tail_forked(f, head: Iterable[bytes], tail: Iterable[bytes]) -> None:
 
 
 def write_json(obj: dict, path: str | Path) -> None:
+    """obj as indented JSON with sorted keys; every float is rounded to 9
+    significant digits, and every non-finite one is written as null."""
     text = json.dumps(_round_floats(obj), indent=2, sort_keys=True)
     write_bytes([text.encode("utf-8"), b"\n"], path)
 

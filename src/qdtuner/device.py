@@ -192,11 +192,10 @@ class ThermalGrid:
     y0_um: float
     kind: np.ndarray       # int8, VOID/MEMBRANE/BRIDGE/PAD
     sheet_um: np.ndarray   # conductivity multiplier x slab thickness per cell; 0 on void
-    source_w: np.ndarray   # absorbed power per cell, W
+    source_w: np.ndarray   # absorbed power per cell, W: the grid's only heat input
     dirichlet: np.ndarray  # bool, cells held at t_bath_k (bridge far ends)
     t_bath_k: float
     material: MaterialModel
-    absorbed_power_w: float = 0.0
 
     def __post_init__(self) -> None:
         for a in (self.kind, self.sheet_um, self.source_w, self.dirichlet):
@@ -331,5 +330,4 @@ def rasterize(
         dirichlet=dirichlet,
         t_bath_k=t_bath_k,
         material=layout.material,
-        absorbed_power_w=absorbed_power_w,
     )

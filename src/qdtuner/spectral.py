@@ -125,12 +125,12 @@ def _intensity_at_shift(qd: QDState, shift_nm: float) -> float:
     return qd.base_intensity * (1.0 - (1.0 - INTENSITY_FLOOR_FRACTION) * frac)
 
 
-def cavity_wavelength(cav: CavityState, qd_like_shift_nm: float) -> float:
-    """Cavity resonance when the co-located dot law would have shifted by
-    qd_like_shift_nm; the cavity moves shift_ratio times slower."""
-    if qd_like_shift_nm < 0.0:
-        raise ValueError("shift must be non-negative")
-    return cav.lambda0_nm + qd_like_shift_nm / cav.shift_ratio
+def cavity_wavelength(cav: CavityState, t_k: float, t_ref_k: float = DEFAULT_T_REF_K) -> float:
+    """Cavity resonance at t_k: lambda0 + alpha * (T^2 - T_ref^2) / shift_ratio,
+    the cavity's own quadratic law, shift_ratio times slower than a dot's."""
+    if t_k < t_ref_k:
+        raise ValueError("cooling below the reference temperature is not modeled")
+    return cav.lambda0_nm + cav.alpha_nm_per_k2 * (t_k**2 - t_ref_k**2) / cav.shift_ratio
 
 
 def cavity_q(cav: CavityState, t_k: float, t_ref_k: float = DEFAULT_T_REF_K) -> float:
@@ -213,7 +213,7 @@ def synthesize_spectrum(
 
     cav_lambda = cav_width = None
     if cavity is not None:
-        cav_lambda = cavity_wavelength(cavity, cavity.alpha_nm_per_k2 * (t_k**2 - t_ref_k**2))
+        cav_lambda = cavity_wavelength(cavity, t_k, t_ref_k)
         cav_width = cav_lambda / cavity_q(cavity, t_k, t_ref_k)
 
     # a sample far out on a line's wing overflows the squared distance; the

@@ -32,7 +32,8 @@ the bridges; it is linear in U, so its island temperature is closed-form.
 
 The solver refuses a grid it cannot conduct through with GridError (exit 3
 from the CLI), e.g. one where a cell has no path of conducting faces to a
-cell held at the bath temperature, or one with a source on such a cell. A
+cell held at the bath temperature, or one with a cell source that is
+negative, not finite, or on a void cell or a cell held at the bath. A
 grid rasterized from a valid layout is refused only when its conductances
 are so small that they underflow. Its shape proves the path exists when no
 face underflows; only another grid is checked on the graph of its faces.
@@ -48,7 +49,7 @@ module is needed either.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -148,9 +149,6 @@ class SolveReport:
     tol: float
     max_rel_change: float  # largest relative temperature update of the last chord step
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class _Strips:
@@ -239,7 +237,7 @@ class _Faces:
     slot_b: np.ndarray
     outflow: np.ndarray   # +1 / -1 where heat on the face enters a fixed cell from b / a
     source_w: np.ndarray  # per free cell
-    total_w: float        # over the whole grid, fixed cells included
+    total_w: float        # source_w summed over the whole grid
     strips: _Strips | None  # the grid's sheet-on-strips shape, if it has it and every face conducts
 
     @property
@@ -248,24 +246,24 @@ class _Faces:
 
 
 def _faces(grid: ThermalGrid) -> _Faces:
-    """The grid's faces; GridError for no active cells, an absorbed power that
-    is negative or not finite, sources that do not add up to it, a source on
-    a fixed cell, an active cell whose sheet_um is negative or NaN (0 is
-    allowed: such a cell conducts nothing), or a cell with no kept-face path
-    to a fixed cell."""
+    """The grid's faces; GridError for no active cells, a cell source that is
+    negative or not finite or that sits on a void or fixed cell (only free
+    active cells take heat), an active cell whose sheet_um is negative or NaN
+    (0 is allowed: such a cell conducts nothing), or a cell with no kept-face
+    path to a fixed cell."""
     ny, nx = grid.shape
     cells = np.flatnonzero(grid.active())
     if not cells.size:
         raise GridError("grid has no active cells")
-    power_w = grid.absorbed_power_w
-    if not 0.0 <= power_w < math.inf:  # NaN too
-        raise GridError("absorbed power must be non-negative and finite")
     total_w = float(grid.source_w.sum())
-    if power_w > 0.0 and not abs(total_w - power_w) <= 1e-12 * power_w:  # NaN too
-        raise GridError("cell sources do not add up to the absorbed power")
     free, source_w = ~grid.dirichlet.ravel()[cells], grid.source_w.ravel()[cells]
-    if np.any(source_w[~free]):
-        raise GridError("a fixed-temperature cell holds a heat source")
+    # one rule: every non-zero source (a NaN is one) is a free cell's, each
+    # is >= 0, and their sum, so each of them, is finite
+    taken = source_w[free]
+    if not (
+        np.all(taken >= 0.0) and total_w < math.inf and np.count_nonzero(taken) == np.count_nonzero(grid.source_w)
+    ):
+        raise GridError("a cell source is negative or not finite, or on a void or fixed-temperature cell")
     sheet_um = grid.sheet_um.ravel()[cells]
     if not np.all(sheet_um >= 0.0):  # NaN too
         raise GridError("an active cell has a negative or NaN sheet_um")
@@ -312,7 +310,7 @@ def _faces(grid: ThermalGrid) -> _Faces:
         slot_a=slot[a],
         slot_b=slot[b],
         outflow=free[a].astype(float) - free[b].astype(float),
-        source_w=source_w[free],
+        source_w=taken,
         total_w=total_w,
         strips=strips,
     )
@@ -602,22 +600,21 @@ def solve_steady_state(
 ) -> tuple[TemperatureField, SolveReport]:
     """Solve the nonlinear conduction problem on the grid.
 
-    A grid it cannot conduct through raises GridError: no active cells, an
-    absorbed power that is negative or not finite, cell sources that do not
-    add up to it, a source on a fixed cell, or a cell with no
-    conducting path to a fixed cell (a void gap, a cell of zero sheet_um,
-    or prefactor conductances whose products underflow).
+    A grid it cannot conduct through raises GridError: no active cells, a
+    cell source that is negative or not finite or that sits on a void or
+    fixed cell, or a cell with no conducting path to a fixed cell (a void
+    gap, a cell of zero sheet_um, or prefactor conductances whose products
+    underflow).
     rasterize builds such a grid from a valid layout only in the last case.
 
     A grid with an even row count whose kind, sheet_um, source_w and
     dirichlet arrays each equal their up-down mirror is solved on its lower
     half, by the same steps, with the mirror line as the half's zero-flux
-    top edge and half the absorbed power, against which its sources are
-    still checked. The field is the half's stacked on its mirror image and
-    the report is the half's: the half carries the same discrete equations,
-    so the field agrees with a full solve to round-off (field.csv is
-    unchanged) and the residual is the same relative imbalance. Any other
-    grid is solved whole.
+    top edge. The field is the half's stacked on its mirror image and the
+    report is the half's: the half carries the same discrete equations, so
+    the field agrees with a full solve to round-off (field.csv is unchanged)
+    and the residual is the same relative imbalance. Any other grid is
+    solved whole.
 
     Chord steps on the discretization with harmonically averaged face
     conductances g(T) run from the bath field. With U = integral of
@@ -660,7 +657,7 @@ def solve_steady_state(
     solved = grid
     if mirrored:  # no heat crosses the mirror line, so it is the solved half's zero-flux top edge
         lower = {k: a[: ny // 2] for k, a in arrays.items()}
-        solved = replace(grid, **lower, absorbed_power_w=grid.absorbed_power_w / 2)
+        solved = replace(grid, **lower)
     material, t_b = grid.material, grid.t_bath_k
     faces = _faces(solved)
     free = faces.free

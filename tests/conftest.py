@@ -43,7 +43,6 @@ def bar_grid(
         dirichlet=dirichlet,
         t_bath_k=t_bath_k,
         material=material if material is not None else MaterialModel(),
-        absorbed_power_w=power_w,
     )
 
 
@@ -88,11 +87,14 @@ def manufactured_sheet(
     n columns of pitch h = width_um / n, and n + 1 rows, the first held at
     the bath, so the sheet spans y in [0, H] with H = (n + 1/2) h. In the
     Kirchhoff variable V = integral of kappa dT from the bath, the exact
-    field is V = A sin(pi y / 2H) (1 + 0.3 cos(pi x / W)), zero at the bath
+    field is V = A sin(pi y / 2H) (1 + c cos(pi x / W)), zero at the bath
     row and flux-free on the other three edges, with A set so that the
     hottest point, (0, H), is at t_peak_k. Each cell's source is the exact
     integral of -div(kappa t grad T) over it, the net heat its four faces
-    carry out, in closed form; some cells are sinks.
+    carry out, in closed form. Its density, A sin(pi y / 2H) (a^2 + c (a^2
+    + b^2) cos(pi x / W)) with a = pi / 2H and b = pi / W, is positive where
+    c < a^2 / (a^2 + b^2), which is over 0.16 from n = 4 on: with c = 0.15
+    no cell is a sink, as a heated membrane has none.
     """
     material = material if material is not None else MaterialModel()
     h = width_um / n
@@ -103,19 +105,20 @@ def manufactured_sheet(
     def kirchhoff(t):  # integral of kappa dT from 0, in W/cm (p > -1)
         return k_ref * tr * (t / tr) ** (p + 1.0) / (p + 1.0)
 
-    amp = (kirchhoff(t_peak_k) - kirchhoff(t_bath_k)) / 1.3
+    c = 0.15
+    amp = (kirchhoff(t_peak_k) - kirchhoff(t_bath_k)) / (1.0 + c)
     x_lo, y_lo = np.arange(n) * h, (np.arange(n + 1) - 0.5) * h
     x_hi, y_hi = x_lo + h, y_lo + h
     d_cos = np.cos(a * y_hi) - np.cos(a * y_lo)  # per row
     d_sin = np.sin(b * x_hi) - np.sin(b * x_lo)  # per column
     # the closed line integral of dV/dn around each cell, in W/cm
-    flux_out = amp * np.outer(d_cos, a * h + 0.3 * d_sin * (a / b + b / a))
+    flux_out = amp * np.outer(d_cos, a * h + c * d_sin * (a / b + b / a))
     source = -flux_out * sheet_um / UM_PER_CM
     source[0] = 0.0
     dirichlet = np.zeros((n + 1, n), dtype=bool)
     dirichlet[0] = True
     x_c, y_c = x_lo + 0.5 * h, y_lo + 0.5 * h
-    v = amp * np.outer(np.sin(a * y_c), 1.0 + 0.3 * np.cos(b * x_c))
+    v = amp * np.outer(np.sin(a * y_c), 1.0 + c * np.cos(b * x_c))
     t_exact = tr * ((t_bath_k / tr) ** (p + 1.0) + (p + 1.0) * v / (k_ref * tr)) ** (1.0 / (p + 1.0))
     grid = ThermalGrid(
         dx_um=h,
@@ -127,6 +130,5 @@ def manufactured_sheet(
         dirichlet=dirichlet,
         t_bath_k=t_bath_k,
         material=material,
-        absorbed_power_w=float(source.sum()),
     )
     return grid, t_exact

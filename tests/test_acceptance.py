@@ -51,7 +51,7 @@ def test_criterion_1_calibration_anchors():
         assert math.isclose(shift_from_power(PM, QD, 3.0), 1.4, rel_tol=1e-12)
 
         cav = CavityState(942.0, q0=7600.0)
-        cavity_shift = spectral.cavity_wavelength(cav, shift_from_power(PM, QD, 3.0)) - 942.0
+        cavity_shift = spectral.cavity_wavelength(cav, temperature_from_power(PM, 3.0), 10.0) - 942.0
         assert abs(cavity_shift - 0.48) <= 0.005
 
         assert cavity_q(cav, 10.0, 10.0) == 7600.0

@@ -74,23 +74,24 @@ def test_qd_intensity_beyond_range():
 
 def test_cavity_wavelength_at_rest():
     cav = CavityState(942.0)
-    assert cavity_wavelength(cav, 0.0) == 942.0
+    assert cavity_wavelength(cav, 10.0, 10.0) == 942.0
 
 
 def test_cavity_wavelength_at_full_tuning():
+    # at the temperature where the dot has shifted by 1.4 nm
     cav = CavityState(942.0)
-    shift = cavity_wavelength(cav, 1.4) - 942.0
+    shift = cavity_wavelength(cav, temperature_for_shift(1.4), 10.0) - 942.0
     assert math.isclose(shift, 1.4 / 2.917, rel_tol=1e-12)
     assert abs(shift - 0.48) <= 0.005
 
 
 def test_cavity_wavelength_proportionality():
     cav = CavityState(942.0)
-    shift = cavity_wavelength(cav, 0.7) - 942.0
+    shift = cavity_wavelength(cav, temperature_for_shift(0.7), 10.0) - 942.0
     assert math.isclose(shift, 0.7 / 2.917, rel_tol=1e-12)
     assert abs(shift - 0.24) <= 5e-4
-    with pytest.raises(ValueError):
-        cavity_wavelength(cav, -0.1)
+    with pytest.raises(ValueError, match="cooling below the reference temperature is not modeled"):
+        cavity_wavelength(cav, 9.0, 10.0)
 
 
 def test_cavity_q_at_reference():
