@@ -223,10 +223,12 @@ def rasterize(
 ) -> ThermalGrid:
     """Rasterize a layout onto a square-cell grid.
 
-    Membrane and pad cells are classified by cell-center membership. The
-    bridges are spread evenly over the two long edges: n = ceil(count / 2)
-    hang below the membrane and the rest above it, the k-th of an edge's n
-    centered at length * (k + 1) / (n + 1). Each is a block of
+    The membrane is the block of round(W/dx) rows by round(L/dx) columns
+    that sizes the grid; only the pad is placed by cell centers, on the
+    membrane's rows. The bridges are spread evenly over the two long
+    edges: n = ceil(count / 2) hang below the membrane and the rest above
+    it, the k-th of an edge's n centered at length * (k + 1) / (n + 1) and
+    clipped to the membrane's columns. Each is a block of
     round(width/dx) x round(length/dx) cells so a narrow bridge keeps the
     same cell width at any grid phase; the far-end row of each bridge is
     flagged Dirichlet at the bath temperature. sheet_um is the slab
@@ -259,48 +261,35 @@ def rasterize(
 
     n_w = max(1, int(round(b.width_um / dx_um)))
     n_len = max(1, int(round(b.length_um / dx_um)))
+    n_mem = max(1, int(round(m.width_um / dx_um)))
     nx = max(1, int(round(m.length_um / dx_um)))
-    ny = n_len + max(1, int(round(m.width_um / dx_um))) + (n_len if b.count > n_bottom else 0)
+    ny = n_len + n_mem + (n_len if b.count > n_bottom else 0)
     y0 = -n_len * dx_um
+    mem_rows = slice(n_len, n_len + n_mem)
 
     kind = np.zeros((ny, nx), dtype=np.int8)
     sheet = np.zeros((ny, nx))
     source = np.zeros((ny, nx))
     dirichlet = np.zeros((ny, nx), dtype=bool)
 
+    kind[mem_rows] = MEMBRANE
+    sheet[mem_rows] = layout.body_kappa_scale * m.thickness_um
+
     xc = (np.arange(nx) + 0.5) * dx_um
     yc = y0 + (np.arange(ny) + 0.5) * dx_um
-    in_mem_x = (xc >= 0.0) & (xc <= m.length_um)
-    in_mem_y = (yc >= 0.0) & (yc <= m.width_um)
-    mem_mask = np.outer(in_mem_y, in_mem_x)
-    kind[mem_mask] = MEMBRANE
-    sheet[mem_mask] = layout.body_kappa_scale * m.thickness_um
-
-    pad_mask = (
-        np.outer(
-            (yc >= pad.y_um) & (yc <= pad.y_um + pad.h_um),
-            (xc >= pad.x_um) & (xc <= pad.x_um + pad.w_um),
-        )
-        & mem_mask
+    pad_mask = np.outer(
+        (yc >= pad.y_um) & (yc <= pad.y_um + pad.h_um) & (kind[:, 0] == MEMBRANE),
+        (xc >= pad.x_um) & (xc <= pad.x_um + pad.w_um),
     )
     if not pad_mask.any():
         raise GridError("dx too coarse: the pad maps to zero cells")
     kind[pad_mask] = PAD
 
-    i_mem = np.flatnonzero(in_mem_x)
-    j_mem = np.flatnonzero(in_mem_y)
-    i_lo, i_hi = int(i_mem[0]), int(i_mem[-1])
-    j_lo, j_hi = int(j_mem[0]), int(j_mem[-1])
-
-    sides = (
-        (n_bottom, slice(j_lo - n_len, j_lo), j_lo - n_len),
-        (b.count - n_bottom, slice(j_hi + 1, j_hi + 1 + n_len), j_hi + n_len),
-    )
+    sides = ((n_bottom, slice(0, n_len), 0), (b.count - n_bottom, slice(ny - n_len, ny), ny - 1))
     for n, rows, far in sides:
         for k in range(n):
             pos = m.length_um * (k + 1) / (n + 1)
-            ic = int(np.clip(np.floor(pos / dx_um), i_lo, i_hi))
-            c0 = int(np.clip(ic - (n_w - 1) // 2, i_lo, i_hi - n_w + 1))
+            c0 = int(np.clip(np.floor(pos / dx_um) - (n_w - 1) // 2, 0, nx - n_w))
             cols = slice(c0, c0 + n_w)
             kind[rows, cols] = BRIDGE
             sheet[rows, cols] = m.thickness_um

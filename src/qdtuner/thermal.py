@@ -653,7 +653,7 @@ def solve_steady_state(
         raise ValueError("max_iter must be >= 1")
     ny = grid.shape[0]
     arrays = {k: getattr(grid, k) for k in ("kind", "sheet_um", "source_w", "dirichlet")}
-    mirrored = ny > 0 and ny % 2 == 0 and all(np.array_equal(a, a[::-1]) for a in arrays.values())
+    mirrored = ny % 2 == 0 and all(np.array_equal(a, a[::-1]) for a in arrays.values())
     solved = grid
     if mirrored:  # no heat crosses the mirror line, so it is the solved half's zero-flux top edge
         lower = {k: a[: ny // 2] for k, a in arrays.items()}

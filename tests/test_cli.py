@@ -324,6 +324,16 @@ def test_unwritable_artifact_is_config_error(configs_dir, tmp_path, capsys, argv
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("name", ["device_w320.json", "device_w800.json"])
+@pytest.mark.parametrize("dx_um", [0.32, 0.064])
+def test_thermal_at_a_half_integer_membrane_width_converges(configs_dir, tmp_path, capsys, name, dx_um):
+    # the 4 um membrane is 12.5 and 62.5 cells wide, which round to 12 and 62
+    out = tmp_path / "out"
+    assert run_cli("thermal", configs_dir / name, "--dx-um", dx_um, "--out", out) == 0
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["converged"] is True
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_thermal_large_exponent_converges(configs_dir, tmp_path):
     # (T / t_ref)^401 of the Kirchhoff variable fits a float where T^401 does not
     device = json.loads((configs_dir / "device_w320.json").read_text(encoding="utf-8"))

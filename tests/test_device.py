@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIGS
+from conftest import CONFIGS, DEVICES, rounding_pitches
 from qdtuner import device
 from qdtuner.config import load_device
 from qdtuner.device import (
@@ -151,6 +151,35 @@ COUNT_DIGESTS = {
 def test_rasterize_bridge_counts_match_golden_digests(count, dx):
     g = rasterize(default_layout(bridge_count=count), dx, absorbed_power_w=1e-5, t_bath_k=4.2)
     assert _digest(g) == COUNT_DIGESTS[count, dx]
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [load_device(CONFIGS / name).layout for name in DEVICES]
+    + [default_layout(bridge_count=count) for count in range(1, 8)],
+    ids=DEVICES + [f"default-{count}-bridges" for count in range(1, 8)],
+)
+def test_rasterize_places_the_membrane_by_the_counts_that_size_the_grid(layout):
+    # at any pitch the membrane is the round(W/dx) x round(L/dx) block that
+    # sizes the grid, on the rows after the bottom bridges' n_len; the
+    # bridges take n_len rows below and above it and are fixed on the grid's
+    # first and last rows, also where a cell centre lies on the membrane's edge
+    m, b = layout.membrane, layout.bridges
+    for dx in rounding_pitches(layout):
+        try:
+            g = rasterize(layout, dx, absorbed_power_w=1e-5)
+        except GridError:
+            continue
+        ny, nx = g.shape
+        n_len, n_mem = max(1, round(b.length_um / dx)), max(1, round(m.width_um / dx))
+        assert nx == max(1, round(m.length_um / dx)), dx
+        rows = np.arange(ny)
+        on_membrane = (g.kind == device.MEMBRANE) | (g.kind == device.PAD)
+        expected = np.broadcast_to(((rows >= n_len) & (rows < n_len + n_mem))[:, None], g.shape)
+        assert np.array_equal(on_membrane, expected), dx
+        bridge_rows = rows[(g.kind == device.BRIDGE).any(axis=1)]
+        assert np.all((bridge_rows < n_len) | (bridge_rows >= ny - n_len)), dx
+        assert set(rows[g.dirichlet.any(axis=1)]) <= {0, ny - 1}, dx
 
 
 def test_rasterize_rejects_coarse_dx():

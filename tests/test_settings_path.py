@@ -14,10 +14,10 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIGS
+from conftest import CONFIGS, DEVICES
 from qdtuner import cli, config, control, spectral
 from qdtuner.device import MAX_BRIDGES, Bridges, LayoutError
 
@@ -32,7 +32,6 @@ RUNS = {
     "anchors_power.json": (("calibrate", "--anchors-file", "anchors_power.json"),),
     "anchors_temperature.json": (("calibrate", "--anchors-file", "anchors_temperature.json"),),
 }
-DEVICES = sorted(p.name for p in CONFIGS.glob("device_*.json"))
 
 # optional keys absent from the shipped files, set to valid values so that
 # their leaves are mutated too: the quality floor, and the crosstalk matrix
@@ -262,6 +261,7 @@ FLAG_CASES = [
 
 @settings(max_examples=150, deadline=None)
 @given(case=st.sampled_from(FLAG_CASES), value=st.sampled_from(VALUES))
+@example(case=FLAG_CASES[-1], value=0.32)  # 12.5 cells across the 4 um membrane
 def test_any_float_flag_value_ends_in_a_documented_exit(tmp_path_factory, case, value):
     argv, flag = case
     argv = [str(CONFIGS / a) if a.endswith(".json") else a for a in argv]

@@ -11,7 +11,14 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bar_end_temperature_analytic, bar_grid, manufactured_sheet
+from conftest import (
+    CONFIGS,
+    DEVICES,
+    bar_end_temperature_analytic,
+    bar_grid,
+    manufactured_sheet,
+    rounding_pitches,
+)
 from qdtuner import cli, device, thermal
 from qdtuner.config import ThermalParams, load_device
 from qdtuner.device import GridError, HeatingPad, MaterialModel, default_layout, rasterize
@@ -721,6 +728,22 @@ def test_every_rasterized_grid_takes_the_sheet_on_strips_solve(monkeypatch, coun
         assert report.converged
     solved = _free_cells(grid) // 2 if count % 2 == 0 else _free_cells(grid)
     assert setups == [(_STRIPS, solved), (_STRIPS, _free_cells(grid))]
+
+
+@pytest.mark.parametrize("name", DEVICES)
+def test_every_shipped_device_is_a_sheet_on_strips_at_any_pitch(name):
+    # wherever its bridges are at least two cells long and its membrane at
+    # most _DENSE_MAX cells long, as README says
+    layout = load_device(CONFIGS / name).layout
+    bridge_um, membrane_um = layout.bridges.length_um, layout.membrane.length_um
+    for dx in rounding_pitches(layout):
+        if round(bridge_um / dx) < 2 or round(membrane_um / dx) > thermal._DENSE_MAX:
+            continue
+        try:
+            grid = rasterize(layout, dx, absorbed_power_w=1e-5)
+        except GridError:
+            continue
+        assert thermal._faces(grid).strips is not None, dx
 
 
 def test_a_grid_of_another_shape_takes_the_lu(monkeypatch):
