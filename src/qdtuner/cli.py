@@ -24,7 +24,7 @@ import numpy as np
 from . import config as cfg
 from . import control, spectral, thermal
 from .config import ConfigError
-from .device import PAD, GridError, LayoutError, rasterize
+from .device import MEMBRANE, PAD, GridError, LayoutError, rasterize
 from .spectral import Spectrum, TuningRangeExceeded
 
 EXIT_OK = 0
@@ -52,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="device or scenario JSON file")
     p.add_argument("--power-abs-mw", type=float, default=None, help="absorbed power in mW")
     p.add_argument("--dx-um", type=float, default=None, help="grid pitch in um")
-    p.add_argument("--tol", type=float, default=None, help="solver tolerance")
-    p.add_argument("--max-iter", type=int, default=None, help="solver iteration cap")
     p.add_argument("--bath-k", type=float, default=None, help="bath temperature in K")
     p.add_argument("--out", required=True, help="output directory")
 
@@ -138,7 +136,7 @@ def cmd_thermal(args) -> int:
     except GridError as e:
         raise ConfigError(str(e)) from e
 
-    field, report = thermal.solve_steady_state(grid, tol=params.tol, max_iter=params.max_iter)
+    field, report = thermal.solve_steady_state(grid)
     try:
         lumped_k = thermal.lumped_temperature(layout, power_mw * 1e-3, bath_k)
     except thermal.ThermalModelError as e:
@@ -160,8 +158,10 @@ def cmd_thermal(args) -> int:
         "cavity_k": None,
     }
     if layout.cavity_xy_um is not None:
+        # the nearest cell on the membrane's rows, not on the bridge rows around them
+        rows = np.flatnonzero(np.isin(grid.kind, (MEMBRANE, PAD)).any(axis=1))
         ix = int(np.argmin(np.abs(grid.cell_x_um() - layout.cavity_xy_um[0])))
-        iy = int(np.argmin(np.abs(grid.cell_y_um() - layout.cavity_xy_um[1])))
+        iy = int(rows[np.argmin(np.abs(grid.cell_y_um()[rows] - layout.cavity_xy_um[1]))])
         extras["cavity_k"] = float(field.t_k[iy, ix])
 
     out = _out_dir(args)

@@ -46,7 +46,7 @@ def finite(value, name: str):
     """Return value if it is a finite number (or an array of them), else raise.
 
     The one finite-number check shared by config values and CLI flags; JSON
-    NaN/Infinity literals and flags such as `--tol nan` both end here.
+    NaN/Infinity literals and flags such as `--dx-um nan` both end here.
     """
     if not (np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)):
         raise ConfigError(f"{name} must be finite, got {value}")
@@ -296,17 +296,11 @@ def check_sweep_size(spectrum: SpectrumParams, sweep: SweepParams) -> None:
 class ThermalParams:
     power_abs_mw: float = 0.0
     dx_um: float = 0.05
-    tol: float = 1e-6
-    max_iter: int = 200
 
     def __post_init__(self) -> None:
         if finite(self.power_abs_mw, "power_abs_mw") < 0:
             raise ConfigError("power_abs_mw must be non-negative")
         _positive(self.dx_um, "dx_um")
-        # the unheated bath field's energy imbalance is 1, so tol >= 1 passes it
-        if not 0 < finite(self.tol, "tol") < 1:
-            raise ConfigError("tol must lie in (0, 1)")
-        _integer(self.max_iter, "max_iter", 1)
 
 
 TUNE_TARGETS = ("qd-to-cavity", "qd-to-qd")

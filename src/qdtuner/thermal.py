@@ -154,8 +154,9 @@ class SolveReport:
 class _Strips:
     """Where a grid is one uniform sheet hung on identical strips: the
     bounding box of its active cells, the sheet's rows r0:r1 in that box, the
-    first column of each strip along the bottom and along the top edge, and
-    the strips' width n_w and length n_len in cells, far row included."""
+    first column of each strip along the bottom and along the top edge, the
+    strips' width n_w and length n_len in cells, far row included, and the
+    one sheet_um of the sheet's cells and of the strips' cells."""
 
     box: tuple[slice, slice]
     r0: int
@@ -164,6 +165,8 @@ class _Strips:
     top: np.ndarray
     n_w: int
     n_len: int
+    sheet_um: float
+    strip_um: float
 
 
 def _strips(grid: ThermalGrid) -> _Strips | None:
@@ -210,7 +213,7 @@ def _strips(grid: ThermalGrid) -> _Strips | None:
         and np.all(sheet[strips] == sheet[strips][0])
     ):
         return None
-    return _Strips(box, r0, r1, *starts, int(widths[0]), n_len)
+    return _Strips(box, r0, r1, *starts, int(widths[0]), n_len, float(sheet[r0, 0]), float(sheet[strips][0]))
 
 
 @dataclass(frozen=True)
@@ -464,11 +467,9 @@ class _SheetOnStrips:
         cols = (np.r_[s.bottom, s.top][:, None] + np.arange(n_w)).ravel()
         self.interface = (rows, cols)
         # g0 of a face in the sheet, between a strip and the sheet, and in a
-        # strip, from its first free cell to its fixed far row (slot n_free)
-        sa, sb, near = faces.slot_a, faces.slot_b, self.rect_idx[rows[0], cols[0]]
-        ends = [self.rect_idx[0, :2], (self.strip_idx[n - 1, 0], near), (self.strip_idx[0, 0], faces.n_free)]
-        at = [np.flatnonzero((sa == p) | (sb == p)) for p, _ in ends]  # the faces of p
-        g, g_i, g_s = (faces.g0[k[(sa[k] == q) | (sb[k] == q)]][0] for k, (_, q) in zip(at, ends))
+        # strip, by _faces's arithmetic from the two sheet_um that _strips proved
+        c_sheet, c_strip = grid.material.kappa_ref_w_per_k_cm * (np.array([s.sheet_um, s.strip_um]) / UM_PER_CM)
+        g, g_i, g_s = _harmonic(np.array([c_sheet, c_sheet, c_strip]), np.array([c_sheet, c_strip, c_strip]))
         self.g_i = g_i
 
         # T + g_s mu_k I = V diag(lambda + g_s mu_k) V^T with T = V diag(lambda)

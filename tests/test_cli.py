@@ -14,7 +14,7 @@ import pytest
 from conftest import field_csv_per_value
 from qdtuner import cli, spectral, thermal
 from qdtuner import config as cfg
-from qdtuner.device import rasterize
+from qdtuner.device import MEMBRANE, PAD, rasterize
 
 
 def run_cli(*args):
@@ -116,14 +116,56 @@ def test_thermal_coarse_dx_is_config_error(configs_dir, tmp_path):
 
 
 def test_thermal_underiterated_solver_fails_with_exit_3(configs_dir, tmp_path):
+    # a valid input that the chord steps do not settle within the solver's
+    # fixed 200 steps: kappa ~ T^8 at 10 mW
+    device = json.loads((configs_dir / "device_w320.json").read_text(encoding="utf-8"))
+    device["material"]["exponent"] = 8.0
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(device), encoding="utf-8")
     out = tmp_path / "out"
-    code = run_cli(
-        "thermal", configs_dir / "fig1b.json", "--dx-um", 0.1, "--max-iter", 1,
-        "--out", out,
-    )
+    code = run_cli("thermal", path, "--power-abs-mw", 10, "--dx-um", 0.1, "--out", out)
     assert code == 3
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["converged"] is False
+
+
+def test_thermal_stopping_rule_is_no_setting(configs_dir, tmp_path, capsys):
+    # the solver's defaults are the one stopping rule: no flag sets it, and a
+    # thermal block that names it is refused as any unknown key is
+    with pytest.raises(SystemExit):
+        run_cli("thermal", "--help")
+    usage = capsys.readouterr().out
+    assert "--tol" not in usage and "--max-iter" not in usage
+    fig1b = json.loads((configs_dir / "fig1b.json").read_text(encoding="utf-8"))
+    for key, value in (("tol", 1e-06), ("max_iter", 200)):
+        path = tmp_path / f"{key}.json"
+        raw = {**fig1b, "device": str(configs_dir / fig1b["device"]), "thermal": {**fig1b["thermal"], key: value}}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert run_cli("thermal", path, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"config error: {path}: thermal: unknown keys ['{key}']\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "x_um, y_um, dx_um",
+    # on the membrane's bottom edge, between a void and a membrane row; on it
+    # above a bridge; and above the 3.84 um that 12 rows of 0.32 um cover
+    [(10.0, 0.0, 0.1), (6.0, 0.0, 0.1), (10.0, 3.9, 0.32)],
+)
+def test_thermal_cavity_k_is_read_on_the_membrane(configs_dir, tmp_path, x_um, y_um, dx_um):
+    device = json.loads((configs_dir / "device_w320_cavity.json").read_text(encoding="utf-8"))
+    device["cavity"].update(x_um=x_um, y_um=y_um)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(device), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("thermal", path, "--power-abs-mw", 0.01, "--dx-um", dx_um, "--out", out) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    grid = rasterize(cfg.load_device(path).layout, dx_um, absorbed_power_w=1e-5, t_bath_k=report["bath_k"])
+    field, _ = thermal.solve_steady_state(grid)
+    on_membrane = np.isin(grid.kind, (MEMBRANE, PAD))
+    distance = np.hypot(*np.meshgrid(grid.cell_x_um() - x_um, grid.cell_y_um() - y_um))
+    nearest = np.argmin(np.where(on_membrane, distance, np.inf))
+    assert report["cavity_k"] == float(format(field.t_k.flat[nearest], ".9g"))
 
 
 @pytest.mark.parametrize(
@@ -155,12 +197,7 @@ def _thermal_flag(flag, value):
     [
         _thermal_flag("--power-abs-mw", "nan"),
         _thermal_flag("--power-abs-mw", "inf"),
-        _thermal_flag("--tol", "nan"),
-        _thermal_flag("--tol", "inf"),
-        _thermal_flag("--tol", "0"),
-        # the unheated bath field's imbalance is 1, so it must not pass as converged
-        _thermal_flag("--tol", "1"),
-        _thermal_flag("--tol", "1e308"),
+        # the solver's stopping rule is no setting: a thermal block with tol is an unknown key
         pytest.param(["thermal", "{tmp}/tol_one.json"], id="thermal-json-tol-1"),
         _thermal_flag("--bath-k", "nan"),
         _thermal_flag("--bath-k", "inf"),
@@ -171,12 +208,16 @@ def _thermal_flag(flag, value):
         _thermal_flag("--bath-k", "1e-300"),
         _thermal_flag("--dx-um", "nan"),
         _thermal_flag("--dx-um", "5e-324"),
-        _thermal_flag("--max-iter", "0"),
+        pytest.param(["thermal", "{tmp}/body_scale_0.json", "--dx-um", "0.1"], id="thermal-json-body_scale-0"),
+        pytest.param(["thermal", "{tmp}/body_scale_-1.json", "--dx-um", "0.1"], id="thermal-json-body_scale--1"),
+        pytest.param(["thermal", "{tmp}/sigma_0.json", "--dx-um", "0.1"], id="thermal-json-gaussian-sigma_um-0"),
         pytest.param(["sweep", "{configs}/fig2a.json", "--power-max", "nan"], id="sweep--power-max-nan"),
         pytest.param(["sweep", "{configs}/fig2a.json", "--power-max", "inf"], id="sweep--power-max-inf"),
         pytest.param(["tune", "{configs}/fig4.json", "--tol-nm", "nan"], id="tune--tol-nm-nan"),
         pytest.param(["tune", "{configs}/fig4.json", "--tol-nm", "0"], id="tune--tol-nm-0"),
         pytest.param(["tune", "{configs}/fig4.json", "--min-q", "nan"], id="tune--min-q-nan"),
+        # qd-to-qd tuning needs two structures; fig4 has one
+        pytest.param(["tune", "{configs}/fig4.json", "--target", "qd-to-qd"], id="tune-qd-to-qd-one-structure"),
         pytest.param(["tune", "{tmp}/nan_bath.json"], id="tune-json-NaN-bath_k"),
         pytest.param(["sweep", "{tmp}/nan_bath.json"], id="sweep-json-NaN-bath_k"),
         pytest.param(["tune", "{tmp}/huge_bath.json"], id="tune-json-huge-int-bath_k"),
@@ -247,6 +288,10 @@ def test_thermal_invalid_number_is_config_error(configs_dir, tmp_path, capsys, a
         "tol_one.json",
         {**fig1b, "device": str(configs_dir / fig1b["device"]), "thermal": {**fig1b["thermal"], "tol": 1}},
     )
+    w320 = _device_w320(configs_dir)
+    for scale in (0, -1):
+        write(f"body_scale_{scale}.json", {**w320, "material": {**w320["material"], "body_scale": scale}})
+    write("sigma_0.json", {**w320, "pad": {**w320["pad"], "profile": "gaussian", "sigma_um": 0}})
     (tmp_path / "latin1.json").write_bytes(b'{"device": "\xff"}')
     device = json.loads((configs_dir / "device_w320_two_qds.json").read_text(encoding="utf-8"))
     write("fwhm_device.json", {**device, "qds": [{**device["qds"][0], "fwhm0_nm": -1}]})
@@ -353,13 +398,13 @@ def test_thermal_large_exponent_converges(configs_dir, tmp_path):
 def test_thermal_field_csv_is_the_per_value_formatting_of_the_solve(configs_dir, tmp_path, name, dx_um):
     # a shipped device's field is its own up-down mirror, so its field.csv
     # takes the writer's mirrored path; an independent formatter checks it
-    device, bath_k, params = cfg.load_device_or_scenario(configs_dir / name)
+    device, bath_k, _ = cfg.load_device_or_scenario(configs_dir / name)
     for power_mw in (0.005, 0.02):
         out = tmp_path / str(power_mw)
         argv = ("thermal", configs_dir / name, "--dx-um", dx_um, "--power-abs-mw", power_mw, "--out", out)
         assert run_cli(*argv) == 0
         grid = rasterize(device.layout, dx_um, absorbed_power_w=power_mw * 1e-3, t_bath_k=bath_k)
-        field, _ = thermal.solve_steady_state(grid, tol=params.tol, max_iter=params.max_iter)
+        field, _ = thermal.solve_steady_state(grid)
         assert field.t_k.tobytes() == field.t_k[::-1].tobytes()
         assert (out / "field.csv").read_bytes() == field_csv_per_value(grid, field.t_k)
 
@@ -689,6 +734,46 @@ def test_calibrate_power_anchors(configs_dir, tmp_path):
     assert block["mode"] == "power"
     assert math.isclose(block["alpha_beta_nm_per_mw"], 1.4 / 3.0, rel_tol=1e-9)
     assert math.isclose(block["beta_k2_per_mw"], (1.4 / 3.0) / 1.2e-3, rel_tol=1e-9)
+
+
+def test_calibrate_per_structure_anchors(tmp_path):
+    anchors = tmp_path / "a.json"
+    raw = {
+        "structures": {
+            "B": {"power_anchors": [[0.0, 0.0], [3.0, 1.4]]},
+            "A": {"temperature_anchors": [[10.0, 0.0], [40.0, 1.8]]},
+        }
+    }
+    anchors.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("calibrate", "--anchors-file", anchors, "--out", out) == 0
+    cal = json.loads((out / "calibration.json").read_text(encoding="utf-8"))["structures"]
+    assert list(cal) == ["A", "B"]
+    assert cal["A"]["mode"] == "temperature"
+    assert math.isclose(cal["A"]["alpha_nm_per_k2"], 1.2e-3, rel_tol=1e-9)
+    assert cal["B"]["mode"] == "power"
+    assert math.isclose(cal["B"]["alpha_beta_nm_per_mw"], 1.4 / 3.0, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "structures, message",
+    [
+        ({}, "structures must be a non-empty object"),
+        ([{"power_anchors": [[0.0, 0.0], [3.0, 1.4]]}], "structures must be a non-empty object"),
+        (
+            {"A": {"power_anchors": [[0.0, 0.0], [3.0, 1.4]], "temperature_anchors": [[10.0, 0.0], [40.0, 1.8]]}},
+            "A: give exactly one of temperature_anchors or power_anchors",
+        ),
+        ({"A": {}}, "A: give exactly one of temperature_anchors or power_anchors"),
+    ],
+    ids=["empty", "list", "both-anchor-keys", "no-anchor-key"],
+)
+def test_calibrate_bad_structures_are_refused(tmp_path, capsys, structures, message):
+    anchors = tmp_path / "a.json"
+    anchors.write_text(json.dumps({"structures": structures}), encoding="utf-8")
+    assert run_cli("calibrate", "--anchors-file", anchors, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"config error: {anchors}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_calibrate_single_anchor_rejected(tmp_path):

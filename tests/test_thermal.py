@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 import warnings
@@ -20,7 +19,7 @@ from conftest import (
     rounding_pitches,
 )
 from qdtuner import cli, device, thermal
-from qdtuner.config import ThermalParams, load_device
+from qdtuner.config import load_device
 from qdtuner.device import GridError, HeatingPad, MaterialModel, default_layout, rasterize
 from qdtuner.thermal import (
     TemperatureField,
@@ -292,12 +291,6 @@ def test_energy_residual_under_iterated_solve():
     assert not report.converged
     assert report.residual > 1e-6
     assert energy_residual(field) > 1e-6
-
-
-def test_solver_defaults_are_the_run_settings_defaults():
-    params = inspect.signature(solve_steady_state).parameters
-    defaults = ThermalParams()
-    assert (params["tol"].default, params["max_iter"].default) == (defaults.tol, defaults.max_iter)
 
 
 def test_solve_rejects_disconnected_grid():
