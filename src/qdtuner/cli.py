@@ -131,10 +131,7 @@ def cmd_thermal(args) -> int:
     power_mw = params.power_abs_mw
 
     layout = device.layout
-    try:
-        grid = rasterize(layout, params.dx_um, absorbed_power_w=power_mw * 1e-3, t_bath_k=bath_k)
-    except GridError as e:
-        raise ConfigError(str(e)) from e
+    grid = rasterize(layout, params.dx_um, absorbed_power_w=power_mw * 1e-3, t_bath_k=bath_k)
 
     field, report = thermal.solve_steady_state(grid)
     try:

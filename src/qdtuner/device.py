@@ -34,11 +34,12 @@ MAX_BRIDGES = 1_000
 
 
 class LayoutError(ValueError):
-    """A device layout violates a geometric invariant."""
+    """A device input that is invalid: a layout that breaks a geometric
+    invariant, or a pitch, power or bath it cannot be rasterized at."""
 
 
 class GridError(ValueError):
-    """A thermal grid cannot be built or solved."""
+    """The solver cannot conduct through a thermal grid."""
 
 
 @dataclass(frozen=True)
@@ -234,27 +235,28 @@ def rasterize(
     flagged Dirichlet at the bath temperature. sheet_um is the slab
     thickness, times body_kappa_scale on membrane and pad cells. Pad cells
     share the absorbed power according to the pad profile, normalized so
-    the cell sources add up to absorbed_power_w, which must lie in [0, inf).
-    A pitch that would give more than MAX_GRID_CELLS cells is refused before
-    any array is built.
+    the cell sources add up to absorbed_power_w. LayoutError refuses a power
+    outside [0, inf), a bath not positive and finite, and a pitch that is not
+    positive, coarser than the smallest feature, leaves the pad no cell or
+    gives more than MAX_GRID_CELLS cells (before any array is built).
     """
     if not 0.0 < t_bath_k < math.inf:
-        raise GridError("bath temperature must be positive and finite")
+        raise LayoutError("bath temperature must be positive and finite")
     if dx_um <= 0:
-        raise GridError("dx must be positive")
+        raise LayoutError("dx must be positive")
     if not 0.0 <= absorbed_power_w < math.inf:  # NaN too
-        raise GridError("absorbed power must be non-negative and finite")
+        raise LayoutError("absorbed power must be non-negative and finite")
     m, b, pad = layout.membrane, layout.bridges, layout.pad
     min_feature = min(b.width_um, pad.w_um, pad.h_um)
     if dx_um > min_feature:
-        raise GridError(
+        raise LayoutError(
             f"dx too coarse: {dx_um} um pitch exceeds the smallest feature ({min_feature} um)"
         )
     n_bottom = (b.count + 1) // 2  # a lone bridge leaves the top edge bare
     span_y = b.length_um + m.width_um + (b.length_um if b.count > n_bottom else 0.0)
     cells = (m.length_um / dx_um) * (span_y / dx_um)
     if not cells <= MAX_GRID_CELLS:
-        raise GridError(
+        raise LayoutError(
             f"dx too fine: {dx_um} um pitch gives about {cells:.3g} cells, "
             f"over the cap of {MAX_GRID_CELLS:,}"
         )
@@ -282,7 +284,7 @@ def rasterize(
         (xc >= pad.x_um) & (xc <= pad.x_um + pad.w_um),
     )
     if not pad_mask.any():
-        raise GridError("dx too coarse: the pad maps to zero cells")
+        raise LayoutError("dx too coarse: the pad maps to zero cells")
     kind[pad_mask] = PAD
 
     sides = ((n_bottom, slice(0, n_len), 0), (b.count - n_bottom, slice(ny - n_len, ny), ny - 1))

@@ -320,11 +320,8 @@ def _faces(grid: ThermalGrid) -> _Faces:
 
 
 def _harmonic(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    """2 sa sb / (sa + sb), summed into sa: on a large grid's faces each
-    new array costs about as much as an operation."""
-    out = 2.0 * sa
-    out *= sb
-    return np.divide(out, np.add(sa, sb, out=sa), out=out)
+    """2 sa sb / (sa + sb)."""
+    return 2.0 * sa * sb / (sa + sb)
 
 
 def _conduct(faces: _Faces, material: MaterialModel, t_bath_k: float, theta: np.ndarray):

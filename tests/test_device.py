@@ -168,7 +168,7 @@ def test_rasterize_places_the_membrane_by_the_counts_that_size_the_grid(layout):
     for dx in rounding_pitches(layout):
         try:
             g = rasterize(layout, dx, absorbed_power_w=1e-5)
-        except GridError:
+        except LayoutError:
             continue
         ny, nx = g.shape
         n_len, n_mem = max(1, round(b.length_um / dx)), max(1, round(m.width_um / dx))
@@ -183,16 +183,32 @@ def test_rasterize_places_the_membrane_by_the_counts_that_size_the_grid(layout):
 
 
 def test_rasterize_rejects_coarse_dx():
-    with pytest.raises(GridError, match="dx too coarse"):
+    with pytest.raises(LayoutError, match="dx too coarse"):
         rasterize(default_layout(), 0.5)  # coarser than the 0.32 um bridges
-    with pytest.raises(GridError, match="dx must be positive"):
+    with pytest.raises(LayoutError, match="dx must be positive"):
         rasterize(default_layout(), 0.0)
 
 
 @pytest.mark.parametrize("power_w", [math.nan, math.inf, -1e-9])
 def test_rasterize_rejects_a_power_outside_zero_to_inf(power_w):
-    with pytest.raises(GridError, match="absorbed power must be non-negative and finite"):
+    with pytest.raises(LayoutError, match="absorbed power must be non-negative and finite"):
         rasterize(default_layout(), 0.1, absorbed_power_w=power_w)
+
+
+@pytest.mark.parametrize("t_bath_k", [math.nan, math.inf, 0.0, -1.0])
+def test_rasterize_rejects_a_bath_that_is_not_positive_and_finite(t_bath_k):
+    with pytest.raises(LayoutError, match="bath temperature must be positive and finite"):
+        rasterize(default_layout(), 0.1, t_bath_k=t_bath_k)
+
+
+def test_rasterize_rejects_a_pad_that_maps_to_no_cell():
+    # a 3.75 um wide membrane is 12.5 cells of 0.3 um and rounds to 12 rows;
+    # the top row's centre, 3.45 um in exact arithmetic, falls just below a
+    # one-cell pad on the membrane's top edge
+    lay = default_layout()
+    lay = replace(lay, membrane=replace(lay.membrane, width_um=3.75), pad=HeatingPad(0.0, 3.45, 0.3, 0.3))
+    with pytest.raises(LayoutError, match="the pad maps to zero cells"):
+        rasterize(lay, 0.3)
 
 
 @pytest.mark.parametrize("profile", ["uniform", "gaussian"])
@@ -228,7 +244,7 @@ def test_rasterize_caps_the_cell_count():
     # the shipped 12 x 4 um membrane with 2 um bridges at 0.025 um pitch
     assert rasterize(default_layout(), 0.025).kind.size == 153_600 <= device.MAX_GRID_CELLS
     for dx in (0.009, 1e-300, 5e-324):
-        with pytest.raises(GridError, match="dx too fine"):
+        with pytest.raises(LayoutError, match="dx too fine"):
             rasterize(default_layout(), dx)
 
 

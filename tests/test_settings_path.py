@@ -167,6 +167,7 @@ def test_any_value_of_another_kind_ends_in_a_documented_exit(tmp_path_factory, c
 FIG2A = RUNS["fig2a.json"][0]
 FIG1B = RUNS["fig1b.json"][0]
 POWER_ANCHORS = RUNS["anchors_power.json"][0]
+QD_PAIR = RUNS["qd_pair.json"][0]
 
 
 @pytest.mark.parametrize(
@@ -187,13 +188,18 @@ POWER_ANCHORS = RUNS["anchors_power.json"][0]
         # squared detuning overflows at a cavity Q of 1e300
         pytest.param(FIG2A, "device_w320_cavity.json", ("cavity", "lambda0_nm"), 0, 2, id="cavity-lambda-0"),
         pytest.param(FIG2A, "device_w320_two_qds.json", ("cavity", "q0"), 1e300, 0, id="cavity-q0-1e300"),
+        # the fit's residual overflows; a dot that rolls off past its range; a
+        # quality factor that rises with temperature
+        pytest.param(POWER_ANCHORS, None, ("power_anchors",), [[1, 1e308], [2, 1e308]], 2, id="fit-overflows"),
+        pytest.param(FIG2A, "device_w320_qd.json", ("qds", 0, "rolloff_shift_nm"), 2.0, 2, id="rolloff-over-max"),
+        pytest.param(FIG2A, "device_w320_cavity.json", ("cavity", "q_slope"), -1, 2, id="q-slope-neg"),
+        pytest.param(QD_PAIR, None, ("structures", 1, "id"), "A", 2, id="duplicate-structure-ids"),
     ],
 )
 def test_out_of_range_values_exit_cleanly(tmp_path, argv, device, path, value, code):
     assert _run_mutated(tmp_path, argv, device, path, value) == code
 
 
-QD_PAIR = RUNS["qd_pair.json"][0]
 FIG4_SWEEP = RUNS["fig4.json"][0]
 
 
@@ -207,6 +213,11 @@ FIG4_SWEEP = RUNS["fig4.json"][0]
         pytest.param(FIG2A, None, ("device",), 5, id="device-5"),
         pytest.param(FIG2A, None, ("device",), None, id="device-null"),
         pytest.param(QD_PAIR, None, ("structures", 0, "device"), 5, id="structure-device-5"),
+        pytest.param(QD_PAIR, None, ("structures",), [], id="structures-empty-list"),
+        pytest.param(QD_PAIR, None, ("structures",), {}, id="structures-object"),
+        # anchors that are not [abscissa, shift] pairs
+        pytest.param(POWER_ANCHORS, None, ("power_anchors",), [[0, 0, 0], [1, 1, 1]], id="anchor-triples"),
+        pytest.param(POWER_ANCHORS, None, ("power_anchors",), [0, 1], id="anchors-flat"),
         # size caps: bridges, and spectrum samples over a whole sweep
         pytest.param(FIG1B, "device_w320.json", ("bridges", "count"), MAX_BRIDGES + 1, id="bridges-over-cap"),
         pytest.param(FIG2A, None, ("sweep", "steps"), config.MAX_SWEEP_SAMPLES // 1200 + 1, id="steps-over-cap"),
