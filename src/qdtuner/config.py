@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import stat
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -552,18 +553,43 @@ def write_bytes(chunks: Iterable[bytes], path: str | Path, *, tail: Iterable[byt
     be opened or written (e.g. a directory sits at its path) is a ConfigError
     naming it.
 
+    An existing artifact is overwritten in place and then cut to its new
+    length, because truncating a file to zero on open frees all its blocks
+    and, on ext4, flushes the rewrite on close, which costs more than the
+    writing. Only a regular file is cut, as O_TRUNC would have cut only
+    that. If the write fails part-way, the file is cut where the new bytes
+    end, so it holds no byte of the old artifact. The write is not atomic:
+    a reader may see a partly rewritten file.
+
     Where `os.fork` exists and a second CPU is usable, a forked child formats
     the tail while this process writes the chunks (`_write_tail_forked`).
     The file is opened before the fork, and the bytes are the same either way.
     """
     try:
-        with open(path, "wb") as f:
-            if tail is None or not hasattr(os, "fork") or _usable_cpus() < 2:
-                f.writelines(itertools.chain(chunks, tail or ()))
-            else:
-                _write_tail_forked(f, chunks, tail)
+        with open(path, "wb", opener=_open_in_place) as f:
+            try:
+                if tail is None or not hasattr(os, "fork") or _usable_cpus() < 2:
+                    f.writelines(itertools.chain(chunks, tail or ()))
+                    _cut(f)
+                else:
+                    _write_tail_forked(f, chunks, tail)
+            except BaseException:
+                _cut(f)  # at the new bytes written so far
+                raise
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from e
+
+
+def _open_in_place(path: str, flags: int) -> int:
+    """open()'s opener for write_bytes: open's own flags and mode, without O_TRUNC."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _cut(f, end: int | None = None) -> None:
+    """Cut f at byte `end`, or where its writes have reached, if it is a
+    regular file (ftruncate refuses /dev/null, and O_TRUNC ignores it)."""
+    if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+        f.truncate(end)
 
 
 def _usable_cpus() -> int:
@@ -573,14 +599,18 @@ def _usable_cpus() -> int:
 
 
 def _write_tail_forked(f, head: Iterable[bytes], tail: Iterable[bytes]) -> None:
-    """Write head and then tail to the empty file f, the tail from a child.
+    """Write head and then tail over the file f, the tail from a child, and
+    cut the file where the tail ends.
 
     One child is forked. It joins the tail into one buffer while this
     process streams the head, reads from a pipe the byte offset where the
     head ended, writes its buffer there with `os.pwrite` on the inherited
-    descriptor and leaves by `os._exit`. The child is always reaped, on
-    every path; if it could not be forked or did not exit 0, this process
-    writes the tail itself at that offset, so the bytes never depend on it.
+    descriptor, cuts the file at the buffer's end and leaves by `os._exit`.
+    The child is always reaped, on every path; if it could not be forked or
+    did not exit 0, this process writes the tail itself at that offset and
+    cuts the file there, so the bytes never depend on the child. The head
+    is never cut before the tail is written: cutting a long old file at the
+    head's end and then extending it costs about as much as O_TRUNC.
     """
     read_end, write_end = os.pipe()
     try:
@@ -589,6 +619,7 @@ def _write_tail_forked(f, head: Iterable[bytes], tail: Iterable[bytes]) -> None:
         os.close(read_end)
         os.close(write_end)
         f.writelines(itertools.chain(head, tail))
+        _cut(f)
         return
     if pid == 0:
         code = 1
@@ -597,8 +628,11 @@ def _write_tail_forked(f, head: Iterable[bytes], tail: Iterable[bytes]) -> None:
             data = b"".join(tail)
             # 8 bytes, written at once: a pipe delivers them in one read
             offset = os.read(read_end, 8)
-            if len(offset) == 8 and os.pwrite(f.fileno(), data, int.from_bytes(offset, "little")) == len(data):
-                code = 0
+            if len(offset) == 8:
+                start = int.from_bytes(offset, "little")
+                if os.pwrite(f.fileno(), data, start) == len(data):
+                    _cut(f, start + len(data))
+                    code = 0
         finally:
             os._exit(code)  # never back into the caller's code, whatever was raised
     os.close(read_end)
@@ -615,8 +649,8 @@ def _write_tail_forked(f, head: Iterable[bytes], tail: Iterable[bytes]) -> None:
         status = os.waitpid(pid, 0)[1]
     if status != 0:
         f.seek(offset)
-        f.truncate()
         f.writelines(tail)
+        _cut(f)
 
 
 def write_json(obj: dict, path: str | Path) -> None:

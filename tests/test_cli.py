@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -872,8 +873,10 @@ def _spectra_digest(out):
     return hashlib.sha256((out / "spectra.csv").read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("failure", ["child-fails", "fork-fails"])
-def test_sweep_writes_the_tail_itself_when_the_child_cannot(configs_dir, tmp_path, monkeypatch, failure):
+def _fork_sweeps(monkeypatch, case):
+    """Make every sweep fork for its tail, and the child or the fork itself
+    fail if `case` says so; returns the list of forks and the list of the
+    exit statuses the sweep reaped."""
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     fork, waitpid = os.fork, os.waitpid
@@ -884,7 +887,7 @@ def test_sweep_writes_the_tail_itself_when_the_child_cannot(configs_dir, tmp_pat
 
     def counted_fork():
         forks.append(1)
-        if failure == "fork-fails":
+        if case == "fork-fails":
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
         return fork()
 
@@ -892,17 +895,28 @@ def test_sweep_writes_the_tail_itself_when_the_child_cannot(configs_dir, tmp_pat
         statuses.append(waitpid(pid, options)[1])
         return pid, statuses[-1]
 
-    if failure == "child-fails":  # patched before the fork, so the child inherits it
+    if case == "child-fails":  # patched before the fork, so the child inherits it
         monkeypatch.setattr(os, "pwrite", failing_pwrite)
     monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+    return forks, statuses
+
+
+def _assert_forked(forks, statuses, case):
+    assert len(forks) == 1
+    if case == "fork-fails":
+        assert statuses == []
+    else:
+        assert len(statuses) == 1
+        assert os.waitstatus_to_exitcode(statuses[0]) == (1 if case == "child-fails" else 0)
+
+
+@pytest.mark.parametrize("failure", ["child-fails", "fork-fails"])
+def test_sweep_writes_the_tail_itself_when_the_child_cannot(configs_dir, tmp_path, monkeypatch, failure):
+    forks, statuses = _fork_sweeps(monkeypatch, failure)
     out = tmp_path / "out"
     assert run_cli("sweep", configs_dir / "fig2a.json", "--out", out) == 0
-    assert len(forks) == 1
-    if failure == "child-fails":
-        assert len(statuses) == 1 and os.waitstatus_to_exitcode(statuses[0]) == 1
-    else:
-        assert statuses == []
+    _assert_forked(forks, statuses, failure)
     assert _spectra_digest(out) == GOLDEN_DIGESTS[("sweep", "fig2a.json")]["spectra.csv"]
 
 
@@ -922,6 +936,122 @@ def test_sweep_forks_only_for_a_large_sweep_on_two_cpus(configs_dir, tmp_path, m
     assert run_cli(*argv, "--out", out) == 0
     if case != "small-sweep":
         assert _spectra_digest(out) == GOLDEN_DIGESTS[("sweep", "fig2a.json")]["spectra.csv"]
+
+
+def _artifacts(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def _args(configs_dir, argv):
+    return [configs_dir / a if a.endswith(".json") else a for a in argv]
+
+
+@pytest.mark.parametrize(
+    "before, argv",
+    [
+        (("thermal", "device_w320.json", "--dx-um", "0.05"), ("thermal", "device_w320.json", "--dx-um", "0.1")),
+        (("sweep", "fig2a.json"), ("sweep", "fig2a.json", "--steps", "5")),
+        (("tune", "qd_pair.json"), ("tune", "fig4.json")),
+        (
+            ("calibrate", "--anchors-file", "anchors_power.json"),
+            ("calibrate", "--anchors-file", "anchors_temperature.json"),
+        ),
+    ],
+    ids=["thermal", "sweep", "tune", "calibrate"],
+)
+def test_rerun_over_longer_artifacts_writes_a_fresh_run_s_bytes(configs_dir, tmp_path, before, argv):
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert run_cli(*_args(configs_dir, argv), "--out", fresh) == 0
+    assert run_cli(*_args(configs_dir, before), "--out", out) == 0
+    want, old = _artifacts(fresh), _artifacts(out)
+    assert old.keys() == want.keys()
+    assert all(len(old[name]) > len(want[name]) for name in want)
+    assert run_cli(*_args(configs_dir, argv), "--out", out) == 0
+    assert _artifacts(out) == want
+
+
+@pytest.mark.parametrize("case", ["child-succeeds", "child-fails", "fork-fails"])
+def test_forked_sweep_over_a_longer_spectra_csv_writes_a_fresh_run_s_bytes(configs_dir, tmp_path, monkeypatch, case):
+    forks, statuses = _fork_sweeps(monkeypatch, case)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "spectra.csv").write_bytes(b"junk\n" * 1_000_000)  # 5 MB, over twice the artifact
+    assert run_cli("sweep", configs_dir / "fig2a.json", "--out", out) == 0
+    _assert_forked(forks, statuses, case)
+    assert _spectra_digest(out) == GOLDEN_DIGESTS[("sweep", "fig2a.json")]["spectra.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("thermal", "device_w320.json", "--dx-um", "0.1", "--power-abs-mw", "0.01"),
+        ("sweep", "fig2a.json"),
+        ("tune", "fig4.json"),
+        ("calibrate", "--anchors-file", "anchors_temperature.json"),
+    ],
+    ids=["thermal", "sweep-forked", "tune", "calibrate"],
+)
+def test_no_artifact_is_opened_with_o_trunc(configs_dir, tmp_path, monkeypatch, argv):
+    # truncating an existing file to zero costs more than rewriting it in
+    # place; every artifact must reach os.open, so a plain open(p, "wb"),
+    # which does not, fails here too
+    out = tmp_path / "out"
+    opened, os_open = {}, os.open
+
+    def recorded_open(path, flags, *args, **kwargs):
+        opened[os.fspath(path)] = flags
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "open", recorded_open)
+    assert run_cli(*_args(configs_dir, argv), "--out", out) == 0
+    written = {str(p): p.name for p in out.iterdir()}
+    assert written and written.keys() <= opened.keys()
+    assert [name for path, name in written.items() if opened[path] & os.O_TRUNC] == []
+
+
+def _enospc_after(first):
+    yield first
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "case, chunks, tail, kept",
+    [
+        ("unforked", lambda: _enospc_after(b"new head\n"), None, b"new head\n"),
+        ("forked-head", lambda: _enospc_after(b"new head\n"), lambda: iter([b"tail\n"]), b"new head\n"),
+        ("forked-tail", lambda: iter([b"new head\n"]), lambda: _enospc_after(b"tail\n"), b"new head\ntail\n"),
+    ],
+    ids=["unforked", "forked-head", "forked-tail"],
+)
+def test_a_write_that_fails_part_way_keeps_only_the_new_bytes(tmp_path, monkeypatch, case, chunks, tail, kept):
+    # the forked child joins a failing tail, fails and leaves the tail to
+    # the writer, which then fails on it in turn
+    if case != "unforked":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    path = tmp_path / "artifact.csv"
+    path.write_bytes(b"old artifact\n" * 10_000)
+    with pytest.raises(cfg.ConfigError, match=re.escape(str(path))):
+        cfg.write_bytes(chunks(), path, tail=tail and tail())
+    assert path.read_bytes() == kept
+
+
+@pytest.mark.parametrize(
+    "argv, artifact",
+    [(("tune", "fig4.json"), "solution.json"), (("sweep", "fig2a.json"), "spectra.csv")],
+    ids=["tune", "sweep-forked"],
+)
+def test_an_artifact_linked_to_dev_null_is_written_there(configs_dir, tmp_path, monkeypatch, argv, artifact):
+    # /dev/null cannot be cut: the writer and the forked child cut regular files only
+    forks, statuses = _fork_sweeps(monkeypatch, "child-succeeds")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / artifact).symlink_to(os.devnull)
+    assert run_cli(*_args(configs_dir, argv), "--out", out) == 0
+    assert os.readlink(out / artifact) == os.devnull
+    if argv[0] == "sweep":
+        _assert_forked(forks, statuses, "child-succeeds")
+        assert (out / "peaks.csv").stat().st_size > 0
 
 
 # Runs one command in a fresh interpreter and prints its exit code and whether
