@@ -3,8 +3,9 @@
 Every command reads JSON configs, writes CSV/JSON artifacts into --out and
 uses exit codes 0 (success), 2 (config error), 3 (solver failure) and
 4 (infeasible tuning). Outputs are deterministic: fixed float formatting,
-no timestamps. A sweep of at least SPLIT_MIN_ROWS spectrum rows hands the
-second half of spectra.csv to config.write_bytes as its tail, which a forked
+no timestamps. A sweep that keeps two spectra or more, of at least
+SPLIT_MIN_ROWS rows in all, hands the second half of its spectra to
+config.write_bytes as the tail of spectra.csv, which a forked
 child formats on a second core when there is one; the child never outlives
 the command, and the bytes do not depend on it.
 """
@@ -276,7 +277,7 @@ def cmd_sweep(args) -> int:
     def spectra(rows):
         return ((power + power.join(row_tails)) % tuple(intensities.tolist()) for power, intensities in rows)
 
-    split = len(spectra_rows) * sp.samples >= SPLIT_MIN_ROWS
+    split = len(spectra_rows) >= 2 and len(spectra_rows) * sp.samples >= SPLIT_MIN_ROWS
     half = (len(spectra_rows) + 1) // 2 if split else len(spectra_rows)
     cfg.write_bytes(
         itertools.chain([b"power_mw,lambda_nm,intensity\n"], spectra(spectra_rows[:half])),

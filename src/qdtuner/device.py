@@ -225,9 +225,11 @@ def rasterize(
     """Rasterize a layout onto a square-cell grid.
 
     The membrane is the block of round(W/dx) rows by round(L/dx) columns
-    that sizes the grid; only the pad is placed by cell centers, on the
-    membrane's rows. The bridges are spread evenly over the two long
-    edges: n = ceil(count / 2) hang below the membrane and the rest above
+    that sizes the grid. The pad is the block of membrane cells whose
+    centers lie on it, found by counts, each ratio to dx taken to 1e-9 of a
+    cell: a center on a pad edge counts, and since dx is at most the pad's
+    sides, the block has a cell. The bridges are spread evenly over the two
+    long edges: n = ceil(count / 2) hang below the membrane and the rest above
     it, the k-th of an edge's n centered at length * (k + 1) / (n + 1) and
     clipped to the membrane's columns. Each is a block of
     round(width/dx) x round(length/dx) cells so a narrow bridge keeps the
@@ -237,8 +239,8 @@ def rasterize(
     share the absorbed power according to the pad profile, normalized so
     the cell sources add up to absorbed_power_w. LayoutError refuses a power
     outside [0, inf), a bath not positive and finite, and a pitch that is not
-    positive, coarser than the smallest feature, leaves the pad no cell or
-    gives more than MAX_GRID_CELLS cells (before any array is built).
+    positive, coarser than the smallest feature or gives more than
+    MAX_GRID_CELLS cells (before any array is built).
     """
     if not 0.0 < t_bath_k < math.inf:
         raise LayoutError("bath temperature must be positive and finite")
@@ -261,13 +263,22 @@ def rasterize(
             f"over the cap of {MAX_GRID_CELLS:,}"
         )
 
-    n_w = max(1, int(round(b.width_um / dx_um)))
+    n_w = int(round(b.width_um / dx_um))
     n_len = max(1, int(round(b.length_um / dx_um)))
-    n_mem = max(1, int(round(m.width_um / dx_um)))
-    nx = max(1, int(round(m.length_um / dx_um)))
+    n_mem = int(round(m.width_um / dx_um))
+    nx = int(round(m.length_um / dx_um))
     ny = n_len + n_mem + (n_len if b.count > n_bottom else 0)
     y0 = -n_len * dx_um
     mem_rows = slice(n_len, n_len + n_mem)
+
+    def centered_in(lo: float, hi: float, n: int) -> np.ndarray:
+        # the cells i < n whose center (i + 1/2) dx lies in [lo, hi], each ratio
+        # taken to 1e-9 of a cell: a center on an edge is in, whatever its last bit
+        return np.arange(math.ceil(round(lo / dx_um, 9) - 0.5), min(math.floor(round(hi / dx_um, 9) + 0.5), n))
+
+    pad_i = centered_in(pad.x_um, pad.x_um + pad.w_um, nx)
+    pad_j = n_len + centered_in(pad.y_um, pad.y_um + pad.h_um, n_mem)
+    pad_cells = np.ix_(pad_j, pad_i)
 
     kind = np.zeros((ny, nx), dtype=np.int8)
     sheet = np.zeros((ny, nx))
@@ -276,16 +287,7 @@ def rasterize(
 
     kind[mem_rows] = MEMBRANE
     sheet[mem_rows] = layout.body_kappa_scale * m.thickness_um
-
-    xc = (np.arange(nx) + 0.5) * dx_um
-    yc = y0 + (np.arange(ny) + 0.5) * dx_um
-    pad_mask = np.outer(
-        (yc >= pad.y_um) & (yc <= pad.y_um + pad.h_um) & (kind[:, 0] == MEMBRANE),
-        (xc >= pad.x_um) & (xc <= pad.x_um + pad.w_um),
-    )
-    if not pad_mask.any():
-        raise LayoutError("dx too coarse: the pad maps to zero cells")
-    kind[pad_mask] = PAD
+    kind[pad_cells] = PAD
 
     sides = ((n_bottom, slice(0, n_len), 0), (b.count - n_bottom, slice(ny - n_len, ny), ny - 1))
     for n, rows, far in sides:
@@ -298,18 +300,19 @@ def rasterize(
             dirichlet[far, cols] = True
 
     if absorbed_power_w > 0.0:
-        pj, pi = np.nonzero(pad_mask)
         if pad.profile == "uniform":
-            weights = np.ones(pj.size)
+            weights = np.ones((pad_j.size, pad_i.size))
         else:
             cx = pad.x_um + pad.w_um / 2.0
             cy = pad.y_um + pad.h_um / 2.0
-            rr = (xc[pi] - cx) ** 2 + (yc[pj] - cy) ** 2
+            # the centers by cell_x_um's and cell_y_um's own arithmetic
+            xc, yc = (pad_i + 0.5) * dx_um, y0 + (pad_j + 0.5) * dx_um
+            rr = (xc - cx) ** 2 + (yc[:, None] - cy) ** 2
             # relative to the cell nearest the center, so that no weight
             # sum underflows to 0 however small sigma is
             weights = np.exp(-(rr - rr.min()) / (2.0 * pad.sigma_um**2))
         weights = weights / weights.sum()
-        source[pj, pi] = absorbed_power_w * weights
+        source[pad_cells] = absorbed_power_w * weights
 
     return ThermalGrid(
         dx_um=dx_um,

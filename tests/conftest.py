@@ -18,10 +18,10 @@ def rounding_pitches(layout: device.DeviceLayout, seed: int = 0) -> list[float]:
     um, at which the shipped 4 um membrane is 12.5 and 62.5 cells wide; the
     pitches at which the membrane's width or length is a half-integer
     number of cells, down to about 0.06 um; and 16 seeded draws up to the
-    smallest feature."""
+    smallest feature, from 0.06 um or from the feature if it is smaller."""
     m, b, pad = layout.membrane, layout.bridges, layout.pad
     feature = min(b.width_um, pad.w_um, pad.h_um)
-    draws = np.random.default_rng(seed).uniform(0.06, feature, 16)
+    draws = np.random.default_rng(seed).uniform(min(0.06, feature), feature, 16)
     half = [m.width_um / (k + 0.5) for k in range(1, 64)]
     half += [m.length_um / (k + 0.5) for k in range(1, 192)]
     return [0.32, 0.064, *half, *draws.tolist()]

@@ -920,7 +920,7 @@ def test_sweep_writes_the_tail_itself_when_the_child_cannot(configs_dir, tmp_pat
     assert _spectra_digest(out) == GOLDEN_DIGESTS[("sweep", "fig2a.json")]["spectra.csv"]
 
 
-@pytest.mark.parametrize("case", ["one-cpu-by-affinity", "one-cpu-by-count", "small-sweep"])
+@pytest.mark.parametrize("case", ["one-cpu-by-affinity", "one-cpu-by-count", "small-sweep", "one-spectrum"])
 def test_sweep_forks_only_for_a_large_sweep_on_two_cpus(configs_dir, tmp_path, monkeypatch, case):
     argv = ["sweep", configs_dir / "fig2a.json"]
     if case == "one-cpu-by-affinity":
@@ -928,13 +928,25 @@ def test_sweep_forks_only_for_a_large_sweep_on_two_cpus(configs_dir, tmp_path, m
     elif case == "one-cpu-by-count":
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    else:  # 5 x 1200 rows, well below SPLIT_MIN_ROWS
+    elif case == "small-sweep":  # 5 x 1200 rows, well below SPLIT_MIN_ROWS
         argv += ["--steps", 5]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    else:  # 60,000 rows of one spectrum: 5 mW is past the 4 mW limit and skipped
+        raw = json.loads((configs_dir / "fig2a.json").read_text(encoding="utf-8"))
+        raw["device"] = str(configs_dir / raw["device"])
+        raw["spectrum"]["samples"] = 60_000
+        (tmp_path / "fig2a.json").write_text(json.dumps(raw), encoding="utf-8")
+        argv = ["sweep", tmp_path / "fig2a.json", "--power-min", 3, "--power-max", 5, "--steps", 2]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("tuner sweep forked"))
     out = tmp_path / "out"
     assert run_cli(*argv, "--out", out) == 0
-    if case != "small-sweep":
+    if case == "one-spectrum":
+        monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", math.inf)
+        assert run_cli(*argv, "--out", tmp_path / "unsplit") == 0
+        assert (out / "spectra.csv").read_bytes() == (tmp_path / "unsplit" / "spectra.csv").read_bytes()
+        assert (out / "spectra.csv").read_bytes().count(b"\n") == 1 + 60_000
+    elif case != "small-sweep":
         assert _spectra_digest(out) == GOLDEN_DIGESTS[("sweep", "fig2a.json")]["spectra.csv"]
 
 

@@ -1,15 +1,16 @@
 import hashlib
+import json
 import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIGS, DEVICES, rounding_pitches
-from qdtuner import device
+from qdtuner import cli, device
 from qdtuner.config import load_device
 from qdtuner.device import (
     Bridges,
@@ -23,7 +24,7 @@ from qdtuner.device import (
     default_layout,
     rasterize,
 )
-from qdtuner.thermal import _faces
+from qdtuner.thermal import _faces, energy_residual, solve_steady_state
 
 
 def test_default_membrane_dimensions():
@@ -109,10 +110,11 @@ def test_rasterize_bridge_cell_counts():
     assert g.t_bath_k == 10.0
 
 
-# SHA-256 of rasterize's output for the shipped bridge widths at 0.01 mW
-# absorbed and a 4.2 K bath: the kind, dirichlet, sheet_um and source_w bytes,
-# then repr((shape, x0_um, y0_um, dx_um, t_bath_k)). rasterize is plain IEEE
-# arithmetic, so the digests do not depend on the platform.
+# SHA-256 of rasterize's output for the shipped bridge widths, and for pad
+# variants of the 320 nm device, at 0.01 mW absorbed and a 4.2 K bath: the
+# kind, dirichlet, sheet_um and source_w bytes, then repr((shape, x0_um,
+# y0_um, dx_um, t_bath_k)). rasterize is plain IEEE arithmetic, so the
+# digests do not depend on the platform.
 RASTER_DIGESTS = {
     ("device_w320.json", 0.1): "6a87b03649d22fbcdef081f60904d17d1cfdc46bd7d67835aaaa4baa0d9355b1",
     ("device_w320.json", 0.05): "527b5fbec5f07bbb176a3d8f160b6b19c9a986f8b0db0703096dc7cee8f2625f",
@@ -120,6 +122,24 @@ RASTER_DIGESTS = {
     ("device_w800.json", 0.1): "f50f3b8e7731445061d2f5e2b4dc4da216818f26cbecd9831176d7efc927bcce",
     ("device_w800.json", 0.05): "acddbc5ec03a8222b2aae18fa1b23dfef66223c806e9df7a3bd06447b3d972a1",
     ("device_w800.json", 0.025): "da69e8fbc7b2a3c2cff9080bae169367915f1598301e9bf42674491931e0be3c",
+    ("device_w320.json/gaussian-0.7", 0.1): "e271b33174b5d7a4c11ac34bf6f5e90b718efa76512796930e7de9ce839f4bd8",
+    ("device_w320.json/gaussian-0.7", 0.05): "94b06c49288eda27dd5041ee6742e6b0810a63d324940ae02355ff5d0f47dfef",
+    ("device_w320.json/gaussian-0.7", 0.025): "d078a681b0133e34d37b5b375a1aa58feefb0f9c3c79ad4323e00ad53537ba66",
+    ("device_w320.json/gaussian-0.05", 0.1): "4d64060126b3bd5a2947250e43d13d8143ad8d5fdbdc601eaae0962ec33d2473",
+    ("device_w320.json/gaussian-0.05", 0.05): "07412caaab4cacbd5bc475383f0ac7a373742abb7dfdbb8460adc7b517b7cc48",
+    ("device_w320.json/gaussian-0.05", 0.025): "63217ab1e8b07d8c0c5aa62f81582f51d6a172bdc57769fc77993d006215b751",
+    ("device_w320.json/off-centre", 0.1): "9a71fac665117095ed020065b7f35482faad5318e6cc80bb178db7d5943c2413",
+    ("device_w320.json/off-centre", 0.05): "1363e1af4a6c3155424e98c8805f2ae149f9d472dd7f47e7442b08a76276d5de",
+    ("device_w320.json/off-centre", 0.025): "45801473bad658f0e02485078879a505a4bdc709f758e7027d569a147e8449c9",
+}
+
+# Pads that replace a shipped one's fields in RASTER_DIGESTS ("device/pad"):
+# gaussian weights, and an off-centre pad none of whose edges lies on a cell
+# centre at the digests' pitches.
+PAD_VARIANTS = {
+    "gaussian-0.7": dict(profile="gaussian", sigma_um=0.7),
+    "gaussian-0.05": dict(profile="gaussian", sigma_um=0.05),
+    "off-centre": dict(x_um=4.7, y_um=0.33, w_um=2.9, h_um=1.45),
 }
 
 
@@ -133,7 +153,11 @@ def _digest(g):
 
 @pytest.mark.parametrize("name, dx", list(RASTER_DIGESTS), ids=lambda v: str(v))
 def test_rasterize_matches_golden_digests(name, dx):
-    g = rasterize(load_device(CONFIGS / name).layout, dx, absorbed_power_w=1e-5, t_bath_k=4.2)
+    config, _, variant = name.partition("/")
+    lay = load_device(CONFIGS / config).layout
+    if variant:
+        lay = replace(lay, pad=replace(lay.pad, **PAD_VARIANTS[variant]))
+    g = rasterize(lay, dx, absorbed_power_w=1e-5, t_bath_k=4.2)
     assert _digest(g) == RASTER_DIGESTS[name, dx]
 
 
@@ -199,16 +223,6 @@ def test_rasterize_rejects_a_power_outside_zero_to_inf(power_w):
 def test_rasterize_rejects_a_bath_that_is_not_positive_and_finite(t_bath_k):
     with pytest.raises(LayoutError, match="bath temperature must be positive and finite"):
         rasterize(default_layout(), 0.1, t_bath_k=t_bath_k)
-
-
-def test_rasterize_rejects_a_pad_that_maps_to_no_cell():
-    # a 3.75 um wide membrane is 12.5 cells of 0.3 um and rounds to 12 rows;
-    # the top row's centre, 3.45 um in exact arithmetic, falls just below a
-    # one-cell pad on the membrane's top edge
-    lay = default_layout()
-    lay = replace(lay, membrane=replace(lay.membrane, width_um=3.75), pad=HeatingPad(0.0, 3.45, 0.3, 0.3))
-    with pytest.raises(LayoutError, match="the pad maps to zero cells"):
-        rasterize(lay, 0.3)
 
 
 @pytest.mark.parametrize("profile", ["uniform", "gaussian"])
@@ -277,19 +291,44 @@ def test_disconnected_grid_detected():
         _faces(g)
 
 
+# a 3.75 um wide membrane is 12.5 cells of 0.3 um and rounds to 12 rows; the
+# top row's centre, 3.45 um, lies on the lower edge of a one-cell pad on the
+# membrane's top edge
+_TOP_EDGE_PAD = replace(
+    default_layout(), membrane=Membrane(width_um=3.75), pad=HeatingPad(0.0, 3.45, 0.3, 0.3)
+)
+
+
+def test_a_pad_on_the_top_edge_keeps_its_row(tmp_path):
+    g = rasterize(_TOP_EDGE_PAD, 0.3, absorbed_power_w=1e-5)
+    top_row = round(2.0 / 0.3) + 12 - 1  # after the bottom bridges' rows
+    assert list(zip(*np.nonzero(g.kind == device.PAD))) == [(top_row, 0)]
+    raw = json.loads((CONFIGS / "device_w320.json").read_text(encoding="utf-8"))
+    raw["membrane"]["width_um"] = 3.75
+    raw["pad"] = {"x_um": 0.0, "y_um": 3.45, "w_um": 0.3, "h_um": 0.3, "profile": "uniform"}
+    (tmp_path / "device.json").write_text(json.dumps(raw), encoding="utf-8")
+    argv = ["thermal", str(tmp_path / "device.json"), "--dx-um", "0.3", "--power-abs-mw", "0.01"]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["converged"] is True
+
+
 @st.composite
-def _layouts(draw):
-    """A valid layout as load_device builds one: 1-8 bridges spread over the
-    long edges, as wide as the layout allows (the spacing of the bottom
-    edge's n bridges, L / (n + 1), or L for n = 1), and any pad, uniform or
-    gaussian, inside the membrane."""
+def _layouts_and_pitches(draw):
+    """A valid layout as load_device builds one, and a pitch it rasterizes at:
+    1-9 bridges spread over the long edges, as wide as the layout allows (the
+    spacing of the bottom edge's n bridges, L / (n + 1), or L for n = 1), any
+    pad, uniform or gaussian, inside the membrane, on its edges too, and any
+    body scale. The pitch runs from the one that caps the grid near 20,000
+    cells up to the smallest feature; half the draws take one of
+    rounding_pitches, where a membrane edge, and a pad on it, lies on a cell
+    centre."""
     f = st.floats(min_value=0.0, max_value=1.0)
     membrane = Membrane(
         length_um=draw(st.floats(min_value=0.5, max_value=12.0)),
         width_um=draw(st.floats(min_value=0.5, max_value=4.0)),
     )
     length, width = membrane.length_um, membrane.width_um
-    count = draw(st.integers(min_value=1, max_value=8))
+    count = draw(st.integers(min_value=1, max_value=9))
     n = (count + 1) // 2
     bridges = Bridges(
         count,
@@ -307,19 +346,68 @@ def _layouts(draw):
         profile=draw(st.sampled_from(["uniform", "gaussian"])),
         sigma_um=draw(st.floats(min_value=1e-3, max_value=10.0)),
     )
-    return DeviceLayout(membrane, bridges, pad, MaterialModel())
-
-
-@settings(max_examples=60, deadline=None)
-@given(layout=_layouts(), pitch=st.floats(min_value=0.0, max_value=1.0))
-def test_bridges_attach_to_the_membrane(layout, pitch):
-    # every cell of a rasterized valid layout reaches a bridge end through
-    # conducting faces: the solver's grid checks (thermal._faces) never
-    # refuse it. The pitch runs from the one that caps the grid near 20,000
-    # cells up to the smallest feature.
-    m = layout.membrane
-    feature = min(layout.bridges.width_um, layout.pad.w_um, layout.pad.h_um)
-    span = 2.0 * layout.bridges.length_um
-    finest = math.sqrt(m.length_um * (m.width_um + span) / 20_000)
+    layout = DeviceLayout(
+        membrane, bridges, pad, MaterialModel(), body_kappa_scale=draw(st.floats(min_value=0.1, max_value=10.0))
+    )
+    feature = min(bridges.width_um, w, h)
+    finest = math.sqrt(length * (width + 2.0 * bridges.length_um) / 20_000)
     assume(finest <= feature)
-    _faces(rasterize(layout, finest + pitch * (feature - finest), absorbed_power_w=1e-5))
+    halves = [dx for dx in rounding_pitches(layout) if finest <= dx <= feature]
+    if halves and draw(st.booleans()):
+        return layout, draw(st.sampled_from(halves))
+    return layout, finest + draw(f) * (feature - finest)
+
+
+@settings(max_examples=150, deadline=None)
+@example(case=(_TOP_EDGE_PAD, 0.3), power_w=1e-5)
+@given(case=_layouts_and_pitches(), power_w=st.floats(min_value=1e-9, max_value=1e-5))
+def test_rasterize_over_the_layout_space(case, power_w):
+    layout, dx = case
+    m, b, pad = layout.membrane, layout.bridges, layout.pad
+    feature = min(b.width_um, pad.w_um, pad.h_um)
+    with pytest.raises(LayoutError, match="dx too coarse"):
+        rasterize(layout, float(np.nextafter(feature, math.inf)))
+    g = rasterize(layout, dx, absorbed_power_w=power_w)
+    ny, nx = g.shape
+    n_len, n_mem = max(1, round(b.length_um / dx)), round(m.width_um / dx)
+    rows = np.arange(ny)[:, None]
+
+    # the membrane is the round(W/dx) x round(L/dx) block after n_len rows
+    assert nx == round(m.length_um / dx)
+    on_membrane = (g.kind == device.MEMBRANE) | (g.kind == device.PAD)
+    assert np.array_equal(on_membrane, np.broadcast_to((rows >= n_len) & (rows < n_len + n_mem), g.shape))
+
+    # the pad is every membrane cell whose centre lies on it, up to 1e-9 of
+    # a cell either way, in micrometres
+    x, y = g.cell_x_um()[None, :], g.cell_y_um()[:, None]
+    tol = 1e-9 * dx
+
+    def within(t):
+        return (
+            (x >= pad.x_um - t) & (x <= pad.x_um + pad.w_um + t)
+            & (y >= pad.y_um - t) & (y <= pad.y_um + pad.h_um + t)
+        )
+
+    is_pad = g.kind == device.PAD
+    assert is_pad.any()
+    assert np.all(within(tol)[is_pad])
+    assert np.all(is_pad[on_membrane & within(-tol)])
+
+    # bridges hang in the first and last n_len rows and are fixed only on
+    # the grid's outer rows
+    bridge_rows = np.flatnonzero((g.kind == device.BRIDGE).any(axis=1))
+    assert np.all((bridge_rows < n_len) | (bridge_rows >= ny - n_len))
+    assert set(np.flatnonzero(g.dirichlet.any(axis=1))) <= {0, ny - 1}
+
+    assert np.all(g.source_w >= 0.0) and np.all(g.source_w[~is_pad] == 0.0)
+    assert abs(float(g.source_w.sum()) - power_w) <= 1e-12 * power_w
+
+    # every cell reaches a bridge end through conducting faces: the solver's
+    # grid checks never refuse the grid
+    _faces(g)
+    if g.kind.size <= 5_000:
+        field, report = solve_steady_state(g)
+        if report.converged:
+            assert energy_residual(field) <= 1e-3
+            assert float(np.nanmin(field.t_k)) >= g.t_bath_k - 1e-9
+            assert np.max(field.t_k[g.source_w > 0.0]) == np.nanmax(field.t_k)
