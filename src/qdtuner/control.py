@@ -10,7 +10,6 @@ powers.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +41,6 @@ class PowerRangeError(ValueError):
     """A requested power is outside the calibrated range of the map."""
 
 
-class RolloffWarning(UserWarning):
-    """The target shift is past the intensity roll-off of the dot."""
-
-
 @dataclass(frozen=True)
 class PowerMap:
     """Calibrated incident-power-to-temperature map for one structure."""
@@ -75,16 +70,6 @@ def calibrate_beta(
     return anchor_shift_nm / (alpha_nm_per_k2 * anchor_power_mw)
 
 
-def default_power_map(
-    structure_id: str = "main",
-    t_bath_k: float = spectral.DEFAULT_T_REF_K,
-    p_max_mw: float = DEFAULT_P_MAX_MW,
-) -> PowerMap:
-    """Map for the 320 nm-bridge structure from the 1.4 nm @ 3 mW anchor."""
-    beta = calibrate_beta(SHIFT_ANCHOR_NM, POWER_ANCHOR_MW, spectral.DEFAULT_ALPHA_NM_PER_K2)
-    return PowerMap(structure_id, t_bath_k, beta, p_max_mw)
-
-
 def beta_for_width(
     beta_ref_k2_per_mw: float,
     width_ref_nm: float,
@@ -109,53 +94,11 @@ def beta_for_width(
 
 def temperature_from_power(pm: PowerMap, p_mw: float) -> float:
     """Structure temperature at incident power p_mw: sqrt(T_bath^2 + beta P)."""
-    _check_power(pm, p_mw)
-    return float(np.sqrt(pm.t_bath_k**2 + pm.beta_k2_per_mw * p_mw))
-
-
-def _check_power(pm: PowerMap, p_mw: float) -> None:
     if not 0.0 <= p_mw <= pm.p_max_mw:
         raise PowerRangeError(
             f"power {p_mw:.4g} mW outside the calibrated range [0, {pm.p_max_mw:.4g}] mW"
         )
-
-
-def shift_from_power(pm: PowerMap, qd: QDState, p_mw: float) -> float:
-    """Dot shift at incident power p_mw: alpha * beta * P, exactly linear."""
-    _check_power(pm, p_mw)
-    shift = qd.alpha_nm_per_k2 * pm.beta_k2_per_mw * p_mw
-    if shift > qd.max_shift_nm:
-        raise spectral.TuningRangeExceeded(
-            f"tuning range exceeded: shift {shift:.4g} nm > {qd.max_shift_nm:.4g} nm"
-        )
-    return shift
-
-
-def power_for_shift(pm: PowerMap, qd: QDState, target_nm: float) -> float:
-    """Incident power producing the target shift: P = target / (alpha * beta).
-
-    The map is exactly linear, so the closed form needs no forward check.
-    Warns when the target lies past the intensity roll-off.
-    """
-    if target_nm < 0.0:
-        raise ValueError("target shift must be non-negative")
-    if target_nm > qd.max_shift_nm:
-        raise spectral.TuningRangeExceeded(
-            f"tuning range exceeded: target {target_nm:.4g} nm > {qd.max_shift_nm:.4g} nm"
-        )
-    p = target_nm / (qd.alpha_nm_per_k2 * pm.beta_k2_per_mw)
-    if p > pm.p_max_mw:
-        raise PowerRangeError(
-            f"target shift needs {p:.4g} mW, beyond the {pm.p_max_mw:.4g} mW calibration limit"
-        )
-    if target_nm > qd.rolloff_shift_nm:
-        warnings.warn(
-            f"target shift {target_nm:.4g} nm is past the {qd.rolloff_shift_nm:.4g} nm "
-            "intensity roll-off",
-            RolloffWarning,
-            stacklevel=2,
-        )
-    return p
+    return float(np.sqrt(pm.t_bath_k**2 + pm.beta_k2_per_mw * p_mw))
 
 
 @dataclass(frozen=True)

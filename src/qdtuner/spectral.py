@@ -24,6 +24,9 @@ DEFAULT_FWHM_SLOPE = (0.08 - 0.04) / 1.4
 DEFAULT_ROLLOFF_SHIFT_NM = 1.4
 DEFAULT_MAX_SHIFT_NM = 1.8
 INTENSITY_FLOOR_FRACTION = 0.1
+# a shift taken back from a temperature may pass the maximum by float dust,
+# which qd_intensity accepts
+_MAX_SHIFT_DUST = 1.0 + 1e-12
 
 # QD shift divided by cavity shift at equal temperature.
 DEFAULT_SHIFT_RATIO = 2.917
@@ -55,10 +58,14 @@ class QDState:
     def __post_init__(self) -> None:
         if self.alpha_nm_per_k2 <= 0.0:
             raise ValueError("alpha must be positive (dots red-shift with temperature)")
-        if self.fwhm0_nm <= 0.0:
-            raise ValueError("fwhm0 must be positive")
         if not 0.0 < self.rolloff_shift_nm <= self.max_shift_nm:
             raise ValueError("need 0 < rolloff shift <= max shift")
+        # the linewidth is linear in the shift: positive at both ends of the
+        # accepted shifts, dust included, is positive at all of them
+        if not all(self.fwhm0_nm + self.fwhm_slope * s > 0.0 for s in (0.0, self.max_shift_nm * _MAX_SHIFT_DUST)):
+            raise ValueError("linewidth fwhm0 + fwhm_slope * shift must be positive up to the max shift")
+        if not self.base_intensity >= 0.0:
+            raise ValueError("base intensity must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -110,18 +117,13 @@ def qd_intensity(qd: QDState, t_k: float, t_ref_k: float = DEFAULT_T_REF_K) -> f
     """Peak intensity at t_k: flat up to the roll-off shift, then a linear
     decay to 10% of the base at the maximum usable shift."""
     shift = qd_shift(qd, t_k, t_ref_k)
-    return _intensity_at_shift(qd, shift)
-
-
-def _intensity_at_shift(qd: QDState, shift_nm: float) -> float:
-    # tolerate float dust when the shift is reconstructed from a temperature
-    if shift_nm > qd.max_shift_nm * (1.0 + 1e-12):
+    if shift > qd.max_shift_nm * _MAX_SHIFT_DUST:
         raise TuningRangeExceeded(
-            f"tuning range exceeded: shift {shift_nm:.4g} nm > {qd.max_shift_nm:.4g} nm"
+            f"tuning range exceeded: shift {shift:.4g} nm > {qd.max_shift_nm:.4g} nm"
         )
-    if shift_nm <= qd.rolloff_shift_nm:
+    if shift <= qd.rolloff_shift_nm:
         return qd.base_intensity
-    frac = min(1.0, (shift_nm - qd.rolloff_shift_nm) / (qd.max_shift_nm - qd.rolloff_shift_nm))
+    frac = min(1.0, (shift - qd.rolloff_shift_nm) / (qd.max_shift_nm - qd.rolloff_shift_nm))
     return qd.base_intensity * (1.0 - (1.0 - INTENSITY_FLOOR_FRACTION) * frac)
 
 

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from qdtuner import device
-from qdtuner.device import UM_PER_CM, MaterialModel, ThermalGrid
+from qdtuner.device import UM_PER_CM, Bridges, DeviceLayout, HeatingPad, MaterialModel, Membrane, ThermalGrid
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DEVICES = sorted(p.name for p in CONFIGS.glob("device_*.json"))
@@ -25,6 +27,58 @@ def rounding_pitches(layout: device.DeviceLayout, seed: int = 0) -> list[float]:
     half = [m.width_um / (k + 0.5) for k in range(1, 64)]
     half += [m.length_um / (k + 0.5) for k in range(1, 192)]
     return [0.32, 0.064, *half, *draws.tolist()]
+
+
+@st.composite
+def layouts_and_pitches(draw):
+    """A valid layout as load_device builds one, and a pitch it rasterizes at:
+    1-9 bridges spread over the long edges, as wide as the layout allows (the
+    spacing of the bottom edge's n bridges, L / (n + 1), or L for n = 1), any
+    pad, uniform or gaussian, inside the membrane, on its edges too, any
+    material of exponent -0.5 to 4 with kappa_ref 1e-4 to 1 W/K/cm and t_ref
+    1 to 1,000 K, and any body scale. The pitch runs from the one that caps
+    the grid near 20,000 cells up to the smallest feature; half the draws
+    take one of rounding_pitches, where a membrane edge, and a pad on it,
+    lies on a cell centre."""
+    f = st.floats(min_value=0.0, max_value=1.0)
+    membrane = Membrane(
+        length_um=draw(st.floats(min_value=0.5, max_value=12.0)),
+        width_um=draw(st.floats(min_value=0.5, max_value=4.0)),
+    )
+    length, width = membrane.length_um, membrane.width_um
+    count = draw(st.integers(min_value=1, max_value=9))
+    n = (count + 1) // 2
+    bridges = Bridges(
+        count,
+        draw(st.floats(min_value=50.0, max_value=1e3 * length / (n + 1 if n > 1 else 1))),
+        draw(st.floats(min_value=0.05, max_value=3.0)),
+    )
+    w, h = (0.05 + 0.95 * draw(f)) * length, (0.05 + 0.95 * draw(f)) * width
+    x, y = draw(f) * (length - w), draw(f) * (width - h)
+    assume(x + w <= length and y + h <= width)  # lost to rounding
+    pad = HeatingPad(
+        x_um=x,
+        y_um=y,
+        w_um=w,
+        h_um=h,
+        profile=draw(st.sampled_from(["uniform", "gaussian"])),
+        sigma_um=draw(st.floats(min_value=1e-3, max_value=10.0)),
+    )
+    material = MaterialModel(
+        10.0 ** draw(st.floats(min_value=-4.0, max_value=0.0)),
+        10.0 ** draw(st.floats(min_value=0.0, max_value=3.0)),
+        draw(st.floats(min_value=-0.5, max_value=4.0)),
+    )
+    layout = DeviceLayout(
+        membrane, bridges, pad, material, body_kappa_scale=draw(st.floats(min_value=0.1, max_value=10.0))
+    )
+    feature = min(bridges.width_um, w, h)
+    finest = math.sqrt(length * (width + 2.0 * bridges.length_um) / 20_000)
+    assume(finest <= feature)
+    halves = [dx for dx in rounding_pitches(layout) if finest <= dx <= feature]
+    if halves and draw(st.booleans()):
+        return layout, draw(st.sampled_from(halves))
+    return layout, finest + draw(f) * (feature - finest)
 
 
 @pytest.fixture(scope="session")

@@ -12,17 +12,17 @@ import numpy as np
 import pytest
 
 from conftest import bar_end_temperature_analytic, bar_grid
-from qdtuner import cli, control, spectral
+from qdtuner import cli, spectral
 from qdtuner.config import load_scenario
 from qdtuner.control import (
+    POWER_ANCHOR_MW,
+    SHIFT_ANCHOR_NM,
     Crosstalk,
     PowerMap,
     align_multi,
     align_qd_to_cavity,
     beta_for_width,
-    default_power_map,
-    power_for_shift,
-    shift_from_power,
+    calibrate_beta,
     temperature_from_power,
 )
 from qdtuner.device import default_layout
@@ -31,7 +31,13 @@ from qdtuner.thermal import absorbed_power_for_temperature, solve_steady_state
 
 QD = QDState("QD1", 927.0)
 ALPHA = QD.alpha_nm_per_k2
-PM = default_power_map()
+# the map of a scenario whose calibration block is absent: the 1.4 nm @ 3 mW anchor
+PM = PowerMap("main", 10.0, calibrate_beta(SHIFT_ANCHOR_NM, POWER_ANCHOR_MW, ALPHA))
+
+
+def shift_at_power(pm: PowerMap, p_mw: float) -> float:
+    """QD's shift at incident power p_mw, by sweep's forward model."""
+    return qd_shift(QD, temperature_from_power(pm, p_mw), pm.t_bath_k)
 
 
 @contextlib.contextmanager
@@ -48,7 +54,7 @@ def test_criterion_1_calibration_anchors():
     with criterion("1", "calibration anchors: 1.8 nm @ 40 K, 1.4 nm @ 3 mW, "
                         "0.48 nm cavity shift, Q 7600 -> 4900"):
         assert math.isclose(qd_shift(QD, 40.0, 10.0), 1.8, rel_tol=1e-12)
-        assert math.isclose(shift_from_power(PM, QD, 3.0), 1.4, rel_tol=1e-12)
+        assert math.isclose(shift_at_power(PM, 3.0), 1.4, rel_tol=1e-12)
 
         cav = CavityState(942.0, q0=7600.0)
         cavity_shift = spectral.cavity_wavelength(cav, temperature_from_power(PM, 3.0), 10.0) - 942.0
@@ -65,8 +71,8 @@ def test_criterion_2_width_scaling():
         pm_800_meas = PowerMap("w800", 10.0, beta_for_width(beta, 320.0, 800.0, "measured"))
         pm_800_geo = PowerMap("w800", 10.0, beta_for_width(beta, 320.0, 800.0, "geometric"))
         for p in (0.5, 1.0, 3.0):
-            r_meas = shift_from_power(PM, QD, p) / shift_from_power(pm_800_meas, QD, p)
-            r_geo = shift_from_power(PM, QD, p) / shift_from_power(pm_800_geo, QD, p)
+            r_meas = shift_at_power(PM, p) / shift_at_power(pm_800_meas, p)
+            r_geo = shift_at_power(PM, p) / shift_at_power(pm_800_geo, p)
             assert abs(r_meas - 2.65) <= 1e-6
             assert abs(r_geo - 2.5) <= 1e-12
         assert 800.0 / 320.0 == 2.5  # conductance ratio equals the width ratio exactly
@@ -76,7 +82,7 @@ def test_criterion_3_linearity():
     with criterion("3", "linearity: shift exactly linear in P and in T^2 - T_ref^2"):
         slope_ref = ALPHA * PM.beta_k2_per_mw
         for p in np.linspace(0.05, 3.0, 60):
-            slope = shift_from_power(PM, QD, float(p)) / p
+            slope = shift_at_power(PM, float(p)) / p
             assert abs(slope / slope_ref - 1.0) < 1e-12
         for t in np.linspace(10.5, 40.0, 60):
             coeff = qd_shift(QD, float(t), 10.0) / (t**2 - 100.0)
@@ -138,14 +144,13 @@ def test_criterion_4d_pad_temperature_band(fig1b_report):
 def test_criterion_5_inverse_solvers():
     with criterion("5", "inverse solvers: round trip 1e-9, quarter-nm alignment, "
                         "crosstalk solve matches linear algebra"):
-        import warnings as _warnings
-
+        # tune's plan for one structure takes each shift back to its power
         p_top = QD.max_shift_nm / (ALPHA * PM.beta_k2_per_mw)
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", control.RolloffWarning)
-            for p in np.linspace(0.0, p_top, 100):
-                back = power_for_shift(PM, QD, shift_from_power(PM, QD, float(p)))
-                assert abs(back - p) <= 1e-9 * max(p, 1.0)
+        for p in np.linspace(0.0, p_top, 100):
+            target = QD.lambda0_nm + shift_at_power(PM, float(p))
+            plan = align_multi([PM], None, [("main", QD, target)])
+            assert plan.feasible
+            assert abs(plan.powers_mw["main"] - p) <= 1e-9 * max(p, 1.0)
 
         cav = CavityState(930.0, q0=9000.0)
         qd = QDState("QD1", 929.75)

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -8,24 +7,33 @@ from hypothesis import strategies as st
 
 from qdtuner import control
 from qdtuner.control import (
+    POWER_ANCHOR_MW,
+    SHIFT_ANCHOR_NM,
     Crosstalk,
     PowerMap,
     PowerRangeError,
-    RolloffWarning,
     align_multi,
     align_qd_to_cavity,
     beta_for_width,
     calibrate_beta,
-    default_power_map,
-    power_for_shift,
-    shift_from_power,
     temperature_from_power,
 )
-from qdtuner.spectral import CavityState, QDState, TuningRangeExceeded
+from qdtuner.spectral import CavityState, QDState, TuningRangeExceeded, qd_intensity, qd_shift
 
 QD = QDState("QD1", 927.0)
 ALPHA = QD.alpha_nm_per_k2
-PM = default_power_map()
+# the map of a scenario whose calibration block is absent: the 1.4 nm @ 3 mW anchor
+PM = PowerMap("main", 10.0, calibrate_beta(SHIFT_ANCHOR_NM, POWER_ANCHOR_MW, ALPHA))
+
+
+def _shift(pm, qd, p_mw):
+    """The dot's shift at incident power p_mw as sweep computes it."""
+    return qd_shift(qd, temperature_from_power(pm, p_mw), pm.t_bath_k)
+
+
+def _plan(pm, qd, shift_nm, tol_nm=1e-6):
+    """tune's qd-to-qd plan for one structure whose dot is to shift by shift_nm."""
+    return align_multi([pm], None, [(pm.structure_id, qd, qd.lambda0_nm + shift_nm)], tol_nm=tol_nm)
 
 
 def test_calibrate_beta_from_anchor():
@@ -37,7 +45,7 @@ def test_calibrate_beta_from_anchor():
 def test_calibrate_beta_round_trip():
     beta = calibrate_beta(0.9, 2.2, ALPHA)
     pm = PowerMap("s", 10.0, beta)
-    assert math.isclose(shift_from_power(pm, QD, 2.2), 0.9, rel_tol=1e-12)
+    assert math.isclose(_shift(pm, QD, 2.2), 0.9, rel_tol=1e-12)
 
 
 def test_calibrate_beta_rejects_nonpositive_inputs():
@@ -76,65 +84,66 @@ def test_temperature_strictly_increasing():
 
 
 def test_shift_from_power_anchor_and_zero():
-    assert shift_from_power(PM, QD, 0.0) == 0.0
-    assert math.isclose(shift_from_power(PM, QD, 3.0), 1.4, rel_tol=1e-12)
+    assert _shift(PM, QD, 0.0) == 0.0
+    assert math.isclose(_shift(PM, QD, 3.0), 1.4, rel_tol=1e-12)
 
 
 def test_shift_from_power_wide_bridges():
     beta_800 = beta_for_width(PM.beta_k2_per_mw, 320.0, 800.0, calibration="measured")
     pm_800 = PowerMap("w800", 10.0, beta_800)
-    assert math.isclose(shift_from_power(pm_800, QD, 3.0), 1.4 / 2.65, rel_tol=1e-12)
+    assert math.isclose(_shift(pm_800, QD, 3.0), 1.4 / 2.65, rel_tol=1e-12)
     assert math.isclose(1.4 / 2.65, 0.5283, abs_tol=1e-4)
 
 
 def test_shift_from_power_exactly_linear():
-    shifts = [shift_from_power(PM, QD, p) for p in np.linspace(0.1, 3.0, 30)]
+    shifts = [_shift(PM, QD, p) for p in np.linspace(0.1, 3.0, 30)]
     slopes = [s / p for s, p in zip(shifts, np.linspace(0.1, 3.0, 30))]
     ref = ALPHA * PM.beta_k2_per_mw
     assert all(abs(s - ref) <= 1e-12 * ref for s in slopes)
 
 
 def test_shift_from_power_range_guard():
+    # sweep's spectrum refuses a dot driven past its range
     with pytest.raises(TuningRangeExceeded):
-        shift_from_power(PM, QD, 3.9)  # 1.82 nm, past the 1.8 nm limit
+        qd_intensity(QD, temperature_from_power(PM, 3.9), PM.t_bath_k)  # 1.82 nm, past the 1.8 nm limit
 
 
 def test_power_for_shift_zero_target():
-    assert power_for_shift(PM, QD, 0.0) == 0.0
+    sol = _plan(PM, QD, 0.0)
+    assert sol.feasible and sol.powers_mw["main"] == 0.0 and sol.iterations == 0
 
 
 def test_power_for_shift_anchor_target():
-    assert math.isclose(power_for_shift(PM, QD, 1.4), 3.0, rel_tol=1e-12)
+    assert math.isclose(_plan(PM, QD, 1.4).powers_mw["main"], 3.0, rel_tol=1e-12)
 
 
 def test_power_for_shift_full_range_warns():
-    with pytest.warns(RolloffWarning):
-        p = power_for_shift(PM, QD, 1.8)
-    assert math.isclose(p, 3.857142857142858, rel_tol=1e-12)
-    # a forward round trip of this closed form lands one ulp past the 1.8 nm range
-    with pytest.warns(RolloffWarning):
-        p = power_for_shift(PowerMap("m", 10.0, 301.0, 10.0), QD, 1.8)
-    assert p == 1.8 / (ALPHA * 301.0)
+    sol = _plan(PM, QD, 1.8)
+    assert sol.feasible and sol.warnings == ("dot on 'main' driven past the intensity roll-off",)
+    assert math.isclose(sol.powers_mw["main"], 3.857142857142858, rel_tol=1e-12)
+    # the top power of this map lands a shift one ulp past the 1.8 nm range,
+    # which sweep's spectrum accepts as float dust
+    pm = PowerMap("m", 10.0, 301.0, 10.0)
+    t_top = temperature_from_power(pm, 1.8 / (ALPHA * 301.0))
+    assert qd_shift(QD, t_top, pm.t_bath_k) > QD.max_shift_nm
+    assert math.isclose(qd_intensity(QD, t_top, pm.t_bath_k), 0.1)  # the floor
 
 
 def test_power_for_shift_rejects_out_of_range_targets():
-    with pytest.raises(TuningRangeExceeded, match="tuning range exceeded"):
-        power_for_shift(PM, QD, 1.9)
-    with pytest.raises(ValueError):
-        power_for_shift(PM, QD, -0.2)
-    tight = PowerMap("s", 10.0, PM.beta_k2_per_mw, p_max_mw=2.0)
-    with pytest.raises(PowerRangeError):
-        power_for_shift(tight, QD, 1.4)
+    for shift, why in ((1.9, "exceeds the 1.8 nm tuning range"), (-0.2, "blue of the dot")):
+        sol = _plan(PM, QD, shift)
+        assert not sol.feasible and why in sol.warnings[0]
+    tight = PowerMap("main", 10.0, PM.beta_k2_per_mw, p_max_mw=2.0)
+    sol = _plan(tight, QD, 1.4)
+    assert not sol.feasible and "needs 3 mW (allowed 0..2 mW)" in sol.warnings[-1]
 
 
 def test_power_shift_round_trip():
     p_top = 1.8 / (ALPHA * PM.beta_k2_per_mw)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RolloffWarning)
-        for p in np.linspace(0.0, p_top, 100):
-            shift = shift_from_power(PM, QD, float(p))
-            back = power_for_shift(PM, QD, shift)
-            assert abs(back - p) <= 1e-9 * max(p, 1.0)
+    for p in np.linspace(0.0, p_top, 100):
+        sol = _plan(PM, QD, _shift(PM, QD, float(p)))
+        assert sol.feasible
+        assert abs(sol.powers_mw["main"] - p) <= 1e-9 * max(p, 1.0)
 
 
 def test_width_scaling_ratios():

@@ -6,19 +6,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIGS, DEVICES, rounding_pitches
+from conftest import CONFIGS, DEVICES, layouts_and_pitches, rounding_pitches
 from qdtuner import cli, device
 from qdtuner.config import load_device
 from qdtuner.device import (
     Bridges,
-    DeviceLayout,
     GridError,
     HeatingPad,
     LayoutError,
-    MaterialModel,
     Membrane,
     ThermalGrid,
     default_layout,
@@ -312,57 +310,25 @@ def test_a_pad_on_the_top_edge_keeps_its_row(tmp_path):
     assert json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["converged"] is True
 
 
-@st.composite
-def _layouts_and_pitches(draw):
-    """A valid layout as load_device builds one, and a pitch it rasterizes at:
-    1-9 bridges spread over the long edges, as wide as the layout allows (the
-    spacing of the bottom edge's n bridges, L / (n + 1), or L for n = 1), any
-    pad, uniform or gaussian, inside the membrane, on its edges too, and any
-    body scale. The pitch runs from the one that caps the grid near 20,000
-    cells up to the smallest feature; half the draws take one of
-    rounding_pitches, where a membrane edge, and a pad on it, lies on a cell
-    centre."""
-    f = st.floats(min_value=0.0, max_value=1.0)
-    membrane = Membrane(
-        length_um=draw(st.floats(min_value=0.5, max_value=12.0)),
-        width_um=draw(st.floats(min_value=0.5, max_value=4.0)),
-    )
-    length, width = membrane.length_um, membrane.width_um
-    count = draw(st.integers(min_value=1, max_value=9))
-    n = (count + 1) // 2
-    bridges = Bridges(
-        count,
-        draw(st.floats(min_value=50.0, max_value=1e3 * length / (n + 1 if n > 1 else 1))),
-        draw(st.floats(min_value=0.05, max_value=3.0)),
-    )
-    w, h = (0.05 + 0.95 * draw(f)) * length, (0.05 + 0.95 * draw(f)) * width
-    x, y = draw(f) * (length - w), draw(f) * (width - h)
-    assume(x + w <= length and y + h <= width)  # lost to rounding
-    pad = HeatingPad(
-        x_um=x,
-        y_um=y,
-        w_um=w,
-        h_um=h,
-        profile=draw(st.sampled_from(["uniform", "gaussian"])),
-        sigma_um=draw(st.floats(min_value=1e-3, max_value=10.0)),
-    )
-    layout = DeviceLayout(
-        membrane, bridges, pad, MaterialModel(), body_kappa_scale=draw(st.floats(min_value=0.1, max_value=10.0))
-    )
-    feature = min(bridges.width_um, w, h)
-    finest = math.sqrt(length * (width + 2.0 * bridges.length_um) / 20_000)
-    assume(finest <= feature)
-    halves = [dx for dx in rounding_pitches(layout) if finest <= dx <= feature]
-    if halves and draw(st.booleans()):
-        return layout, draw(st.sampled_from(halves))
-    return layout, finest + draw(f) * (feature - finest)
+def _device_json(layout):
+    """The device file that load_device reads back as layout."""
+    m, b, pad, mat = layout.membrane, layout.bridges, layout.pad, layout.material
+    return {
+        "membrane": {"length_um": m.length_um, "width_um": m.width_um, "thickness_nm": m.thickness_nm},
+        "bridges": {"count": b.count, "width_nm": b.width_nm, "length_um": b.length_um},
+        "pad": {"x_um": pad.x_um, "y_um": pad.y_um, "w_um": pad.w_um, "h_um": pad.h_um,
+                "profile": pad.profile, "sigma_um": pad.sigma_um},
+        "material": {"kappa_ref": mat.kappa_ref_w_per_k_cm, "t_ref": mat.t_ref_k, "exponent": mat.exponent,
+                     "body_scale": layout.body_kappa_scale},
+    }
 
 
 @settings(max_examples=150, deadline=None)
-@example(case=(_TOP_EDGE_PAD, 0.3), power_w=1e-5)
-@given(case=_layouts_and_pitches(), power_w=st.floats(min_value=1e-9, max_value=1e-5))
-def test_rasterize_over_the_layout_space(case, power_w):
+@example(case=(_TOP_EDGE_PAD, 0.3), power_mw=0.01)
+@given(case=layouts_and_pitches(), power_mw=st.floats(min_value=1e-6, max_value=1e-2))
+def test_rasterize_over_the_layout_space(tmp_path_factory, case, power_mw):
     layout, dx = case
+    power_w = power_mw * 1e-3  # as tuner thermal converts it
     m, b, pad = layout.membrane, layout.bridges, layout.pad
     feature = min(b.width_um, pad.w_um, pad.h_um)
     with pytest.raises(LayoutError, match="dx too coarse"):
@@ -411,3 +377,11 @@ def test_rasterize_over_the_layout_space(case, power_w):
             assert energy_residual(field) <= 1e-3
             assert float(np.nanmin(field.t_k)) >= g.t_bath_k - 1e-9
             assert np.max(field.t_k[g.source_w > 0.0]) == np.nanmax(field.t_k)
+        # the same input through tuner thermal, as a device file: exit 0 with
+        # converged: true, or 3, as the solve above ended
+        work = tmp_path_factory.mktemp("layout")
+        (work / "device.json").write_text(json.dumps(_device_json(layout)), encoding="utf-8")
+        argv = ["thermal", str(work / "device.json"), "--dx-um", repr(dx), "--power-abs-mw", repr(power_mw)]
+        code = cli.main([*argv, "--out", str(work / "out")])
+        assert code == (0 if report.converged else 3)
+        assert json.loads((work / "out" / "report.json").read_text(encoding="utf-8"))["converged"] is (code == 0)

@@ -36,12 +36,14 @@ RUNS = {
 }
 
 # optional keys absent from the shipped files, set to valid values so that
-# their leaves are mutated too: the quality floor, and the crosstalk matrix
-# as its diagonal of the two structures' betas
+# their leaves are mutated too: the quality floor, the crosstalk matrix as
+# its diagonal of the two structures' betas, and a dot's linewidth slope and
+# intensity at their defaults
 _BETA = control.calibrate_beta(1.4, 3.0, spectral.DEFAULT_ALPHA_NM_PER_K2)
 OPTIONAL = {
     "fig4.json": lambda raw: raw["tune"].update(min_q=1.0),
     "qd_pair.json": lambda raw: raw.update(crosstalk_k2_per_mw=[[_BETA, 0.0], [0.0, _BETA]]),
+    "device_w320_qd.json": lambda raw: raw["qds"][0].update(fwhm_slope=spectral.DEFAULT_FWHM_SLOPE, base_intensity=1.0),
 }
 
 
@@ -192,6 +194,10 @@ QD_PAIR = RUNS["qd_pair.json"][0]
         # quality factor that rises with temperature
         pytest.param(POWER_ANCHORS, None, ("power_anchors",), [[1, 1e308], [2, 1e308]], 2, id="fit-overflows"),
         pytest.param(FIG2A, "device_w320_qd.json", ("qds", 0, "rolloff_shift_nm"), 2.0, 2, id="rolloff-over-max"),
+        # a linewidth that turns negative within the dot's range, and a
+        # negative intensity
+        pytest.param(FIG2A, "device_w320_qd.json", ("qds", 0, "fwhm_slope"), -0.1, 2, id="fwhm-slope-neg"),
+        pytest.param(FIG2A, "device_w320_qd.json", ("qds", 0, "base_intensity"), -1, 2, id="base-intensity-neg"),
         pytest.param(FIG2A, "device_w320_cavity.json", ("cavity", "q_slope"), -1, 2, id="q-slope-neg"),
         pytest.param(QD_PAIR, None, ("structures", 1, "id"), "A", 2, id="duplicate-structure-ids"),
     ],

@@ -238,3 +238,25 @@ def test_state_invariants():
         CavityState(930.0, q0=0.0)
     with pytest.raises(ValueError):
         CavityState(930.0, shift_ratio=1.0)
+
+
+def test_a_dot_s_linewidth_is_positive_at_every_shift_it_accepts():
+    # fwhm0 + slope * shift: negative inside the 1.8 nm range, 0 at its top,
+    # and positive at the top but negative in the float dust past it that
+    # qd_intensity accepts
+    for fwhm0, slope in ((0.04, -0.1), (0.04, -0.04 / 1.8), (1.8, -1.0 / (1.0 + 5e-13))):
+        with pytest.raises(ValueError, match="linewidth"):
+            QDState("q", 927.0, fwhm0_nm=fwhm0, fwhm_slope=slope)
+    qd = QDState("q", 927.0, fwhm_slope=-0.04 / 1.8 / (1.0 + 1e-9))
+    t_top = temperature_for_shift(1.8 * (1.0 + 1e-12))
+    assert qd_linewidth(qd, t_top, 10.0) > 0.0 and qd_intensity(qd, t_top, 10.0) > 0.0
+    for fwhm0 in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            QDState("q", 927.0, fwhm0_nm=fwhm0)
+
+
+def test_a_dot_s_intensity_is_not_negative():
+    for base in (-1.0, -1e-300, math.nan):
+        with pytest.raises(ValueError, match="intensity"):
+            QDState("q", 927.0, base_intensity=base)
+    assert qd_intensity(QDState("q", 927.0, base_intensity=0.0), 10.0, 10.0) == 0.0
