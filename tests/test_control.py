@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -324,6 +327,19 @@ def test_crosstalk_validation():
     with pytest.raises(ValueError, match="off-diagonal"):
         Crosstalk(("A", "B"), np.array([[beta, np.nan], [0.0, beta]])).validate(maps)
     Crosstalk.diagonal(maps).validate(maps)
+    # rows are checked in order, each its diagonal first: the first row with
+    # a violation names it, wherever a later row breaks the other rule
+    maps = [PowerMap(sid, 10.0, beta) for sid in "ABC"]
+    for x, message in (
+        ([[beta, beta, 0.0], [0.0, 0.5 * beta, 0.0], [0.0, 0.0, beta]], "off-diagonal crosstalk"),
+        ([[beta, 0.0, 0.0], [0.0, 0.5 * beta, 0.0], [0.0, 0.0, np.nan]], "crosstalk diagonal"),
+        ([[2.0 * beta, 0.0, 0.0], [-1.0, beta, 0.0], [0.0, 0.0, beta]], "crosstalk diagonal"),
+        ([[beta, 0.0, 0.0], [np.nan, 2.0 * beta, 0.0], [0.0, 0.0, beta]], "crosstalk diagonal"),
+        ([[beta, 0.0, 0.0], [0.0, beta, np.nan], [beta, 0.0, 0.0]], "off-diagonal crosstalk"),
+        ([[beta, 0.0, 0.0], [0.0, beta, 0.0], [0.0, 1.5 * beta, beta]], "off-diagonal crosstalk"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Crosstalk(tuple("ABC"), np.array(x)).validate(maps)
 
 
 def test_power_map_invariants():
@@ -331,3 +347,85 @@ def test_power_map_invariants():
         PowerMap("s", 10.0, -1.0)
     with pytest.raises(ValueError):
         PowerMap("s", 0.0, 388.9)
+
+
+# sha256 of the repr of dataclasses.asdict of every plan of _pinned_chips,
+# one line each; float reprs are platform-stable, as GOLDEN_DIGESTS assumes
+PINNED_PLANS_DIGEST = "63d1e701c7292d0bd8952930dc58220577e68e9b7bc5099f6e3105ba50375e83"
+
+
+def _pinned_chips(count=400, seed=35):
+    """Seeded chips of 1-8 structures, each an (args, kwargs) call of align_multi.
+
+    They take every exit of a plan: blue targets, shifts beyond the tuning
+    range, powers over p_max, a singular block that Crosstalk.validate
+    accepts, subsets of targets, plans that need no shift, and crosstalk up
+    to validate's limit."""
+    rng = random.Random(seed)
+    beta0 = PM.beta_k2_per_mw
+    singular = 400.0 * np.array([[1.0, 0.75, 0.0], [0.75, 1.0, 0.875], [0.0, 0.5, 1.0]])
+    for _ in range(count):
+        if rng.random() < 0.08:
+            ids = ("A", "B", "C")
+            maps = [PowerMap(sid, 10.0, 400.0, rng.uniform(0.5, 6.0)) for sid in ids]
+            crosstalk = Crosstalk(ids, singular)
+        else:
+            n = rng.randint(1, 8)
+            ids = tuple(f"S{i}" for i in range(n))
+            maps = [PowerMap(sid, rng.uniform(4.0, 12.0), beta0 * rng.uniform(0.5, 2.0), rng.choice((0.3, 2.0, 4.0, 6.0)))
+                    for sid in ids]
+            kind = rng.random()
+            if kind < 0.2:
+                crosstalk = None
+            else:
+                strength = 1.0 if kind > 0.9 else rng.random()
+                rows = []
+                for i, pm in enumerate(maps):
+                    b = pm.beta_k2_per_mw
+                    rows.append([b if j == i else math.nextafter(b, 0.0) if strength == 1.0 and rng.random() < 0.3
+                                 else b * strength * rng.random() for j in range(n)])
+                crosstalk = Crosstalk(ids, np.array(rows))
+        targeted = [sid for sid in ids if rng.random() < 0.6] if rng.random() < 0.3 else list(ids)
+        rng.shuffle(targeted)
+        # half the chips aim at the shifts of known powers within p_max
+        x = (crosstalk or Crosstalk.diagonal(maps)).matrix_k2_per_mw
+        index = {sid: i for i, sid in enumerate(ids)}
+        p_star = {index[sid]: rng.uniform(0.0, 0.9 * min(maps[index[sid]].p_max_mw, 1.0 / len(targeted))) for sid in targeted}
+        from_powers = rng.random() < 0.5
+        targets = []
+        for sid in targeted:
+            qd = QDState(sid.lower(), rng.uniform(926.0, 928.0), alpha_nm_per_k2=ALPHA * rng.uniform(0.8, 1.25))
+            u = rng.random()
+            if u < 0.04:
+                shift = -rng.uniform(1e-6, 0.5)
+            elif u < 0.08:
+                shift = qd.max_shift_nm + rng.uniform(1e-6, 1.0)
+            elif from_powers:
+                shift = qd.alpha_nm_per_k2 * sum(x[index[sid], j] * p for j, p in p_star.items())
+            elif u < 0.2:
+                shift = 0.0
+            elif u < 0.3:
+                shift = rng.uniform(qd.rolloff_shift_nm, qd.max_shift_nm)
+            else:
+                shift = rng.uniform(0.0, 0.6)
+            targets.append((sid, qd, qd.lambda0_nm + shift))
+        tol = rng.choice((1e-6, 1e-9))
+        yield (maps, crosstalk, targets), {"tol_nm": tol}
+
+
+def test_pinned_chip_plans_are_unchanged():
+    lines, kinds = [], set()
+    for args, kwargs in _pinned_chips():
+        sol = align_multi(*args, **kwargs)
+        lines.append(repr(dataclasses.asdict(sol)))
+        maps, _, targets = args
+        kinds.add("feasible" if sol.feasible else "infeasible")
+        kinds.update(k for k, s in (("blue", "blue of the dot"), ("range", "tuning range"), ("power", "needs"),
+                                    ("singular", "singular"), ("rolloff", "roll-off")) if any(s in w for w in sol.warnings))
+        if 0 < len(targets) < len(maps):
+            kinds.add("subset")
+        if sol.iterations == 0 and targets and sol.feasible:
+            kinds.add("no shift")
+    assert kinds == {"feasible", "infeasible", "blue", "range", "power", "singular", "rolloff", "subset", "no shift"}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_PLANS_DIGEST
