@@ -123,14 +123,14 @@ class Crosstalk:
         return Crosstalk(ids, np.diag([pm.beta_k2_per_mw for pm in maps]))
 
     def validate(self, maps: list[PowerMap] | tuple[PowerMap, ...]) -> "Crosstalk":
-        m = self.matrix_k2_per_mw
-        for i, pm in enumerate(maps):
-            if m[i, i] != pm.beta_k2_per_mw:
+        """Check the matrix against the maps of the same structures, in order."""
+        if [pm.structure_id for pm in maps] != list(self.structure_ids):
+            raise ValueError("crosstalk structure order must match the power maps")
+        for i, (pm, row) in enumerate(zip(maps, self.matrix_k2_per_mw.tolist())):
+            if row[i] != pm.beta_k2_per_mw:
                 raise ValueError("crosstalk diagonal must equal the structure betas")
-            for j in range(len(maps)):
-                if i == j:
-                    continue
-                if not 0.0 <= m[i, j] < m[i, i]:  # also rejects NaN
+            for j, v in enumerate(row):
+                if j != i and not 0.0 <= v < row[i]:  # also rejects NaN
                     raise ValueError("off-diagonal crosstalk must be >= 0 and below the diagonal")
         return self
 
@@ -174,7 +174,7 @@ def align_qd_to_cavity(
     min_q optionally marks solutions infeasible when heating has degraded the
     cavity below that quality factor.
     """
-    if tol_nm <= 0.0:
+    if not tol_nm > 0.0:
         raise ValueError("tol must be positive")
     delta0 = cav.lambda0_nm - qd.lambda0_nm
     sid = pm.structure_id
@@ -248,32 +248,27 @@ def align_multi(
     [0, p_max] makes the plan infeasible, unless no targeted dot needs any
     shift: then no solve runs. `iterations` counts linear solves.
     """
-    if tol_nm <= 0.0:
+    if not tol_nm > 0.0:
         raise ValueError("tol must be positive")
     maps = list(maps)
     ids = [pm.structure_id for pm in maps]
     if crosstalk is None:
         crosstalk = Crosstalk.diagonal(maps)
     crosstalk.validate(maps)
-    if list(crosstalk.structure_ids) != ids:
-        raise ValueError("crosstalk structure order must match the power maps")
-    by_id = {pm.structure_id: (i, pm) for i, pm in enumerate(maps)}
-    seen: set[str] = set()
-    for sid, _, _ in targets:
-        if sid not in by_id:
+    index = {sid: i for i, sid in enumerate(ids)}
+    chosen: dict[int, tuple[str, QDState, float]] = {}
+    for sid, qd, target_lambda in targets:
+        if sid not in index:
             raise ValueError(f"unknown structure {sid!r}")
-        if sid in seen:
+        if index[sid] in chosen:
             raise ValueError(f"more than one target for structure {sid!r}")
-        seen.add(sid)
+        chosen[index[sid]] = (sid, qd, target_lambda)
 
     n = len(maps)
     x = crosstalk.matrix_k2_per_mw
-    targeted = np.zeros(n, dtype=bool)
-    delta_t2 = np.zeros(n)
-    qd_by_index: dict[int, tuple[QDState, float]] = {}
+    delta_t2: dict[int, float] = {}
     notes: list[str] = []
-    for sid, qd, target_lambda in targets:
-        i, pm = by_id[sid]
+    for i, (sid, qd, target_lambda) in chosen.items():
         shift = target_lambda - qd.lambda0_nm
         if shift < 0.0:
             return _infeasible_multi(
@@ -287,45 +282,44 @@ def align_multi(
             )
         if shift > qd.rolloff_shift_nm:
             notes.append(f"dot on {sid!r} driven past the intensity roll-off")
-        targeted[i] = True
         delta_t2[i] = shift / qd.alpha_nm_per_k2
-        qd_by_index[i] = (qd, target_lambda)
 
-    sub = np.flatnonzero(targeted)
+    sub = sorted(delta_t2)
     powers = np.zeros(n)
     # with every targeted dot already in place, P = 0 is exact even for a
     # singular block
-    solved = bool(delta_t2.any())
+    solved = any(delta_t2.values())
     if solved:
+        block = x if len(sub) == n else x[np.ix_(sub, sub)]
         try:
-            powers[sub] = np.linalg.solve(x[np.ix_(sub, sub)], delta_t2[sub])
+            powers[sub] = np.linalg.solve(block, [delta_t2[i] for i in sub])
         except np.linalg.LinAlgError:
             return _infeasible_multi(
                 ids, "infeasible chip plan: crosstalk matrix of the targeted structures is singular"
             )
 
     feasible = True
-    for i, pm in enumerate(maps):
-        if not -1e-12 <= powers[i] <= pm.p_max_mw:  # also catches NaN
+    for pm, p in zip(maps, powers.tolist()):
+        if not -1e-12 <= p <= pm.p_max_mw:  # also catches NaN
             notes.append(
                 f"infeasible chip plan: structure {pm.structure_id!r} needs "
-                f"{powers[i]:.4g} mW (allowed 0..{pm.p_max_mw:.4g} mW)"
+                f"{p:.4g} mW (allowed 0..{pm.p_max_mw:.4g} mW)"
             )
             feasible = False
     powers = np.maximum(powers, 0.0)
 
     detunings: dict[str, float] = {}
     residual = 0.0
-    for i, pm in enumerate(maps):
+    for i in sub:
+        pm = maps[i]
+        _, qd, target_lambda = chosen[i]
         t2 = pm.t_bath_k**2 + float(x[i] @ powers)
-        if i in qd_by_index:
-            qd, target_lambda = qd_by_index[i]
-            achieved = qd.lambda0_nm + qd.alpha_nm_per_k2 * (t2 - pm.t_bath_k**2)
-            detunings[pm.structure_id] = achieved - target_lambda
-            residual = max(residual, abs(achieved - target_lambda))
+        achieved = qd.lambda0_nm + qd.alpha_nm_per_k2 * (t2 - pm.t_bath_k**2)
+        detunings[pm.structure_id] = achieved - target_lambda
+        residual = max(residual, abs(achieved - target_lambda))
     feasible = feasible and residual <= tol_nm
     return TuningSolution(
-        powers_mw={ids[i]: float(powers[i]) for i in range(n)},
+        powers_mw=dict(zip(ids, powers.tolist())),
         detunings_nm=detunings,
         residual_nm=residual,
         feasible=feasible,

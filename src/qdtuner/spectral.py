@@ -56,6 +56,8 @@ class QDState:
     max_shift_nm: float = DEFAULT_MAX_SHIFT_NM
 
     def __post_init__(self) -> None:
+        if not self.lambda0_nm > 0.0:
+            raise ValueError("dot wavelength must be positive")
         if self.alpha_nm_per_k2 <= 0.0:
             raise ValueError("alpha must be positive (dots red-shift with temperature)")
         if not 0.0 < self.rolloff_shift_nm <= self.max_shift_nm:

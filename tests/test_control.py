@@ -349,6 +349,27 @@ def test_power_map_invariants():
         PowerMap("s", 0.0, 388.9)
 
 
+def test_align_multi_refuses_a_crosstalk_of_other_structures():
+    # the structures are compared before the matrix is read, so a matrix
+    # smaller than the map list is refused, not indexed past its end
+    beta = PM.beta_k2_per_mw
+    maps = [PowerMap(sid, 10.0, beta) for sid in "ABC"]
+    targets = [("A", QDState("a", 927.0), 927.1)]
+    for ids in (("A", "B"), ("A", "C", "B")):
+        crosstalk = Crosstalk(ids, beta * np.eye(len(ids)))
+        with pytest.raises(ValueError, match="structure order must match"):
+            align_multi(maps, crosstalk, targets)
+
+
+def test_a_nan_tolerance_is_refused():
+    cav = CavityState(927.3)
+    for tol in (0.0, -1e-6, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            align_multi([PM], None, [("main", QD, 927.1)], tol_nm=tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            align_qd_to_cavity(PM, QD, cav, tol_nm=tol)
+
+
 # sha256 of the repr of dataclasses.asdict of every plan of _pinned_chips,
 # one line each; float reprs are platform-stable, as GOLDEN_DIGESTS assumes
 PINNED_PLANS_DIGEST = "63d1e701c7292d0bd8952930dc58220577e68e9b7bc5099f6e3105ba50375e83"

@@ -198,6 +198,9 @@ QD_PAIR = RUNS["qd_pair.json"][0]
         # negative intensity
         pytest.param(FIG2A, "device_w320_qd.json", ("qds", 0, "fwhm_slope"), -0.1, 2, id="fwhm-slope-neg"),
         pytest.param(FIG2A, "device_w320_qd.json", ("qds", 0, "base_intensity"), -1, 2, id="base-intensity-neg"),
+        # a dot at a wavelength of zero or below
+        pytest.param(FIG2A, "device_w320_qd.json", ("qds", 0, "lambda0_nm"), -1, 2, id="qd-lambda-neg"),
+        pytest.param(FIG2A, "device_w320_qd.json", ("qds", 0, "lambda0_nm"), 0, 2, id="qd-lambda-0"),
         pytest.param(FIG2A, "device_w320_cavity.json", ("cavity", "q_slope"), -1, 2, id="q-slope-neg"),
         pytest.param(QD_PAIR, None, ("structures", 1, "id"), "A", 2, id="duplicate-structure-ids"),
     ],

@@ -255,6 +255,12 @@ def test_a_dot_s_linewidth_is_positive_at_every_shift_it_accepts():
             QDState("q", 927.0, fwhm0_nm=fwhm0)
 
 
+def test_a_dot_s_wavelength_is_positive():
+    for lambda0 in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="dot wavelength must be positive"):
+            QDState("q", lambda0)
+
+
 def test_a_dot_s_intensity_is_not_negative():
     for base in (-1.0, -1e-300, math.nan):
         with pytest.raises(ValueError, match="intensity"):
