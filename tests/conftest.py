@@ -78,7 +78,8 @@ def layouts_and_pitches(draw):
     halves = [dx for dx in rounding_pitches(layout) if finest <= dx <= feature]
     if halves and draw(st.booleans()):
         return layout, draw(st.sampled_from(halves))
-    return layout, finest + draw(f) * (feature - finest)
+    # finest + 1.0 * (feature - finest) can round one ulp past the feature
+    return layout, min(finest + draw(f) * (feature - finest), feature)
 
 
 @pytest.fixture(scope="session")
