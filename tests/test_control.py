@@ -393,8 +393,10 @@ def _pinned_chips(count=400, seed=35):
         else:
             n = rng.randint(1, 8)
             ids = tuple(f"S{i}" for i in range(n))
-            maps = [PowerMap(sid, rng.uniform(4.0, 12.0), beta0 * rng.uniform(0.5, 2.0), rng.choice((0.3, 2.0, 4.0, 6.0)))
-                    for sid in ids]
+            maps = [
+                PowerMap(sid, rng.uniform(4.0, 12.0), beta0 * rng.uniform(0.5, 2.0), rng.choice((0.3, 2.0, 4.0, 6.0)))
+                for sid in ids
+            ]
             kind = rng.random()
             if kind < 0.2:
                 crosstalk = None
@@ -411,7 +413,10 @@ def _pinned_chips(count=400, seed=35):
         # half the chips aim at the shifts of known powers within p_max
         x = (crosstalk or Crosstalk.diagonal(maps)).matrix_k2_per_mw
         index = {sid: i for i, sid in enumerate(ids)}
-        p_star = {index[sid]: rng.uniform(0.0, 0.9 * min(maps[index[sid]].p_max_mw, 1.0 / len(targeted))) for sid in targeted}
+        p_star = {
+            index[sid]: rng.uniform(0.0, 0.9 * min(maps[index[sid]].p_max_mw, 1.0 / len(targeted)))
+            for sid in targeted
+        }
         from_powers = rng.random() < 0.5
         targets = []
         for sid in targeted:
@@ -441,8 +446,10 @@ def test_pinned_chip_plans_are_unchanged():
         lines.append(repr(dataclasses.asdict(sol)))
         maps, _, targets = args
         kinds.add("feasible" if sol.feasible else "infeasible")
-        kinds.update(k for k, s in (("blue", "blue of the dot"), ("range", "tuning range"), ("power", "needs"),
-                                    ("singular", "singular"), ("rolloff", "roll-off")) if any(s in w for w in sol.warnings))
+        for kind, note in (("blue", "blue of the dot"), ("range", "tuning range"), ("power", "needs"),
+                           ("singular", "singular"), ("rolloff", "roll-off")):
+            if any(note in w for w in sol.warnings):
+                kinds.add(kind)
         if 0 < len(targets) < len(maps):
             kinds.add("subset")
         if sol.iterations == 0 and targets and sol.feasible:
