@@ -3,11 +3,7 @@
 Every command reads JSON configs, writes CSV/JSON artifacts into --out and
 uses exit codes 0 (success), 2 (config error), 3 (solver failure) and
 4 (infeasible tuning). Outputs are deterministic: fixed float formatting,
-no timestamps. A sweep that keeps two spectra or more, of at least
-SPLIT_MIN_ROWS rows in all, hands the second half of its spectra to
-config.write_bytes as the tail of spectra.csv, which a forked
-child formats on a second core when there is one; the child never outlives
-the command, and the bytes do not depend on it.
+no timestamps.
 """
 
 from __future__ import annotations
@@ -32,12 +28,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INFEASIBLE = 4
-
-# Least spectra.csv rows for which a forked child formats the second half.
-# fork + waitpid take about 4 ms in a tuner process of 30-110 MB, and after
-# the fork each process copies every page it writes to: on 2 cores a split
-# sweep broke even with an unsplit one at about 40k rows and won from 50k.
-SPLIT_MIN_ROWS = 50_000
 
 
 @functools.cache
@@ -274,16 +264,10 @@ def cmd_sweep(args) -> int:
     # b'%.9g' % v is exactly format(v, '.9g').encode(); the power is digits,
     # sign, '.' and 'e', so it holds no '%' of its own. One chunk per spectrum,
     # formatted as it is written.
-    def spectra(rows):
-        return ((power + power.join(row_tails)) % tuple(intensities.tolist()) for power, intensities in rows)
-
-    split = len(spectra_rows) >= 2 and len(spectra_rows) * sp.samples >= SPLIT_MIN_ROWS
-    half = (len(spectra_rows) + 1) // 2 if split else len(spectra_rows)
-    cfg.write_bytes(
-        itertools.chain([b"power_mw,lambda_nm,intensity\n"], spectra(spectra_rows[:half])),
-        out / "spectra.csv",
-        tail=spectra(spectra_rows[half:]) if split else None,
+    spectra = (
+        (power + power.join(row_tails)) % tuple(intensities.tolist()) for power, intensities in spectra_rows
     )
+    cfg.write_bytes(itertools.chain([b"power_mw,lambda_nm,intensity\n"], spectra), out / "spectra.csv")
     cfg.write_bytes([b"power_mw,kind,label,center_nm,fwhm_nm,height\n", b"".join(track)], out / "peaks.csv")
     for msg in skipped:
         print(f"warning: {msg}", file=sys.stderr)

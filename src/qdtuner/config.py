@@ -9,7 +9,6 @@ files.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import os
@@ -544,9 +543,8 @@ def _round_floats(obj):
     return obj
 
 
-def write_bytes(chunks: Iterable[bytes], path: str | Path, *, tail: Iterable[bytes] | None = None) -> None:
-    """Write an artifact as the given bytes, each chunk as soon as it comes,
-    then the chunks of `tail` if one is given.
+def write_bytes(chunks: Iterable[bytes], path: str | Path) -> None:
+    """Write an artifact as the given bytes, each chunk as soon as it comes.
 
     Every artifact goes through here, so none passes a text layer: the bytes
     are those the caller formatted, LF endings included. A file that cannot
@@ -560,22 +558,13 @@ def write_bytes(chunks: Iterable[bytes], path: str | Path, *, tail: Iterable[byt
     that. If the write fails part-way, the file is cut where the new bytes
     end, so it holds no byte of the old artifact. The write is not atomic:
     a reader may see a partly rewritten file.
-
-    Where `os.fork` exists and a second CPU is usable, a forked child formats
-    the tail while this process writes the chunks (`_write_tail_forked`).
-    The file is opened before the fork, and the bytes are the same either way.
     """
     try:
         with open(path, "wb", opener=_open_in_place) as f:
             try:
-                if tail is None or not hasattr(os, "fork") or _usable_cpus() < 2:
-                    f.writelines(itertools.chain(chunks, tail or ()))
-                    _cut(f)
-                else:
-                    _write_tail_forked(f, chunks, tail)
-            except BaseException:
-                _cut(f)  # at the new bytes written so far
-                raise
+                f.writelines(chunks)
+            finally:
+                _cut(f)  # at the new bytes written, all or so far
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from e
 
@@ -585,72 +574,11 @@ def _open_in_place(path: str, flags: int) -> int:
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
-def _cut(f, end: int | None = None) -> None:
-    """Cut f at byte `end`, or where its writes have reached, if it is a
-    regular file (ftruncate refuses /dev/null, and O_TRUNC ignores it)."""
+def _cut(f) -> None:
+    """Cut f where its writes have reached, if it is a regular file
+    (ftruncate refuses /dev/null, and O_TRUNC ignores it)."""
     if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-        f.truncate(end)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _write_tail_forked(f, head: Iterable[bytes], tail: Iterable[bytes]) -> None:
-    """Write head and then tail over the file f, the tail from a child, and
-    cut the file where the tail ends.
-
-    One child is forked. It joins the tail into one buffer while this
-    process streams the head, reads from a pipe the byte offset where the
-    head ended, writes its buffer there with `os.pwrite` on the inherited
-    descriptor, cuts the file at the buffer's end and leaves by `os._exit`.
-    The child is always reaped, on every path; if it could not be forked or
-    did not exit 0, this process writes the tail itself at that offset and
-    cuts the file there, so the bytes never depend on the child. The head
-    is never cut before the tail is written: cutting a long old file at the
-    head's end and then extending it costs about as much as O_TRUNC.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare
-        os.close(read_end)
-        os.close(write_end)
-        f.writelines(itertools.chain(head, tail))
-        _cut(f)
-        return
-    if pid == 0:
-        code = 1
-        try:
-            os.close(write_end)
-            data = b"".join(tail)
-            # 8 bytes, written at once: a pipe delivers them in one read
-            offset = os.read(read_end, 8)
-            if len(offset) == 8:
-                start = int.from_bytes(offset, "little")
-                if os.pwrite(f.fileno(), data, start) == len(data):
-                    _cut(f, start + len(data))
-                    code = 0
-        finally:
-            os._exit(code)  # never back into the caller's code, whatever was raised
-    os.close(read_end)
-    try:
-        f.writelines(head)
-        f.flush()
-        offset = f.tell()
-        try:
-            os.write(write_end, offset.to_bytes(8, "little"))
-        except BrokenPipeError:
-            pass  # the child is gone; its exit status says so below
-    finally:
-        os.close(write_end)  # a child still waiting for the offset reads EOF and exits 1
-        status = os.waitpid(pid, 0)[1]
-    if status != 0:
-        f.seek(offset)
-        f.writelines(tail)
-        _cut(f)
+        f.truncate()
 
 
 def write_json(obj: dict, path: str | Path) -> None:

@@ -112,6 +112,8 @@ class Crosstalk:
         m = np.asarray(self.matrix_k2_per_mw, dtype=float)
         object.__setattr__(self, "matrix_k2_per_mw", m)
         n = len(self.structure_ids)
+        if len(set(self.structure_ids)) != n:
+            raise ValueError("crosstalk structure ids must be distinct")
         if m.shape != (n, n):
             raise ValueError("crosstalk matrix shape must match the structure list")
         m.setflags(write=False)

@@ -22,13 +22,6 @@ def run_cli(*args):
     return cli.main([str(a) for a in args])
 
 
-@pytest.fixture(autouse=True)
-def no_child_left_behind():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def read_rows(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
@@ -366,8 +359,6 @@ def test_unwritable_artifact_is_config_error(configs_dir, tmp_path, capsys, argv
     assert err.startswith("config error:")
     assert str(out / artifact) in err
     assert (out / artifact).is_dir()
-    with pytest.raises(ChildProcessError):  # the file is opened before any fork
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("name", ["device_w320.json", "device_w800.json"])
@@ -873,81 +864,13 @@ def _spectra_digest(out):
     return hashlib.sha256((out / "spectra.csv").read_bytes()).hexdigest()
 
 
-def _fork_sweeps(monkeypatch, case):
-    """Make every sweep fork for its tail, and the child or the fork itself
-    fail if `case` says so; returns the list of forks and the list of the
-    exit statuses the sweep reaped."""
-    monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    fork, waitpid = os.fork, os.waitpid
-    forks, statuses = [], []
-
-    def failing_pwrite(*args):
-        raise OSError(errno.EIO, os.strerror(errno.EIO))
-
-    def counted_fork():
-        forks.append(1)
-        if case == "fork-fails":
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return fork()
-
-    def recorded_waitpid(pid, options):
-        statuses.append(waitpid(pid, options)[1])
-        return pid, statuses[-1]
-
-    if case == "child-fails":  # patched before the fork, so the child inherits it
-        monkeypatch.setattr(os, "pwrite", failing_pwrite)
-    monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
-    return forks, statuses
-
-
-def _assert_forked(forks, statuses, case):
-    assert len(forks) == 1
-    if case == "fork-fails":
-        assert statuses == []
-    else:
-        assert len(statuses) == 1
-        assert os.waitstatus_to_exitcode(statuses[0]) == (1 if case == "child-fails" else 0)
-
-
-@pytest.mark.parametrize("failure", ["child-fails", "fork-fails"])
-def test_sweep_writes_the_tail_itself_when_the_child_cannot(configs_dir, tmp_path, monkeypatch, failure):
-    forks, statuses = _fork_sweeps(monkeypatch, failure)
-    out = tmp_path / "out"
-    assert run_cli("sweep", configs_dir / "fig2a.json", "--out", out) == 0
-    _assert_forked(forks, statuses, failure)
-    assert _spectra_digest(out) == GOLDEN_DIGESTS[("sweep", "fig2a.json")]["spectra.csv"]
-
-
-@pytest.mark.parametrize("case", ["one-cpu-by-affinity", "one-cpu-by-count", "small-sweep", "one-spectrum"])
-def test_sweep_forks_only_for_a_large_sweep_on_two_cpus(configs_dir, tmp_path, monkeypatch, case):
-    argv = ["sweep", configs_dir / "fig2a.json"]
-    if case == "one-cpu-by-affinity":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    elif case == "one-cpu-by-count":
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    elif case == "small-sweep":  # 5 x 1200 rows, well below SPLIT_MIN_ROWS
-        argv += ["--steps", 5]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    else:  # 60,000 rows of one spectrum: 5 mW is past the 4 mW limit and skipped
-        raw = json.loads((configs_dir / "fig2a.json").read_text(encoding="utf-8"))
-        raw["device"] = str(configs_dir / raw["device"])
-        raw["spectrum"]["samples"] = 60_000
-        (tmp_path / "fig2a.json").write_text(json.dumps(raw), encoding="utf-8")
-        argv = ["sweep", tmp_path / "fig2a.json", "--power-min", 3, "--power-max", 5, "--steps", 2]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def test_a_large_sweep_on_two_cpus_writes_spectra_csv_without_forking(configs_dir, tmp_path, monkeypatch):
+    # 280,000 rows: one process streams them, whatever CPUs it may use
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("tuner sweep forked"))
     out = tmp_path / "out"
-    assert run_cli(*argv, "--out", out) == 0
-    if case == "one-spectrum":
-        monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", math.inf)
-        assert run_cli(*argv, "--out", tmp_path / "unsplit") == 0
-        assert (out / "spectra.csv").read_bytes() == (tmp_path / "unsplit" / "spectra.csv").read_bytes()
-        assert (out / "spectra.csv").read_bytes().count(b"\n") == 1 + 60_000
-    elif case != "small-sweep":
-        assert _spectra_digest(out) == GOLDEN_DIGESTS[("sweep", "fig2a.json")]["spectra.csv"]
+    assert run_cli("sweep", configs_dir / "fig4.json", "--out", out) == 0
+    assert _spectra_digest(out) == GOLDEN_DIGESTS[("sweep", "fig4.json")]["spectra.csv"]
 
 
 def _artifacts(out):
@@ -982,17 +905,6 @@ def test_rerun_over_longer_artifacts_writes_a_fresh_run_s_bytes(configs_dir, tmp
     assert _artifacts(out) == want
 
 
-@pytest.mark.parametrize("case", ["child-succeeds", "child-fails", "fork-fails"])
-def test_forked_sweep_over_a_longer_spectra_csv_writes_a_fresh_run_s_bytes(configs_dir, tmp_path, monkeypatch, case):
-    forks, statuses = _fork_sweeps(monkeypatch, case)
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / "spectra.csv").write_bytes(b"junk\n" * 1_000_000)  # 5 MB, over twice the artifact
-    assert run_cli("sweep", configs_dir / "fig2a.json", "--out", out) == 0
-    _assert_forked(forks, statuses, case)
-    assert _spectra_digest(out) == GOLDEN_DIGESTS[("sweep", "fig2a.json")]["spectra.csv"]
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1001,7 +913,7 @@ def test_forked_sweep_over_a_longer_spectra_csv_writes_a_fresh_run_s_bytes(confi
         ("tune", "fig4.json"),
         ("calibrate", "--anchors-file", "anchors_temperature.json"),
     ],
-    ids=["thermal", "sweep-forked", "tune", "calibrate"],
+    ids=["thermal", "sweep", "tune", "calibrate"],
 )
 def test_no_artifact_is_opened_with_o_trunc(configs_dir, tmp_path, monkeypatch, argv):
     # truncating an existing file to zero costs more than rewriting it in
@@ -1014,7 +926,6 @@ def test_no_artifact_is_opened_with_o_trunc(configs_dir, tmp_path, monkeypatch, 
         opened[os.fspath(path)] = flags
         return os_open(path, flags, *args, **kwargs)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "open", recorded_open)
     assert run_cli(*_args(configs_dir, argv), "--out", out) == 0
     written = {str(p): p.name for p in out.iterdir()}
@@ -1027,42 +938,27 @@ def _enospc_after(first):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-@pytest.mark.parametrize(
-    "case, chunks, tail, kept",
-    [
-        ("unforked", lambda: _enospc_after(b"new head\n"), None, b"new head\n"),
-        ("forked-head", lambda: _enospc_after(b"new head\n"), lambda: iter([b"tail\n"]), b"new head\n"),
-        ("forked-tail", lambda: iter([b"new head\n"]), lambda: _enospc_after(b"tail\n"), b"new head\ntail\n"),
-    ],
-    ids=["unforked", "forked-head", "forked-tail"],
-)
-def test_a_write_that_fails_part_way_keeps_only_the_new_bytes(tmp_path, monkeypatch, case, chunks, tail, kept):
-    # the forked child joins a failing tail, fails and leaves the tail to
-    # the writer, which then fails on it in turn
-    if case != "unforked":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def test_a_write_that_fails_part_way_keeps_only_the_new_bytes(tmp_path):
     path = tmp_path / "artifact.csv"
     path.write_bytes(b"old artifact\n" * 10_000)
     with pytest.raises(cfg.ConfigError, match=re.escape(str(path))):
-        cfg.write_bytes(chunks(), path, tail=tail and tail())
-    assert path.read_bytes() == kept
+        cfg.write_bytes(_enospc_after(b"new bytes\n"), path)
+    assert path.read_bytes() == b"new bytes\n"
 
 
 @pytest.mark.parametrize(
     "argv, artifact",
     [(("tune", "fig4.json"), "solution.json"), (("sweep", "fig2a.json"), "spectra.csv")],
-    ids=["tune", "sweep-forked"],
+    ids=["tune", "sweep"],
 )
-def test_an_artifact_linked_to_dev_null_is_written_there(configs_dir, tmp_path, monkeypatch, argv, artifact):
-    # /dev/null cannot be cut: the writer and the forked child cut regular files only
-    forks, statuses = _fork_sweeps(monkeypatch, "child-succeeds")
+def test_an_artifact_linked_to_dev_null_is_written_there(configs_dir, tmp_path, argv, artifact):
+    # /dev/null cannot be cut: the writer cuts regular files only
     out = tmp_path / "out"
     out.mkdir()
     (out / artifact).symlink_to(os.devnull)
     assert run_cli(*_args(configs_dir, argv), "--out", out) == 0
     assert os.readlink(out / artifact) == os.devnull
     if argv[0] == "sweep":
-        _assert_forked(forks, statuses, "child-succeeds")
         assert (out / "peaks.csv").stat().st_size > 0
 
 

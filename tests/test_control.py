@@ -342,6 +342,16 @@ def test_crosstalk_validation():
             Crosstalk(tuple("ABC"), np.array(x)).validate(maps)
 
 
+def test_duplicate_structure_ids_are_refused():
+    # the target would go to the second map and the first map's power be dropped
+    maps = [PowerMap("A", 10.0, 300.0), PowerMap("A", 10.0, 500.0)]
+    targets = [("A", QDState("a", 927.0), 927.3)]
+    with pytest.raises(ValueError, match="structure ids must be distinct"):
+        align_multi(maps, None, targets)  # through Crosstalk.diagonal
+    with pytest.raises(ValueError, match="structure ids must be distinct"):
+        Crosstalk(("A", "A"), np.diag([300.0, 500.0]))
+
+
 def test_power_map_invariants():
     with pytest.raises(ValueError):
         PowerMap("s", 10.0, -1.0)

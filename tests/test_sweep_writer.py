@@ -6,7 +6,6 @@ and array scan must reproduce it exactly on generated scenarios.
 """
 
 import json
-import os
 import tempfile
 from pathlib import Path
 
@@ -136,38 +135,10 @@ def _example(p_min, p_max, steps, dots=0):
     return dict(GEOMETRY, cavity=None, qds=qds), scenario
 
 
-@pytest.fixture(autouse=True)
-def no_child_left_behind():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _sweep(argv, split):
-    """Run `tuner sweep`, with split from any number of rows: the second half
-    of the kept spectra then goes to a forked child if there are two or
-    more. Returns the exit code and the number of forks."""
-    if not split:
-        return cli.main(argv), 0
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "SPLIT_MIN_ROWS", 0)
-        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        mp.setattr(os, "fork", counted_fork)
-        code = cli.main(argv)
-    return code, len(forks)
-
-
 @settings(max_examples=40, deadline=None)
-@example(_example(4.5, 5.0, 3))  # every power past the 4 mW limit: no spectrum, no split
-@example(_example(3.0, 5.0, 2))  # one spectrum: no split
-@example(_example(0.0, 2.0, 3, dots=1))  # three spectra: the head holds two
+@example(_example(4.5, 5.0, 3))  # every power past the 4 mW limit: no spectrum
+@example(_example(3.0, 5.0, 2))  # one spectrum
+@example(_example(0.0, 2.0, 3, dots=1))  # three spectra
 @given(sweep_scenarios())
 def test_sweep_csvs_match_reference_writer(generated):
     device, scenario = generated
@@ -178,16 +149,11 @@ def test_sweep_csvs_match_reference_writer(generated):
         path.write_text(json.dumps(dict(scenario, device="device.json")), encoding="utf-8")
         for refit in (False, True):
             spectra, peaks = reference_sweep(path, refit)
-            kept = (spectra.count("\n") - 1) // scenario["spectrum"]["samples"]
-            # the split is taken only from SPLIT_MIN_ROWS rows, far more than
-            # any generated sweep has: forced, it runs on every one of them
-            # that keeps two spectra or more
-            for split in (False, True):
-                out = tmp / f"out_{refit}_{split}"
-                argv = ["sweep", str(path), "--out", str(out)] + (["--refit"] if refit else [])
-                assert _sweep(argv, split) == (0, int(split and kept >= 2))
-                assert (out / "spectra.csv").read_bytes() == spectra.encode("utf-8")
-                assert (out / "peaks.csv").read_bytes() == peaks.encode("utf-8")
+            out = tmp / f"out_{refit}"
+            argv = ["sweep", str(path), "--out", str(out)] + (["--refit"] if refit else [])
+            assert cli.main(argv) == 0
+            assert (out / "spectra.csv").read_bytes() == spectra.encode("utf-8")
+            assert (out / "peaks.csv").read_bytes() == peaks.encode("utf-8")
 
 
 def _spectrum(y):
