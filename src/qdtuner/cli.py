@@ -279,33 +279,26 @@ def cmd_tune(args) -> int:
     tune = _merge(scenario.tune, args)
     qds = cfg.tuned_dots(scenario, tune)
 
+    structures = scenario.structures
     if tune.target == "qd-to-cavity":
-        structure = scenario.main
-        if structure.device.cavity is None:
-            raise ConfigError("qd-to-cavity tuning needs a cavity in the device file")
-        solution = control.align_qd_to_cavity(
-            structure.power_map,
-            qds[0],
-            structure.device.cavity,
-            tol_nm=tune.tol_nm,
-            f0=scenario.spectrum.f0,
-            min_q=tune.min_q,
-        )
+        # each dot meets the cavity of its own structure
+        for s in structures:
+            if s.device.cavity is None:
+                raise ConfigError(f"qd-to-cavity tuning needs a cavity in the device of structure {s.structure_id!r}")
+        goals = [s.device.cavity for s in structures]
     else:
-        if len(scenario.structures) < 2:
+        if len(structures) < 2:
             raise ConfigError("qd-to-qd tuning needs at least two structures")
         # all dots meet at the reddest rest wavelength; that dot stays unpowered
-        target_lambda = max(qd.lambda0_nm for qd in qds)
-        targets = [
-            (s.structure_id, qd, target_lambda)
-            for s, qd in zip(scenario.structures, qds)
-        ]
-        solution = control.align_multi(
-            [s.power_map for s in scenario.structures],
-            scenario.crosstalk,
-            targets,
-            tol_nm=tune.tol_nm,
-        )
+        goals = [max(qd.lambda0_nm for qd in qds)] * len(qds)
+    solution = control.align_multi(
+        [s.power_map for s in structures],
+        scenario.crosstalk,
+        [(s.structure_id, qd, goal) for s, qd, goal in zip(structures, qds, goals)],
+        tol_nm=tune.tol_nm,
+        f0=scenario.spectrum.f0,
+        min_q=tune.min_q,
+    )
 
     out = _out_dir(args)
     cfg.write_json(solution.to_dict(), out / "solution.json")
@@ -345,7 +338,10 @@ def cmd_calibrate(args) -> int:
             fit = {"alpha_nm_per_k2": slope, "beta_k2_per_mw": None, "alpha_beta_nm_per_mw": None}
         else:
             slope, residual = _fit_through_origin(pts[:, 0], pts[:, 1], ctx)
-            fit = {"alpha_nm_per_k2": alpha, "beta_k2_per_mw": slope / alpha, "alpha_beta_nm_per_mw": slope}
+            beta = slope / alpha
+            if not math.isfinite(beta):
+                raise ConfigError(f"{ctx}: beta = slope / alpha overflows at alpha {alpha:g} nm/K^2")
+            fit = {"alpha_nm_per_k2": alpha, "beta_k2_per_mw": beta, "alpha_beta_nm_per_mw": slope}
         results[sid] = {"mode": mode, **fit, "residual_rms_nm": residual, "n_anchors": int(pts.shape[0])}
 
     out = _out_dir(args)

@@ -247,6 +247,8 @@ def load_device(path: str | Path, raw: dict | None = None) -> Device:
 
 @dataclass(frozen=True)
 class SpectrumParams:
+    """How spectra are sampled and drawn: window, samples, Purcell peak, cavity height, baseline."""
+
     window_nm: tuple[float, float] = (925.0, 935.0)
     samples: int = 1200
     f0: float = spectral.DEFAULT_PURCELL_F0
@@ -273,6 +275,8 @@ MAX_SWEEP_SAMPLES = 10_000_000
 
 @dataclass(frozen=True)
 class SweepParams:
+    """The incident-power ramp of a sweep: first and last power in mW and the step count."""
+
     power_min_mw: float = 0.0
     power_max_mw: float = 3.0
     steps: int = 61
@@ -294,6 +298,8 @@ def check_sweep_size(spectrum: SpectrumParams, sweep: SweepParams) -> None:
 
 @dataclass(frozen=True)
 class ThermalParams:
+    """A thermal run's absorbed power in mW and grid pitch in um."""
+
     power_abs_mw: float = 0.0
     dx_um: float = 0.05
 
@@ -308,6 +314,8 @@ TUNE_TARGETS = ("qd-to-cavity", "qd-to-qd")
 
 @dataclass(frozen=True)
 class TuneParams:
+    """A tune's target, the dot of each structure, the tolerance and the optional quality floor."""
+
     target: str = TUNE_TARGETS[0]
     qd_ids: tuple[str, ...] = ()
     tol_nm: float = 1e-6
@@ -327,6 +335,8 @@ class TuneParams:
 
 @dataclass(frozen=True)
 class StructureConfig:
+    """One structure of a scenario: its id, its device and its power map."""
+
     structure_id: str
     device: Device
     power_map: PowerMap
@@ -348,12 +358,12 @@ class Scenario:
 
     @property
     def main(self) -> StructureConfig:
-        """The one structure that thermal, sweep and qd-to-cavity tuning
-        read; a scenario of several is refused, not read in part."""
+        """The one structure that thermal and sweep read; a scenario of
+        several is refused, not read in part."""
         if len(self.structures) > 1:
             raise ConfigError(
                 f"this command reads one structure, the scenario has {len(self.structures)} "
-                "(only qd-to-qd tuning takes several)"
+                "(only tuning takes several)"
             )
         return self.structures[0]
 
@@ -442,15 +452,13 @@ def load_scenario(path: str | Path, raw: dict | None = None) -> Scenario:
 
 
 def tuned_dots(scenario: Scenario, tune: TuneParams) -> list[QDState]:
-    """The dot each tuned structure moves; the one check of tune.qd_ids, from
-    a file or the --qd-id flags. qd-to-cavity moves one dot of the main
-    structure, by default its first, and takes at most one id; qd-to-qd
-    moves one dot per structure, by default each one's first, and takes no
-    ids or one per structure."""
-    cavity = tune.target == "qd-to-cavity"
-    structures = (scenario.main,) if cavity else scenario.structures
+    """The dot each structure moves, for either target; the one check of
+    tune.qd_ids, from a file or the --qd-id flags. Tuning moves one dot per
+    structure, by default each one's first, and takes no ids or one per
+    structure."""
+    structures = scenario.structures
     if tune.qd_ids and len(tune.qd_ids) != len(structures):
-        per = "" if cavity else f" per structure ({len(structures)})"
+        per = "" if len(structures) == 1 else f" per structure ({len(structures)})"
         raise ConfigError(f"{tune.target} tuning takes one QD id{per}, got {len(tune.qd_ids)}")
     if tune.qd_ids:
         return [s.device.qd(qd_id) for s, qd_id in zip(structures, tune.qd_ids)]

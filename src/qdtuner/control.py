@@ -2,9 +2,10 @@
 
 The power map is the measured law T^2 = T_bath^2 + beta * P for incident
 power P in mW, which composed with the quadratic shift law makes every shift
-exactly linear in P. The inverse solvers are closed forms or one linear solve,
-and alignment solvers report the detuning the forward model gives at their
-powers.
+exactly linear in P. The one alignment planner, align_multi, turns each dot's
+goal (a wavelength or its cavity) into a rise in T^2 in closed form, solves
+one linear system for the powers and reports the detunings the forward model
+gives at them.
 """
 
 from __future__ import annotations
@@ -166,89 +167,37 @@ def align_qd_to_cavity(
     f0: float = spectral.DEFAULT_PURCELL_F0,
     min_q: float | None = None,
 ) -> TuningSolution:
-    """Heating power that brings a blue-detuned dot onto the cavity resonance.
-
-    Both peaks red-shift, so the dot must start blue of the cavity and
-    outrun it: per unit of dot shift the cavity moves
-    cav.alpha / qd.alpha / shift_ratio, and the required dot shift is
-    delta0 / (1 - that). The result is verified through the forward model
-    and reported with the Purcell factor at the solution.
-    min_q optionally marks solutions infeasible when heating has degraded the
-    cavity below that quality factor.
-    """
-    if not tol_nm > 0.0:
-        raise ValueError("tol must be positive")
-    delta0 = cav.lambda0_nm - qd.lambda0_nm
-    sid = pm.structure_id
-
-    def infeasible(msg: str) -> TuningSolution:
-        return TuningSolution(
-            powers_mw={sid: 0.0},
-            detunings_nm={sid: -delta0},
-            residual_nm=abs(delta0),
-            feasible=False,
-            warnings=(msg,),
-        )
-
-    if delta0 < 0.0:
-        return infeasible(
-            "unreachable: dot is red of the cavity and both shift further red"
-        )
-    # written so that equal alphas give exactly 1 - 1/shift_ratio
-    closing = 1.0 - cav.alpha_nm_per_k2 / qd.alpha_nm_per_k2 / cav.shift_ratio
-    if delta0 > 0.0 and closing <= 0.0:
-        return infeasible("unreachable: the cavity shifts at least as fast as the dot")
-    shift_needed = delta0 / closing if delta0 > 0.0 else 0.0
-    if shift_needed > qd.max_shift_nm:
-        return infeasible(
-            f"unreachable: required shift {shift_needed:.4g} nm exceeds the "
-            f"{qd.max_shift_nm:.4g} nm tuning range"
-        )
-    p_mw = (shift_needed / qd.alpha_nm_per_k2) / pm.beta_k2_per_mw
-    if p_mw > pm.p_max_mw:
-        return infeasible(
-            f"unreachable: required power {p_mw:.4g} mW exceeds the "
-            f"{pm.p_max_mw:.4g} mW calibration limit"
-        )
-
-    t_k = temperature_from_power(pm, p_mw)
-    qd_lambda = spectral.qd_wavelength(qd, t_k, pm.t_bath_k)
-    cav_lambda = spectral.cavity_wavelength(cav, t_k, pm.t_bath_k)
-    detuning = qd_lambda - cav_lambda
-    notes: list[str] = []
-    feasible = abs(detuning) <= tol_nm
-    if shift_needed > qd.rolloff_shift_nm:
-        notes.append(f"dot driven past the {qd.rolloff_shift_nm:.4g} nm intensity roll-off")
-    q_at_solution = spectral.cavity_q(cav, t_k, pm.t_bath_k)
-    if min_q is not None and q_at_solution < min_q:
-        notes.append(
-            f"cavity quality factor {q_at_solution:.0f} below the required {min_q:.0f}"
-        )
-        feasible = False
-    fwhm = cav_lambda / q_at_solution
-    return TuningSolution(
-        powers_mw={sid: p_mw},
-        detunings_nm={sid: detuning},
-        residual_nm=abs(detuning),
-        feasible=feasible,
-        warnings=tuple(notes),
-        purcell=spectral.purcell_factor(qd_lambda, cav_lambda, fwhm, f0),
-    )
+    """The one-structure plan that brings a blue-detuned dot onto its cavity:
+    align_multi with the cavity as the dot's goal."""
+    return align_multi([pm], None, [(pm.structure_id, qd, cav)], tol_nm, f0, min_q)
 
 
 def align_multi(
     maps: list[PowerMap] | tuple[PowerMap, ...],
     crosstalk: Crosstalk | None,
-    targets: list[tuple[str, QDState, float]],
+    targets: list[tuple[str, QDState, float | CavityState]],
     tol_nm: float = 1e-6,
+    f0: float = spectral.DEFAULT_PURCELL_F0,
+    min_q: float | None = None,
 ) -> TuningSolution:
-    """Choose per-structure powers so each targeted dot reaches its wavelength.
+    """Choose per-structure powers so each targeted dot reaches its goal.
 
-    Solves T_i^2 = T_bath^2 + sum_j X[i, j] P_j for the targeted structures
-    with one direct linear solve on their block of the crosstalk matrix;
-    untargeted structures stay unpowered. A singular block or a power outside
+    A goal is a wavelength or the CavityState on the dot's structure. Both
+    peaks red-shift, so a dot meets its cavity only from the blue, by
+    outrunning it: per unit of dot shift the cavity moves
+    cav.alpha / qd.alpha / shift_ratio, and the dot must shift
+    delta0 / (1 - that). Every goal is then a rise in T^2, and one direct
+    linear solve of T_i^2 = T_bath^2 + sum_j X[i, j] P_j on the targeted
+    structures' block of the crosstalk matrix gives the powers; untargeted
+    structures stay unpowered. A singular block or a power outside
     [0, p_max] makes the plan infeasible, unless no targeted dot needs any
     shift: then no solve runs. `iterations` counts linear solves.
+
+    Each detuning is the dot minus its goal at the solved temperature. A
+    cavity goal also gives the Purcell factor there (`purcell` is the
+    smallest over the plan's cavity goals), and min_q optionally marks the
+    plan infeasible when heating has degraded a cavity below that quality
+    factor.
     """
     if not tol_nm > 0.0:
         raise ValueError("tol must be positive")
@@ -258,24 +207,38 @@ def align_multi(
         crosstalk = Crosstalk.diagonal(maps)
     crosstalk.validate(maps)
     index = {sid: i for i, sid in enumerate(ids)}
-    chosen: dict[int, tuple[str, QDState, float]] = {}
-    for sid, qd, target_lambda in targets:
+    chosen: dict[int, tuple[str, QDState, float | CavityState]] = {}
+    for sid, qd, goal in targets:
         if sid not in index:
             raise ValueError(f"unknown structure {sid!r}")
         if index[sid] in chosen:
             raise ValueError(f"more than one target for structure {sid!r}")
-        chosen[index[sid]] = (sid, qd, target_lambda)
+        chosen[index[sid]] = (sid, qd, goal)
 
     n = len(maps)
     x = crosstalk.matrix_k2_per_mw
     delta_t2: dict[int, float] = {}
     notes: list[str] = []
-    for i, (sid, qd, target_lambda) in chosen.items():
-        shift = target_lambda - qd.lambda0_nm
-        if shift < 0.0:
-            return _infeasible_multi(
-                ids, f"infeasible chip plan: target for {sid!r} is blue of the dot"
-            )
+    for i, (sid, qd, goal) in chosen.items():
+        if isinstance(goal, CavityState):
+            delta0 = goal.lambda0_nm - qd.lambda0_nm
+            # written so that equal alphas give exactly 1 - 1/shift_ratio
+            closing = 1.0 - goal.alpha_nm_per_k2 / qd.alpha_nm_per_k2 / goal.shift_ratio
+            if delta0 < 0.0:
+                return _infeasible_multi(
+                    ids, f"unreachable: the dot on {sid!r} is red of its cavity and both shift further red"
+                )
+            if delta0 > 0.0 and closing <= 0.0:
+                return _infeasible_multi(
+                    ids, f"unreachable: the cavity on {sid!r} shifts at least as fast as its dot"
+                )
+            shift = delta0 / closing if delta0 > 0.0 else 0.0
+        else:
+            shift = goal - qd.lambda0_nm
+            if shift < 0.0:
+                return _infeasible_multi(
+                    ids, f"infeasible chip plan: target for {sid!r} is blue of the dot"
+                )
         if shift > qd.max_shift_nm:
             return _infeasible_multi(
                 ids,
@@ -312,13 +275,28 @@ def align_multi(
 
     detunings: dict[str, float] = {}
     residual = 0.0
+    purcell = None
     for i in sub:
         pm = maps[i]
-        _, qd, target_lambda = chosen[i]
+        sid, qd, goal = chosen[i]
         t2 = pm.t_bath_k**2 + float(x[i] @ powers)
-        achieved = qd.lambda0_nm + qd.alpha_nm_per_k2 * (t2 - pm.t_bath_k**2)
-        detunings[pm.structure_id] = achieved - target_lambda
-        residual = max(residual, abs(achieved - target_lambda))
+        if isinstance(goal, CavityState):
+            # through the temperature, as the forward model takes it
+            t_k = math.sqrt(t2)
+            achieved = spectral.qd_wavelength(qd, t_k, pm.t_bath_k)
+            goal_nm = spectral.cavity_wavelength(goal, t_k, pm.t_bath_k)
+            q = spectral.cavity_q(goal, t_k, pm.t_bath_k)
+            if min_q is not None and q < min_q:
+                notes.append(f"cavity quality factor {q:.0f} on {sid!r} below the required {min_q:.0f}")
+                feasible = False
+            # a cavity degraded to Q = 0 (an infinite T^2) is infinitely wide
+            factor = spectral.purcell_factor(achieved, goal_nm, goal_nm / q if q > 0.0 else math.inf, f0)
+            purcell = factor if purcell is None else min(purcell, factor)
+        else:
+            achieved = qd.lambda0_nm + qd.alpha_nm_per_k2 * (t2 - pm.t_bath_k**2)
+            goal_nm = goal
+        detunings[sid] = achieved - goal_nm
+        residual = max(residual, abs(achieved - goal_nm))
     feasible = feasible and residual <= tol_nm
     return TuningSolution(
         powers_mw=dict(zip(ids, powers.tolist())),
@@ -327,6 +305,7 @@ def align_multi(
         feasible=feasible,
         warnings=tuple(notes),
         iterations=int(solved),
+        purcell=purcell,
     )
 
 

@@ -163,6 +163,8 @@ def purcell_factor(
 
 @dataclass(frozen=True)
 class SpectralPeak:
+    """One annotated component of a spectrum: a dot line or the cavity mode."""
+
     kind: str      # "qd" or "cavity"
     label: str
     center_nm: float

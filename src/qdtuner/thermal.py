@@ -143,6 +143,8 @@ class TemperatureField:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """How a steady-state solve ended: its steps, energy residual and convergence."""
+
     iterations: int        # chord steps, one solve with the Kirchhoff operator each
     residual: float        # relative energy imbalance, from the solved field or its mirror half
     converged: bool

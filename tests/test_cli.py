@@ -612,17 +612,48 @@ def test_tune_pair_decoupled(configs_dir, tmp_path):
     assert sol["powers_mw"]["B"] == 0.0
 
 
-def _cavity_pair(configs_dir, tmp_path):
-    """qd_pair.json with structure A on device_w320_two_qds.json, which has
-    a cavity, tuned qd-to-cavity."""
-    raw = json.loads((configs_dir / "qd_pair.json").read_text(encoding="utf-8"))
-    raw["structures"][0]["device"] = "device_w320_two_qds.json"
+@pytest.mark.parametrize("crosstalk", [True, False], ids=["crosstalk", "independent"])
+def test_tune_cavity_pair(configs_dir, tmp_path, crosstalk):
+    # two structures that heat each other, each dot onto the cavity of its own structure
+    raw = json.loads((configs_dir / "cavity_pair.json").read_text(encoding="utf-8"))
     for s in raw["structures"]:
         s["device"] = str(configs_dir / s["device"])
-    raw["tune"] = {"target": "qd-to-cavity"}
-    path = tmp_path / "cavity_pair.json"
-    path.write_text(json.dumps(raw), encoding="utf-8")
-    return path
+    if not crosstalk:
+        raw["crosstalk_k2_per_mw"] = None
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("tune", scenario, "--out", out) == 0
+    sol = json.loads((out / "solution.json").read_text(encoding="utf-8"))
+    assert sol["feasible"] is True and sol["iterations"] == 1
+    assert all(abs(d) <= 1e-6 for d in sol["detunings_nm"].values()) and len(sol["detunings_nm"]) == 2
+    # QD1 and QD2 of device_w320_two_qds.json are 0.25 and 0.35 nm blue of
+    # the cavity; without crosstalk each power is its own closed form
+    alpha = spectral.DEFAULT_ALPHA_NM_PER_K2
+    closed = {sid: d / (1.0 - 1.0 / spectral.DEFAULT_SHIFT_RATIO) / alpha / beta
+              for sid, d, beta in (("A", 0.25, 400.0), ("B", 0.35, 350.0))}
+    for sid, p in sol["powers_mw"].items():
+        if crosstalk:  # the other structure's heat does part of the work
+            assert 0.0 < p < closed[sid]
+        else:
+            assert math.isclose(p, closed[sid], rel_tol=1e-8)
+
+
+def test_tune_cavity_pair_with_a_red_dot_exits_4(configs_dir, tmp_path, capsys):
+    device = json.loads((configs_dir / "device_w320_two_qds.json").read_text(encoding="utf-8"))
+    device["qds"][1]["lambda0_nm"] = 930.1  # QD2, red of the 930.0 cavity
+    (tmp_path / "red.json").write_text(json.dumps(device), encoding="utf-8")
+    raw = json.loads((configs_dir / "cavity_pair.json").read_text(encoding="utf-8"))
+    raw["structures"][0]["device"] = str(configs_dir / raw["structures"][0]["device"])
+    raw["structures"][1]["device"] = "red.json"
+    (tmp_path / "s.json").write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli("tune", tmp_path / "s.json", "--out", out) == 4
+    sol = json.loads((out / "solution.json").read_text(encoding="utf-8"))
+    assert sol["feasible"] is False and sol["powers_mw"] == {"A": 0.0, "B": 0.0}
+    assert sol["warnings"] == ["unreachable: the dot on 'B' is red of its cavity and both shift further red"]
+    assert capsys.readouterr().err == f"warning: {sol['warnings'][0]}\n"
 
 
 @pytest.mark.parametrize(
@@ -630,16 +661,14 @@ def _cavity_pair(configs_dir, tmp_path):
     [
         pytest.param(["thermal", "{configs}/qd_pair.json", "--dx-um", "0.1"], id="thermal"),
         pytest.param(["sweep", "{configs}/qd_pair.json"], id="sweep"),
-        pytest.param(["tune", "{tmp}/cavity_pair.json"], id="tune-qd-to-cavity"),
     ],
 )
 def test_a_one_structure_command_refuses_several(configs_dir, tmp_path, capsys, argv):
-    # thermal, sweep and qd-to-cavity tuning read one structure; given two,
-    # they once read the first and ignored the other (qd-to-qd tuning takes
-    # several: test_tune_pair_decoupled)
-    _cavity_pair(configs_dir, tmp_path)
+    # thermal and sweep read one structure; given two, they once read the
+    # first and ignored the other (tuning takes several: test_tune_pair_decoupled
+    # and test_tune_cavity_pair)
     out = tmp_path / "out"
-    assert run_cli(*[a.format(configs=configs_dir, tmp=tmp_path) for a in argv], "--out", out) == 2
+    assert run_cli(*[a.format(configs=configs_dir) for a in argv], "--out", out) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "the scenario has 2" in err
     assert not out.exists()
@@ -768,6 +797,23 @@ def test_calibrate_bad_structures_are_refused(tmp_path, capsys, structures, mess
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_calibrate_refuses_a_beta_that_overflows(configs_dir, tmp_path, capsys, where):
+    # an alpha that passes the positive check, but beta = slope / alpha is inf
+    anchors, flags = configs_dir / "anchors_power.json", ["--alpha", "1e-310"]
+    if where == "file":
+        raw = json.loads(anchors.read_text(encoding="utf-8"))
+        anchors, flags = tmp_path / "a.json", []
+        anchors.write_text(json.dumps({**raw, "alpha_nm_per_k2": 5e-324}), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("calibrate", "--anchors-file", anchors, *flags, "--out", tmp_path / "out") == 2
+    alpha = "1e-310" if where == "flag" else "4.94066e-324"
+    assert capsys.readouterr().err == (
+        f"config error: {anchors}: main: beta = slope / alpha overflows at alpha {alpha} nm/K^2\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_calibrate_single_anchor_rejected(tmp_path):
     anchors = tmp_path / "a.json"
     anchors.write_text(json.dumps({"temperature_anchors": [[40.0, 1.8]]}), encoding="utf-8")
@@ -834,10 +880,13 @@ GOLDEN_DIGESTS = {
         "spectra.csv": "b4ed389d469bd789b9bfd97063d6adeef01a9f55f82330e0e1a48142d1472fa2",
     },
     ("tune", "fig4.json"): {
-        "solution.json": "8f2af92107faa3d36f2da58d2168e7cdb9ef020d167665a87385bcdbe68897f9",
+        "solution.json": "598069aa2df68a764854e2c5ece6016672a32906fd77c169c5a514871084eace",
     },
     ("tune", "qd_pair.json"): {
         "solution.json": "d7dc18821e76b00cbf46357d74ab990cda3438c12343edc701f144ea6d3fcaef",
+    },
+    ("tune", "cavity_pair.json"): {
+        "solution.json": "f8ace54dfea9464c917de42e6ebce94dd86f5dd74ebb8814dd33592b890d9d39",
     },
     ("calibrate", "--anchors-file", "anchors_power.json"): {
         "calibration.json": "41eb23fe09094a2479251f7ec060902b23966b051c907254f5314a388708ec41",

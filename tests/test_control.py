@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdtuner import control
+from qdtuner import control, spectral
 from qdtuner.control import (
     POWER_ANCHOR_MW,
     SHIFT_ANCHOR_NM,
@@ -228,7 +228,8 @@ def test_align_shift_beyond_range_unreachable():
     cav = CavityState(928.5, q0=9000.0)  # needs a 2.28 nm dot shift
     sol = align_qd_to_cavity(PM, QD, cav)
     assert not sol.feasible
-    assert any("unreachable" in w for w in sol.warnings)
+    assert sol.warnings == ("infeasible chip plan: target shift 2.282 nm for 'main' exceeds the 1.8 nm tuning range",)
+    assert sol.powers_mw == {"main": 0.0} and sol.detunings_nm == {} and sol.residual_nm == math.inf
 
 
 def test_align_power_beyond_limit_unreachable():
@@ -236,7 +237,7 @@ def test_align_power_beyond_limit_unreachable():
     cav = CavityState(928.5, q0=9000.0)
     sol = align_qd_to_cavity(PM, roomy, cav)
     assert not sol.feasible
-    assert any("power" in w for w in sol.warnings)
+    assert sol.warnings == ("infeasible chip plan: structure 'main' needs 4.891 mW (allowed 0..4 mW)",)
 
 
 def test_align_with_quality_floor():
@@ -249,6 +250,135 @@ def test_align_with_quality_floor():
     assert any("quality factor" in w for w in blocked.warnings)
     # powers are identical; only the feasibility policy differs
     assert blocked.powers_mw == ok.powers_mw
+
+
+def test_one_structure_cavity_plan_is_the_closed_form_bit_for_bit():
+    # the closed form the one-structure qd-to-cavity solver evaluated before
+    # it became a call of the chip planner; the planner's 1x1 solve is its
+    # division, and its report is the forward model at sqrt(T^2)
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(3000):
+        alpha = ALPHA * rng.uniform(0.5, 2.0)
+        qd = QDState("q", rng.uniform(920.0, 940.0), alpha_nm_per_k2=alpha)
+        cav = CavityState(
+            qd.lambda0_nm + rng.choice((0.0, rng.uniform(0.0, 1.2))),
+            q0=rng.uniform(2000.0, 12000.0),
+            shift_ratio=rng.uniform(1.5, 4.0),
+            q_slope_per_k2=rng.choice((0.0, control.spectral.DEFAULT_Q_SLOPE_PER_K2 * rng.uniform(0.5, 2.0))),
+            alpha_nm_per_k2=alpha * rng.choice((1.0, rng.uniform(0.8, 1.2))),
+        )
+        pm = PowerMap("main", rng.uniform(4.0, 12.0), PM.beta_k2_per_mw * rng.uniform(0.5, 2.0), 8.0)
+        f0 = rng.uniform(1.0, 8.0)
+        min_q = rng.choice((None, rng.uniform(3000.0, 9000.0)))
+        tol = rng.choice((1e-6, 1e-9))
+
+        delta0 = cav.lambda0_nm - qd.lambda0_nm
+        closing = 1.0 - cav.alpha_nm_per_k2 / qd.alpha_nm_per_k2 / cav.shift_ratio
+        if closing <= 0.0:
+            continue
+        shift_needed = delta0 / closing if delta0 > 0.0 else 0.0
+        if shift_needed > qd.max_shift_nm:
+            continue
+        p_mw = (shift_needed / qd.alpha_nm_per_k2) / pm.beta_k2_per_mw
+        if p_mw > pm.p_max_mw:
+            continue
+        t_k = float(np.sqrt(pm.t_bath_k**2 + pm.beta_k2_per_mw * p_mw))
+        rise = t_k**2 - pm.t_bath_k**2
+        qd_lambda = qd.lambda0_nm + qd.alpha_nm_per_k2 * rise
+        cav_lambda = cav.lambda0_nm + cav.alpha_nm_per_k2 * rise / cav.shift_ratio
+        q = 1.0 / (1.0 / cav.q0 + cav.q_slope_per_k2 * rise)
+        x = 2.0 * (qd_lambda - cav_lambda) / (cav_lambda / q)
+        purcell = 1.0 + (f0 - 1.0) / (1.0 + x * x)
+        detuning = qd_lambda - cav_lambda
+        feasible = abs(detuning) <= tol and not (min_q is not None and q < min_q)
+
+        sol = align_qd_to_cavity(pm, qd, cav, tol_nm=tol, f0=f0, min_q=min_q)
+        assert sol.powers_mw == {"main": p_mw}
+        assert sol.detunings_nm == {"main": detuning}
+        assert sol.residual_nm == abs(detuning)
+        assert sol.purcell == purcell
+        assert sol.feasible is feasible
+        assert sol.iterations == (shift_needed > 0.0)
+        seen.add((feasible, shift_needed > 0.0))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}  # min_q refuses the last two
+
+
+def test_a_cavity_whose_q_falls_to_zero_is_planned():
+    # q_slope * (T^2 - T_bath^2) overflows, so Q is 0 and the linewidth
+    # lambda / Q infinite: the overlap is then f0, not a division by zero
+    cav = CavityState(930.0, q_slope_per_k2=1.7e308)
+    sol = align_qd_to_cavity(PM, QDState("QD1", 929.75), cav)
+    assert sol.feasible and sol.purcell == spectral.DEFAULT_PURCELL_F0
+    blocked = align_qd_to_cavity(PM, QDState("QD1", 929.75), cav, min_q=1.0)
+    assert not blocked.feasible and blocked.warnings == ("cavity quality factor 0 on 'main' below the required 1",)
+
+
+def _cavity_chip(rng, n):
+    """A chip of n structures, crosstalk within Crosstalk.validate's rules,
+    and one dot per structure aimed at that structure's cavity. The dots
+    start where known powers would put them on their cavities. Those powers
+    are within p_max on most chips; on the others one structure's power is
+    negative or over p_max, or one dot starts red of its cavity or beyond
+    its tuning range."""
+    ids = tuple(f"S{i}" for i in range(n))
+    maps = [
+        PowerMap(sid, rng.uniform(4.0, 12.0), PM.beta_k2_per_mw * rng.uniform(0.5, 2.0), rng.choice((0.5, 1.0, 2.0)))
+        for sid in ids
+    ]
+    strength = rng.random()
+    x = np.array([[pm.beta_k2_per_mw * (1.0 if j == i else strength * rng.random()) for j in range(n)]
+                  for i, pm in enumerate(maps)])
+    p_star = [rng.uniform(0.0, 0.9 * pm.p_max_mw / n) for pm in maps]
+    bad, kind = rng.randrange(n), rng.random()
+    if kind < 0.15:
+        p_star[bad] = -rng.uniform(0.01, 0.1)
+    elif kind < 0.3:
+        p_star[bad] = maps[bad].p_max_mw * rng.uniform(1.01, 1.2)
+    targets = []
+    for i, sid in enumerate(ids):
+        alpha = ALPHA * rng.uniform(0.8, 1.25)
+        qd = QDState(sid.lower(), rng.uniform(926.0, 930.0), alpha_nm_per_k2=alpha)
+        ratio = rng.uniform(2.0, 3.5)
+        closing = 1.0 - 1.0 / ratio
+        delta0 = alpha * float(x[i] @ p_star) * closing
+        if i == bad and 0.3 <= kind < 0.4:
+            delta0 = -rng.uniform(1e-6, 0.3)
+        elif i == bad and 0.4 <= kind < 0.5:
+            delta0 = (qd.max_shift_nm + rng.uniform(1e-6, 0.5)) * closing
+        targets.append((sid, qd, CavityState(qd.lambda0_nm + delta0, shift_ratio=ratio, alpha_nm_per_k2=alpha)))
+    return maps, Crosstalk(ids, x), targets
+
+
+def test_chip_cavity_plans_agree_with_a_linear_solve_oracle():
+    rng = random.Random(19)
+    outcomes = set()
+    for _ in range(600):
+        n = rng.randint(2, 8)
+        maps, crosstalk, targets = _cavity_chip(rng, n)
+        x = crosstalk.matrix_k2_per_mw
+        # the oracle: each dot's shift in closed form, then one solve
+        shifts = [
+            (cav.lambda0_nm - qd.lambda0_nm) / (1.0 - cav.alpha_nm_per_k2 / qd.alpha_nm_per_k2 / cav.shift_ratio)
+            for _, qd, cav in targets
+        ]
+        reachable = all(0.0 <= s <= qd.max_shift_nm for s, (_, qd, _) in zip(shifts, targets))
+        powers = np.linalg.solve(x, [s / qd.alpha_nm_per_k2 for s, (_, qd, _) in zip(shifts, targets)])
+        feasible = reachable and all(-1e-12 <= p <= pm.p_max_mw for p, pm in zip(powers, maps))
+
+        sol = align_multi(maps, crosstalk, targets, tol_nm=1e-6)
+        assert sol.feasible is feasible
+        outcomes.add("feasible" if feasible else "powers" if reachable else sol.warnings[0].split(":")[0])
+        if not feasible:
+            continue
+        got = np.array([sol.powers_mw[pm.structure_id] for pm in maps])
+        assert all(0.0 <= p <= pm.p_max_mw for p, pm in zip(got, maps))
+        for i, (pm, (sid, qd, cav)) in enumerate(zip(maps, targets)):
+            t_k = math.sqrt(pm.t_bath_k**2 + float(x[i] @ got))
+            dot = spectral.qd_wavelength(qd, t_k, pm.t_bath_k)
+            assert abs(dot - spectral.cavity_wavelength(cav, t_k, pm.t_bath_k)) <= 1e-6
+        assert sol.purcell is not None and sol.purcell > 1.0
+    assert outcomes == {"feasible", "powers", "unreachable", "infeasible chip plan"}
 
 
 def test_align_multi_decoupled_matches_closed_forms():

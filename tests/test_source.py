@@ -50,6 +50,7 @@ UNREAD_PUBLIC = {
     "absorbed_power_for_temperature": "acceptance criterion 7's absorbed power",
     "beta_for_width": "the width law that ROADMAP item 7 wires into the calibration",
     "default_layout": "the layout of the tests",
+    "align_qd_to_cavity": "the one-structure plan of acceptance criterion 5, traced by bench/spans.py by name",
 }
 
 

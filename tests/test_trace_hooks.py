@@ -43,6 +43,9 @@ def test_every_traced_layer_records_its_spans_and_counts(configs_dir, tmp_path, 
                 assert cli.main([*map(str, argv), "--out", str(tmp_path / str(k))]) == 0
         with tracer.operation("align_multi"):
             assert control.align_multi(maps, None, targets).feasible
+            # tune plans cavity goals through align_multi, so this is the
+            # one call of the one-structure name
+            assert control.align_qd_to_cavity(maps[0], targets[0][1], spectral.CavityState(927.3)).feasible
 
     inclusive, _ = tracer.times()
     assert {name for name, *_ in spans._targets()} <= inclusive.keys()
